@@ -4,7 +4,6 @@ linear models estimated by two-stage least squares."""
 from .bootstrap import (
     BootstrapConfig,
     MultiplierStream,
-    bootstrap_statistic,
     bootstrap_sup_test,
     pvalue_and_quantile,
     wf_generate,

@@ -1,4 +1,4 @@
-"""Wild bootstrap: sample generation, replication loops, p-values.
+"""Wild bootstrap: sample generation, batched bootstrap statistics, p-values.
 
 Bootstrap residuals are u_b = u_hat * nu and v_b = v_hat * nu with the
 same Rademacher multiplier nu_t applied to both, preserving their
@@ -16,7 +16,9 @@ stream seeded by derive_seed(master_seed, j, STREAM_NU, b); reduced-form
 pre-test stages use STREAM_NU_RF with the stage index appended.  The
 number and location of reduced-form breaks are held at their sample
 estimates across replications; reduced-form coefficients are re-estimated
-in every bootstrap sample.
+in every bootstrap sample.  The B samples of a test form one batch, scored
+by the same sup reductions as the sample statistic (see
+:mod:`breakboot.stats`).
 """
 
 from __future__ import annotations
@@ -26,22 +28,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import Design, RegimeEstimates, fit_regimes
+from .estimation import Design, RegimeEstimates, first_stage, fit_regimes, make_design
 from .exceptions import BootstrapFailureError, ConfigError, EmptyDrawsError
 from .model import Dataset, ModelSpec, Partition, no_breaks, regime_of
-from .partition_search import global_ssr_breaks, min_regime_length
+from .partition_search import global_ssr_breaks, min_regime_length, rf_break_grid_and_fit
 from .rng import STREAM_NU, STREAM_NU_RF, generator, rademacher
 from .stats import (
     TestOutcome,
-    make_design_cached,
-    restricted_fit_batch,
-    scan_partitions,
-    scan_partitions_batch,
-    seq_scan,
+    _sup_case_i,
+    _sup_case_ii,
+    sup_f_design,
     sup_wald_design,
+    sup_wald_seq_design,
 )
 
 SCHEMES = ("wr", "wf")
+_WANT = {"supwald": "wald", "supf": "f"}  # statistic -> scan value
 
 
 @dataclass(frozen=True)
@@ -185,7 +187,7 @@ def wr_generate(
     nu: np.ndarray,
 ) -> Dataset:
     """One wild-recursive bootstrap dataset from null-imposed estimates."""
-    design = make_design_cached(spec, data)
+    design = make_design(spec, data)
     yb, xb, _ = _wr_paths(design, estimates, np.asarray(nu, dtype=np.float64)[:, None])
     return _paths_to_dataset(design, yb[:, 0], xb[:, :, 0])
 
@@ -197,7 +199,7 @@ def wf_generate(
     nu: np.ndarray,
 ) -> Dataset:
     """One wild-fixed bootstrap dataset from null-imposed estimates."""
-    design = make_design_cached(spec, data)
+    design = make_design(spec, data)
     yb, xb = _wf_paths(design, estimates, np.asarray(nu, dtype=np.float64)[:, None])
     return _paths_to_dataset(design, yb[:, 0], xb[:, :, 0])
 
@@ -242,16 +244,100 @@ def _first_stage_wf(Z, xb, rf_partition: Partition):
 
 
 # ---------------------------------------------------------------------------
-# Bootstrap draws for the structural-equation tests
+# Bootstrap samples and draws
 # ---------------------------------------------------------------------------
 
 
-def _drop_failures(draws: list[float], failures: int, cfg: BootstrapConfig):
+def _rf_wr_paths(design: Design, delta: list[np.ndarray], rf_partition: Partition,
+                 v_hat: np.ndarray, nu: np.ndarray):
+    """Recursive bootstrap of the RF equation alone (max_lag > 0).
+
+    Only lagged x inside z is replaced by bootstrap values; lagged y and
+    all r columns stay at their sample values (the RF is treated as a
+    single-equation OLS model).
+    """
+    spec = design.spec
+    lag = spec.max_lag
+    vb = v_hat[:, :, None] * nu[:, None, :]
+    n, B = nu.shape
+    p1, q = spec.p1, spec.q
+    d_idx = np.array(
+        [regime_of(t, rf_partition) - 1 for t in range(1, n + 1)], dtype=np.int64
+    )
+    x_hist = np.empty((lag + n, p1, B))
+    x_hist[:lag] = design.data.x[:lag, :, None]
+    Zb = np.empty((B, n, q))
+    zrow = np.empty((B, q))
+    for t in range(1, n + 1):
+        i = t - 1
+        for c, role in enumerate(spec.rf_instruments):
+            if role.kind == "x":
+                zrow[:, c] = x_hist[lag + i - role.lag, role.index - 1]
+            else:
+                zrow[:, c] = design.Z[i, c]
+        Zb[:, i, :] = zrow
+        x_t = zrow @ delta[d_idx[i]] + vb[i].T
+        x_hist[lag + i] = x_t.T
+    return x_hist[lag:], Zb
+
+
+def _samples(design: Design, cfg: BootstrapConfig, nu: np.ndarray | None, *,
+             est: RegimeEstimates | None = None, rf=None, stage: int = 0):
+    """The B bootstrap samples of one test as a batch: (Yb, Wb, v_hat_b).
+
+    Structural equation (est, a null-imposed fit): Yb (B, n) is y, Wb
+    (B, n, d) holds the first stage re-estimated on each sample over
+    est.rf_breaks next to z1, and v_hat_b (B, n, p1) its residuals.
+    Reduced form (rf = (delta, v_hat, rf_partition)): Yb (B, n, p1) is x,
+    Wb (B, n, q) is z and v_hat_b is None.  Multipliers come from the
+    SE stream, or the RF stream of the given pre-test stage, unless nu
+    (n, B) is passed.  WR without lags is WF.
+    """
+    n, spec = design.n, design.spec
+    if nu is None:
+        stream = (
+            MultiplierStream(cfg.master_seed, cfg.rep_index) if rf is None
+            else MultiplierStream(cfg.master_seed, cfg.rep_index, STREAM_NU_RF, stage)
+        )
+        nu = stream.matrix(n, cfg.B)
+    recursive = cfg.scheme == "wr" and spec.max_lag > 0
+    if rf is not None:
+        delta, v_hat, rf_partition = rf
+        if recursive:
+            xb, Zb = _rf_wr_paths(design, delta, rf_partition, v_hat, nu)
+        else:
+            x_hat = np.empty_like(design.x)
+            for j, (a, bnd) in enumerate(rf_partition.regimes()):
+                x_hat[a - 1 : bnd] = design.Z[a - 1 : bnd] @ delta[j]
+            xb = x_hat[:, :, None] + v_hat[:, :, None] * nu[:, None, :]
+            Zb = np.broadcast_to(design.Z, (nu.shape[1],) + design.Z.shape)
+        return np.ascontiguousarray(xb.transpose(2, 0, 1)), Zb, None
+    if recursive:
+        yb, xb, Zb = _wr_paths(design, est, nu)
+        what = _first_stage_wr(Zb, xb, est.rf_breaks)
+        Z1b = Zb[:, :, list(spec.z1_positions)]
+    else:
+        yb, xb = _wf_paths(design, est, nu)
+        what = _first_stage_wf(design.Z, xb, est.rf_breaks)
+        Z1b = design.Z1[None, :, :]
+    Wb = np.empty((nu.shape[1], n, spec.d_beta))
+    Wb[:, :, : spec.p1] = what
+    Wb[:, :, spec.p1 :] = Z1b
+    return yb.T.copy(), Wb, xb.transpose(2, 0, 1) - what
+
+
+def _drop_failures(draws, failures: int, cfg: BootstrapConfig):
     if failures > cfg.max_failure_rate * cfg.B:
         raise BootstrapFailureError(
             f"{failures} of {cfg.B} bootstrap replications failed"
         )
     return np.asarray(draws, dtype=np.float64), failures
+
+
+def _draws(stats: np.ndarray, cfg: BootstrapConfig) -> tuple[np.ndarray, int]:
+    """Finite bootstrap statistics and the count of failed replications."""
+    finite = np.isfinite(stats)
+    return _drop_failures(stats[finite], int(np.sum(~finite)), cfg)
 
 
 def case_i_draws(
@@ -271,42 +357,12 @@ def case_i_draws(
     first stage on the fixed RF regimes, second stage over the same grid,
     and the robust blocks built from the re-estimated residuals.
     """
-    spec = design.spec
-    n, q, p1, d = design.n, spec.q, spec.p1, spec.d_beta
-    if nu is None:
-        nu = MultiplierStream(cfg.master_seed, cfg.rep_index).matrix(n, cfg.B)
-    if cfg.scheme == "wr" and spec.max_lag > 0:
-        yb, xb, Zb = _wr_paths(design, est, nu)
-        what = _first_stage_wr(Zb, xb, est.rf_breaks)
-        Z1b = Zb[:, :, list(spec.z1_positions)]
-    else:
-        yb, xb = _wf_paths(design, est, nu)
-        what = _first_stage_wf(design.Z, xb, est.rf_breaks)
-        Z1b = None
-    parts = _case_i_parts(n, k, eps, q)
-    Wb = np.empty((cfg.B, n, d))
-    Wb[:, :, :p1] = what
-    Wb[:, :, p1:] = design.Z1[None, :, :] if Z1b is None else Z1b
-    Yb = yb.T.copy()
-    vhat_b = xb.transpose(2, 0, 1) - what  # re-estimated first-stage residuals
-    if statistic == "supf":
-        _, ssr0 = restricted_fit_batch(Yb, Wb)
-        _, ssr, ok = scan_partitions_batch(Yb, Wb, parts, n, compute_wald=False)
-        good = ok & np.isfinite(ssr) & (ssr > 0)
-        vals = np.where(
-            good, ((n - (k + 1) * d) / (k * d)) * (ssr0[:, None] - ssr) / ssr, -np.inf
-        )
-    else:
-        score_beta = None
-        if beta_source == "null":
-            b0, _ = restricted_fit_batch(Yb, Wb)
-            score_beta = b0[:, :p1]
-        vals, _, _ = scan_partitions_batch(
-            Yb, Wb, parts, n, v_rows=vhat_b, score_beta=score_beta, p1=p1,
-        )
-    stats = np.max(vals, axis=1)
-    finite = np.isfinite(stats)
-    return _drop_failures(list(stats[finite]), int(np.sum(~finite)), cfg)
+    Yb, Wb, vb = _samples(design, cfg, nu, est=est)
+    _, vals, _ = _sup_case_i(
+        Yb, Wb, k, eps, design.spec.q, want=_WANT[statistic], v_rows=vb,
+        beta_source=beta_source, p1=design.spec.p1,
+    )
+    return _draws(np.max(vals, axis=1), cfg)
 
 
 def case_ii_draws(
@@ -323,107 +379,13 @@ def case_ii_draws(
     est must impose the l-break null: its se_breaks partition is reused
     as the regime frame for every replication.
     """
-    spec = design.spec
-    n, p1, d = design.n, spec.p1, spec.d_beta
-    min_len = min_regime_length(n, eps, spec.q)
-    if nu is None:
-        nu = MultiplierStream(cfg.master_seed, cfg.rep_index).matrix(n, cfg.B)
-    if cfg.scheme == "wr" and spec.max_lag > 0:
-        yb, xb, Zb = _wr_paths(design, est, nu)
-        what = _first_stage_wr(Zb, xb, est.rf_breaks)
-        Z1b = Zb[:, :, list(spec.z1_positions)]
-    else:
-        yb, xb = _wf_paths(design, est, nu)
-        what = _first_stage_wf(design.Z, xb, est.rf_breaks)
-        Z1b = None
-    Wb = np.empty((cfg.B, n, d))
-    Wb[:, :, :p1] = what
-    Wb[:, :, p1:] = design.Z1[None, :, :] if Z1b is None else Z1b
-    Yb = yb.T.copy()
-    vhat_b = xb.transpose(2, 0, 1) - what
-    best = np.full(cfg.B, -np.inf)
-    feasible = 0
-    for a, bnd in est.se_breaks.regimes():
-        length = bnd - a + 1
-        if length < 2 * min_len:
-            continue
-        feasible += 1
-        sl = slice(a - 1, bnd)
-        Y_i = Yb[:, sl].copy()
-        W_i = Wb[:, sl, :].copy()
-        b_null, ssr_null = restricted_fit_batch(Y_i, W_i)
-        local = np.arange(min_len, length - min_len + 1, dtype=np.int64)
-        parts = local[:, None]
-        if statistic == "supf":
-            _, ssr, ok = scan_partitions_batch(
-                Y_i, W_i, parts, n, compute_wald=False
-            )
-            good = ok & np.isfinite(ssr) & (ssr > 0) & (ssr_null[:, None] > 0)
-            scale = (length - d) / d
-            vals = np.where(
-                good, scale * (ssr_null[:, None] - ssr) / ssr_null[:, None], -np.inf
-            )
-        else:
-            vals, _, _ = scan_partitions_batch(
-                Y_i, W_i, parts, n,
-                v_rows=np.ascontiguousarray(vhat_b[:, sl, :]),
-                score_beta=b_null[:, :p1], p1=p1,
-            )
-        np.maximum(best, np.max(vals, axis=1), out=best)
-    if feasible == 0:
-        raise BootstrapFailureError("no regime admits an extra break")
-    finite = np.isfinite(best)
-    return _drop_failures(list(best[finite]), int(np.sum(~finite)), cfg)
-
-
-def _case_i_parts(n: int, k: int, eps: float, q: int) -> np.ndarray:
-    from .partition_search import enumerate_partitions
-
-    return enumerate_partitions(n, k, eps, q).as_array()
-
-
-# ---------------------------------------------------------------------------
-# Reduced-form (OLS) bootstrap, used by the sequential pre-test
-# ---------------------------------------------------------------------------
-
-
-def _rf_wr_paths(design: Design, delta: list[np.ndarray], rf_partition: Partition,
-                 v_hat: np.ndarray, nu: np.ndarray):
-    """Recursive bootstrap of the RF equation alone.
-
-    Only lagged x inside z is replaced by bootstrap values; lagged y and
-    all r columns stay at their sample values (the RF is treated as a
-    single-equation OLS model).
-    """
-    spec = design.spec
-    lag = spec.max_lag
-    vb = v_hat[:, :, None] * nu[:, None, :]
-    if lag == 0:
-        xhat = design.Z @ delta[0]
-        xb = xhat[:, :, None] + vb
-        Zb = np.broadcast_to(design.Z, (nu.shape[1],) + design.Z.shape)
-        return xb, Zb
-    n, B = nu.shape
-    p1, q = spec.p1, spec.q
-    data = design.data
-    d_idx = np.array(
-        [regime_of(t, rf_partition) - 1 for t in range(1, n + 1)], dtype=np.int64
+    Yb, Wb, vb = _samples(design, cfg, nu, est=est)
+    min_len = min_regime_length(design.n, eps, design.spec.q)
+    best, *_ = _sup_case_ii(
+        Yb, Wb, est.se_breaks, min_len, want=_WANT[statistic], v_rows=vb,
+        p1=design.spec.p1,
     )
-    x_hist = np.empty((lag + n, p1, B))
-    x_hist[:lag] = data.x[:lag, :, None]
-    Zb = np.empty((B, n, q))
-    zrow = np.empty((B, q))
-    for t in range(1, n + 1):
-        i = t - 1
-        for c, role in enumerate(spec.rf_instruments):
-            if role.kind == "x":
-                zrow[:, c] = x_hist[lag + i - role.lag, role.index - 1]
-            else:
-                zrow[:, c] = design.Z[i, c]
-        Zb[:, i, :] = zrow
-        x_t = zrow @ delta[d_idx[i]] + vb[i].T
-        x_hist[lag + i] = x_t.T
-    return x_hist[lag:], Zb
+    return _draws(best, cfg)
 
 
 def rf_case_i_draws(
@@ -437,42 +399,10 @@ def rf_case_i_draws(
     nu: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
     """Bootstrap sup-Wald draws for no RF breaks against one."""
-    spec = design.spec
-    n, q = design.n, spec.q
-    if nu is None:
-        nu = MultiplierStream(
-            cfg.master_seed, cfg.rep_index, purpose=STREAM_NU_RF, stage=stage
-        ).matrix(n, cfg.B)
-    part0 = no_breaks(n, eps)
-    if cfg.scheme == "wr" and spec.max_lag > 0:
-        xb, Zb = _rf_wr_paths(design, delta, part0, v_hat, nu)
-    else:
-        xhat = design.Z @ delta[0]
-        xb = xhat[:, :, None] + v_hat[:, :, None] * nu[:, None, :]
-        Zb = None
-    parts = _case_i_parts(n, 1, eps, q)
-    if spec.p1 == 1:
-        Yb = xb[:, 0, :].T.copy()
-        Wb = (
-            np.broadcast_to(design.Z, (cfg.B,) + design.Z.shape) if Zb is None else Zb
-        )
-        vals, _, _ = scan_partitions_batch(Yb, Wb, parts, n)
-        stats = np.max(vals, axis=1)
-        finite = np.isfinite(stats)
-        return _drop_failures(list(stats[finite]), int(np.sum(~finite)), cfg)
-    draws: list[float] = []
-    failures = 0
-    for b in range(cfg.B):
-        try:
-            Z_b = design.Z if Zb is None else Zb[b]
-            scan = scan_partitions(xb[:, :, b], Z_b, parts, n)
-            stat = float(np.max(scan.wald))
-            if not math.isfinite(stat):
-                raise FloatingPointError("no finite candidate")
-            draws.append(stat)
-        except Exception:
-            failures += 1
-    return _drop_failures(draws, failures, cfg)
+    rf = (delta, v_hat, no_breaks(design.n, eps))
+    Yb, Wb, _ = _samples(design, cfg, nu, rf=rf, stage=stage)
+    _, vals, _ = _sup_case_i(Yb, Wb, 1, eps, design.spec.q)
+    return _draws(np.max(vals, axis=1), cfg)
 
 
 def rf_case_ii_draws(
@@ -487,106 +417,11 @@ def rf_case_ii_draws(
     nu: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
     """Bootstrap draws for l RF breaks against l+1."""
-    spec = design.spec
-    n, q = design.n, spec.q
-    min_len = min_regime_length(n, eps, q)
-    if nu is None:
-        nu = MultiplierStream(
-            cfg.master_seed, cfg.rep_index, purpose=STREAM_NU_RF, stage=stage
-        ).matrix(n, cfg.B)
-    if cfg.scheme == "wr" and spec.max_lag > 0:
-        xb, Zb = _rf_wr_paths(design, delta, rf_partition, v_hat, nu)
-    else:
-        xhat = np.empty_like(design.x)
-        for j, (a, bnd) in enumerate(rf_partition.regimes()):
-            xhat[a - 1 : bnd] = design.Z[a - 1 : bnd] @ delta[j]
-        xb = xhat[:, :, None] + v_hat[:, :, None] * nu[:, None, :]
-        Zb = None
-    if spec.p1 == 1:
-        Yb = xb[:, 0, :].T.copy()
-        Wb = (
-            np.broadcast_to(design.Z, (cfg.B,) + design.Z.shape) if Zb is None else Zb
-        )
-        best = np.full(cfg.B, -np.inf)
-        feasible = 0
-        for a, bnd in rf_partition.regimes():
-            length = bnd - a + 1
-            if length < 2 * min_len:
-                continue
-            feasible += 1
-            sl = slice(a - 1, bnd)
-            local = np.arange(min_len, length - min_len + 1, dtype=np.int64)
-            vals, _, _ = scan_partitions_batch(
-                Yb[:, sl].copy(),
-                np.ascontiguousarray(Wb[:, sl, :]),
-                local[:, None],
-                n,
-            )
-            np.maximum(best, np.max(vals, axis=1), out=best)
-        if feasible == 0:
-            raise BootstrapFailureError("no regime admits an extra break")
-        finite = np.isfinite(best)
-        return _drop_failures(list(best[finite]), int(np.sum(~finite)), cfg)
-    draws: list[float] = []
-    failures = 0
-    for b in range(cfg.B):
-        try:
-            Z_b = design.Z if Zb is None else Zb[b]
-            stat, _, _, _, _ = seq_scan(
-                xb[:, :, b], Z_b, rf_partition, n, min_len
-            )
-            draws.append(stat)
-        except Exception:
-            failures += 1
-    return _drop_failures(draws, failures, cfg)
-
-
-def bootstrap_statistic(
-    spec: ModelSpec,
-    data: Dataset,
-    b: int,
-    *,
-    scheme: str = "wr",
-    null_breaks: int = 0,
-    alt_breaks: int = 1,
-    statistic: str = "supwald",
-    eps: float = 0.15,
-    master_seed: int = 0,
-    rep_index: int = 1,
-    rf_partition: Partition | None = None,
-    beta_source: str = "alt",
-) -> float:
-    """The bootstrap statistic of replication b (1-based).
-
-    Convenience wrapper over the batched engines: regenerates replication
-    b's sample from its multiplier stream and re-runs the test pipeline
-    on it.  The reduced-form break locations are held at the sample
-    estimates.
-    """
-    design = make_design_cached(spec, data)
-    n = design.n
-    if rf_partition is None:
-        from .partition_search import rf_break_grid_and_fit
-
-        rf_partition, _ = rf_break_grid_and_fit(design, 0, eps)
-    cfg = BootstrapConfig(scheme=scheme, B=1, master_seed=master_seed, rep_index=rep_index)
-    nu = MultiplierStream(master_seed, rep_index).column(n, b)[:, None]
-    if null_breaks == 0:
-        est = fit_regimes(design, rf_partition, no_breaks(n, eps))
-        draws, _ = case_i_draws(
-            design, est, alt_breaks, eps, cfg,
-            beta_source=beta_source, statistic=statistic, nu=nu,
-        )
-    else:
-        from .estimation import first_stage
-
-        _, x_hat, _ = first_stage(design, rf_partition)
-        null_partition, _ = global_ssr_breaks(design, x_hat, null_breaks, eps)
-        est = fit_regimes(design, rf_partition, null_partition)
-        draws, _ = case_ii_draws(design, est, eps, cfg, statistic=statistic, nu=nu)
-    if draws.size == 0:
-        raise BootstrapFailureError(f"replication {b} failed")
-    return float(draws[0])
+    rf = (delta, v_hat, rf_partition)
+    Yb, Wb, _ = _samples(design, cfg, nu, rf=rf, stage=stage)
+    min_len = min_regime_length(design.n, eps, design.spec.q)
+    best, *_ = _sup_case_ii(Yb, Wb, rf_partition, min_len)
+    return _draws(best, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +495,7 @@ def bootstrap_sup_test(
     null_breaks=0 tests no change against alt_breaks changes; null_breaks
     = l >= 1 tests l against l+1 (alt_breaks must then be l+1).
     """
-    design = make_design_cached(spec, data)
+    design = make_design(spec, data)
     return bootstrap_sup_test_design(
         design,
         null_breaks=null_breaks,
@@ -694,9 +529,6 @@ def bootstrap_sup_test_design(
     alphas: tuple[float, ...] = (0.10, 0.05, 0.01),
     beta_source: str = "alt",
 ) -> TestOutcome:
-    from .partition_search import rf_break_grid_and_fit
-    from .stats import sup_f_design, sup_wald_seq_design
-
     if statistic not in ("supwald", "supf"):
         raise ConfigError("statistic must be 'supwald' or 'supf'")
     if null_breaks < 0:
@@ -715,35 +547,19 @@ def bootstrap_sup_test_design(
             )
         else:
             outcome = sup_f_design(design, alt_breaks, eps, rf_partition)
-        est = fit_regimes(
-            design, rf_partition, no_breaks(n, eps)
-        )
+        est = fit_regimes(design, rf_partition, no_breaks(n, eps))
         draws, failures = case_i_draws(
-            design,
-            est,
-            alt_breaks,
-            eps,
-            cfg,
-            beta_source=beta_source,
-            statistic=statistic,
+            design, est, alt_breaks, eps, cfg, beta_source=beta_source, statistic=statistic
         )
     else:
-        from .estimation import first_stage
-
         _, x_hat, _ = first_stage(design, rf_partition)
         null_partition, _ = global_ssr_breaks(design, x_hat, null_breaks, eps)
         outcome = sup_wald_seq_design(
-            design,
-            null_breaks,
-            eps,
-            rf_partition,
-            null_partition=null_partition,
-            want="f" if statistic == "supf" else "wald",
+            design, null_breaks, eps, rf_partition,
+            null_partition=null_partition, want=_WANT[statistic],
         )
         est = fit_regimes(design, rf_partition, null_partition)
-        draws, failures = case_ii_draws(
-            design, est, eps, cfg, statistic=statistic
-        )
+        draws, failures = case_ii_draws(design, est, eps, cfg, statistic=statistic)
 
     p, crits, rejects, flags = pvalue_and_quantile(outcome.statistic, draws, alphas)
     outcome.boot_draws = draws

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import RankDeficientError, SingularQError
-from .model import Dataset, ModelSpec, Partition, build_instrument_rows, regime_of
+from .model import Dataset, ModelSpec, Partition, build_instrument_rows
 
 # Gram matrices with condition number above this cap are treated as rank
 # deficient; there is no silent pseudo-inverse fallback.
@@ -108,15 +108,6 @@ def make_design(spec: ModelSpec, data: Dataset) -> Design:
     )
 
 
-def as_design(spec_or_design, data: Dataset | None = None) -> Design:
-    """Accept either a prebuilt Design or a (spec, data) pair."""
-    if isinstance(spec_or_design, Design):
-        return spec_or_design
-    if data is None:
-        raise TypeError("data is required when passing a ModelSpec")
-    return make_design(spec_or_design, data)
-
-
 def _check_gram(G: np.ndarray, what: str) -> None:
     eig = np.linalg.eigvalsh(G)
     if eig[0] <= 0 or eig[-1] / eig[0] > COND_CAP:
@@ -155,18 +146,13 @@ def _regime_slices(partition: Partition) -> list[slice]:
 
 
 def first_stage(
-    spec_or_design, data_or_partition, rf_partition: Partition | None = None
+    design: Design, rf_partition: Partition
 ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
     """Regime-wise OLS of x on z; returns (delta list, x_hat, v_hat).
 
     Delta_(j) is q x p1 for RF regime j; x_hat stitches the regime fits,
-    v_hat = x - x_hat exactly.  Call as first_stage(spec, data, partition)
-    or first_stage(design, partition).
+    v_hat = x - x_hat exactly.
     """
-    if rf_partition is None:
-        design, rf_partition = as_design(spec_or_design), data_or_partition
-    else:
-        design = as_design(spec_or_design, data_or_partition)
     Z, x = design.Z, design.x
     delta: list[np.ndarray] = []
     x_hat = np.empty_like(x)
@@ -181,21 +167,9 @@ def first_stage(
 
 
 def second_stage(
-    spec_or_design, *args
+    design: Design, x_hat: np.ndarray, se_partition: Partition
 ) -> SecondStageFit:
-    """Regime-wise OLS of y on w_hat = (x_hat, z1).
-
-    Call as second_stage(spec, data, x_hat, partition) or
-    second_stage(design, x_hat, partition).
-    """
-    if len(args) == 3:
-        design = as_design(spec_or_design, args[0])
-        x_hat, se_partition = args[1], args[2]
-    elif len(args) == 2:
-        design = as_design(spec_or_design)
-        x_hat, se_partition = args
-    else:
-        raise TypeError("second_stage takes (spec, data, x_hat, partition)")
+    """Regime-wise OLS of y on w_hat = (x_hat, z1)."""
     W = np.column_stack([x_hat, design.Z1])
     Wa = design.w_actual
     y = design.y
@@ -217,21 +191,9 @@ def second_stage(
 
 
 def fit_regimes(
-    spec_or_design, *args
+    design: Design, rf_partition: Partition, se_partition: Partition
 ) -> RegimeEstimates:
-    """Run the full two-stage pipeline for a fixed pair of partitions.
-
-    Call as fit_regimes(spec, data, rf_partition, se_partition) or
-    fit_regimes(design, rf_partition, se_partition).
-    """
-    if len(args) == 3:
-        design = as_design(spec_or_design, args[0])
-        rf_partition, se_partition = args[1], args[2]
-    elif len(args) == 2:
-        design = as_design(spec_or_design)
-        rf_partition, se_partition = args
-    else:
-        raise TypeError("fit_regimes takes (spec, data, rf_partition, se_partition)")
+    """Run the full two-stage pipeline for a fixed pair of partitions."""
     delta, x_hat, v_hat = first_stage(design, rf_partition)
     fit = second_stage(design, x_hat, se_partition)
     return RegimeEstimates(
@@ -245,19 +207,11 @@ def fit_regimes(
     )
 
 
-def beta_schedule(est: RegimeEstimates, t: int) -> np.ndarray:
-    """SE coefficient vector in force at effective row t."""
-    return est.beta[regime_of(t, est.se_breaks) - 1]
-
-
-def delta_schedule(est: RegimeEstimates, t: int) -> np.ndarray:
-    """RF coefficient matrix in force at effective row t."""
-    return est.delta[regime_of(t, est.rf_breaks) - 1]
-
-
 def eicker_white(
-    spec_or_design,
-    *args,
+    design: Design,
+    estimates: RegimeEstimates,
+    se_partition: Partition,
+    *,
     beta_source: str = "alt",
 ) -> RobustBlocks:
     """Per-regime heteroskedasticity-robust blocks for the Wald form.
@@ -273,18 +227,7 @@ def eicker_white(
     no SE breaks when beta_source="null".
 
     Q_i = n^{-1} sum_{t in I_i} w_hat_t w_hat_t'; V_i = Q_i^{-1} M_i Q_i^{-1}.
-
-    Call as eicker_white(spec, data, estimates, partition) or
-    eicker_white(design, estimates, partition).
     """
-    if len(args) == 3:
-        design = as_design(spec_or_design, args[0])
-        estimates, se_partition = args[1], args[2]
-    elif len(args) == 2:
-        design = as_design(spec_or_design)
-        estimates, se_partition = args
-    else:
-        raise TypeError("eicker_white takes (spec, data, estimates, partition)")
     if beta_source not in ("alt", "null"):
         raise ValueError("beta_source must be 'alt' or 'null'")
     n = design.n

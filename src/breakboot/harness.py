@@ -24,7 +24,7 @@ from .bootstrap import BootstrapConfig, bootstrap_sup_test_design
 from .estimation import make_design
 from .exceptions import ConfigError
 from .model import Dataset, ModelSpec, no_breaks
-from .partition_search import min_regime_length
+from .partition_search import min_regime_length, rf_break_grid_and_fit
 from .rng import derive_seed
 from .sequential import estimate_rf_breaks_design
 from .stats import TestOutcome
@@ -254,8 +254,6 @@ def test_dataset(
         if h == 0:
             rf_partition = no_breaks(n, eps, min_len)
         else:
-            from .partition_search import rf_break_grid_and_fit
-
             rf_partition, _ = rf_break_grid_and_fit(design, h, eps)
         rf_note = f"{h} RF break(s) imposed"
 

@@ -22,7 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .estimation import first_stage
+from .estimation import Design, first_stage
 from .exceptions import InfeasiblePartitionError, RankDeficientError
 from .model import Partition
 
@@ -176,26 +176,13 @@ def dp_breaks(table: np.ndarray, n: int, k: int, min_len: int) -> tuple[tuple[in
 
 
 def global_ssr_breaks(
-    spec_or_design,
-    *args,
+    design: Design, x_hat: np.ndarray, n_breaks: int, eps: float
 ) -> tuple[Partition, float]:
     """Second-stage SSR-minimising partition.
 
     The regression is y on w_hat = (x_hat, z1); x_hat must come from a
-    first stage whose RF partition is held fixed during the search.  Call
-    as global_ssr_breaks(spec, data, x_hat, n_breaks, eps) or
-    global_ssr_breaks(design, x_hat, n_breaks, eps).
+    first stage whose RF partition is held fixed during the search.
     """
-    from .estimation import as_design
-
-    if len(args) == 4:
-        design = as_design(spec_or_design, args[0])
-        x_hat, n_breaks, eps = args[1], args[2], args[3]
-    elif len(args) == 3:
-        design = as_design(spec_or_design)
-        x_hat, n_breaks, eps = args
-    else:
-        raise TypeError("global_ssr_breaks takes (spec, data, x_hat, n_breaks, eps)")
     n = design.n
     min_len = min_regime_length(n, eps, design.spec.q)
     W = np.column_stack([x_hat, design.Z1])
@@ -205,23 +192,9 @@ def global_ssr_breaks(
 
 
 def rf_break_grid_and_fit(
-    spec_or_design, *args
+    design: Design, h: int, eps: float
 ) -> tuple[Partition, list[np.ndarray]]:
-    """RF analogue: minimise the x-on-z SSR (summed over x columns).
-
-    Call as rf_break_grid_and_fit(spec, data, h, eps) or
-    rf_break_grid_and_fit(design, h, eps).
-    """
-    from .estimation import as_design
-
-    if len(args) == 3:
-        design = as_design(spec_or_design, args[0])
-        h, eps = args[1], args[2]
-    elif len(args) == 2:
-        design = as_design(spec_or_design)
-        h, eps = args
-    else:
-        raise TypeError("rf_break_grid_and_fit takes (spec, data, h, eps)")
+    """RF analogue: minimise the x-on-z SSR (summed over x columns)."""
     if h < 0:
         raise InfeasiblePartitionError("h must be >= 0")
     n = design.n

@@ -14,12 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bootstrap import BootstrapConfig, rf_case_i_draws, rf_case_ii_draws
-from .estimation import Design, first_stage
-from .exceptions import ConfigError
+from .estimation import Design, first_stage, make_design
+from .exceptions import ConfigError, SingularMiddleError
 from .model import Dataset, ModelSpec, Partition, no_breaks
 from .partition_search import min_regime_length, rf_break_grid_and_fit
-from .partition_search import enumerate_partitions
-from .stats import make_design_cached, scan_partitions, seq_scan
+from .stats import _sup_case_i, _sup_case_ii
 
 
 @dataclass(frozen=True)
@@ -31,11 +30,9 @@ class SequentialResult:
 
 def rf_sup_wald(design: Design, eps: float = 0.15) -> tuple[float, int]:
     """Sample sup-Wald for no RF breaks against one; returns (stat, argmax)."""
-    n, q = design.n, design.spec.q
-    parts = enumerate_partitions(n, 1, eps, q).as_array()
-    scan = scan_partitions(design.x, design.Z, parts, n)
-    idx = int(np.argmax(scan.wald))
-    return float(scan.wald[idx]), int(parts[idx, 0])
+    parts, vals, _ = _sup_case_i(design.x[None], design.Z[None], 1, eps, design.spec.q)
+    idx = int(np.argmax(vals[0]))
+    return float(vals[0, idx]), int(parts[idx, 0])
 
 
 def rf_sup_wald_seq(
@@ -43,10 +40,10 @@ def rf_sup_wald_seq(
 ) -> float:
     """Sample one-more-break sup-Wald within the regimes of rf_partition."""
     min_len = min_regime_length(design.n, eps, design.spec.q)
-    stat, _, _, _, _ = seq_scan(
-        design.x, design.Z, rf_partition, design.n, min_len
-    )
-    return stat
+    best, *_ = _sup_case_ii(design.x[None], design.Z[None], rf_partition, min_len)
+    if not np.isfinite(best[0]):
+        raise SingularMiddleError("every within-regime candidate failed")
+    return float(best[0])
 
 
 def estimate_rf_breaks(
@@ -58,7 +55,7 @@ def estimate_rf_breaks(
     eps: float = 0.15,
 ) -> SequentialResult:
     """Select the RF break count by sequential bootstrap testing."""
-    design = make_design_cached(spec, data)
+    design = make_design(spec, data)
     return estimate_rf_breaks_design(design, max_breaks, alpha_seq, boot, eps)
 
 

@@ -18,6 +18,12 @@ All candidate partitions of a scan are evaluated in one batched pass:
 regime Gram matrices come from prefix sums, coefficient solves and the
 final quadratic forms are stacked solves, and the outer-product terms are
 single matrix products against the row-wise regressor cross products.
+
+Every statistic is computed over a batch of datasets that share one
+candidate grid.  The sample is a batch of one, whose argmax also gives the
+break estimate; the bootstrap passes its B samples.  :func:`_sup_case_i`
+scans the full k-break grid (no break against k) and :func:`_sup_case_ii`
+adds one break within each regime of a null partition (l against l+1).
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimation import Design, RobustBlocks, first_stage
+from .estimation import Design, RobustBlocks, first_stage, make_design
 from .exceptions import (
     DegenerateSSRError,
     InfeasiblePartitionError,
@@ -40,7 +46,7 @@ from .partition_search import (
     rf_break_grid_and_fit,
 )
 
-_CHUNK = 2048
+_CHUNK = 2048  # candidates per block of a scan
 
 
 @dataclass(frozen=True)
@@ -143,151 +149,28 @@ def scan_partitions(
     n_global: int,
     *,
     v_rows: np.ndarray | None = None,
-    score_u: np.ndarray | None = None,
     score_beta: np.ndarray | None = None,
     p1: int = 0,
     compute_wald: bool = True,
 ) -> ScanResult:
     """Evaluate the Wald statistic (and SSR) at every candidate partition.
 
-    Parameters
-    ----------
-    y : (n,) or (n, py) targets; py > 1 pools equations with a joint
-        stacked contrast (used for the reduced-form tests).
-    W : (n, d) regressor rows.
-    parts : (m, k) int array of candidate break tuples (1-based local rows).
-    n_global : normalisation length (the full effective sample, even when
-        y/W are a regime slice of it).
-    v_rows : (n, p1) first-stage residual rows entering the score, or None.
-    score_u : fixed score base (bootstrap-generated errors); None means
-        the candidate-fit residuals.
-    score_beta : fixed endogenous-block coefficients for the score; None
-        means the candidate fit's own.
-    p1 : width of the endogenous block at the front of W.
+    One dataset, run as a batch of one through the kernel of
+    :func:`scan_partitions_batch`: y is (n,) or (n, py), W is (n, d),
+    v_rows is (n, p1) and score_beta (p1,).
     """
-    y2 = y if y.ndim == 2 else y[:, None]
-    n, d = W.shape
-    py = y2.shape[1]
-    deff = d * py
-    m_total, k = parts.shape
-    if v_rows is not None and py != 1:
-        raise ValueError("v_rows adjustment requires a single target column")
-
-    cross = (W[:, :, None] * W[:, None, :]).reshape(n, d * d)
-    cum_G = np.concatenate([np.zeros((1, d * d)), np.cumsum(cross, axis=0)])
-    cum_h = np.concatenate(
-        [np.zeros((1, d, py)), np.cumsum(W[:, :, None] * y2[:, None, :], axis=0)]
+    wald, ssr, ok = _scan(
+        y[None],
+        W[None],
+        parts,
+        n_global,
+        None if v_rows is None else v_rows[None],
+        None if score_beta is None else np.asarray(score_beta)[None],
+        p1,
+        compute_wald,
+        1,
     )
-    cum_yy = np.concatenate([np.zeros((1, py)), np.cumsum(y2 * y2, axis=0)])
-    rows = np.arange(1, n + 1)
-    u_fixed = None
-    if score_u is not None:
-        u_fixed = score_u if score_u.ndim == 2 else score_u[:, None]
-
-    wald_out = np.full(m_total, -np.inf)
-    ssr_out = np.full(m_total, np.inf)
-    skipped = 0
-
-    for lo in range(0, m_total, _CHUNK):
-        sel = slice(lo, min(lo + _CHUNK, m_total))
-        P = parts[sel]
-        m = P.shape[0]
-        edges = np.concatenate(
-            [np.zeros((m, 1), dtype=np.int64), P, np.full((m, 1), n, dtype=np.int64)],
-            axis=1,
-        )
-        ok = np.ones(m, dtype=bool)
-        ssr = np.zeros(m)
-        thetas: list[np.ndarray] = []
-        Vs: list[np.ndarray] = []
-        for i in range(k + 1):
-            s_e, e_e = edges[:, i], edges[:, i + 1]
-            G = (cum_G[e_e] - cum_G[s_e]).reshape(m, d, d)
-            h = cum_h[e_e] - cum_h[s_e]
-            b, ok_i = _batched_solve(G, h)
-            ok &= ok_i
-            ssr += np.sum((cum_yy[e_e] - cum_yy[s_e]), axis=1) - np.einsum(
-                "mdc,mdc->m", b, h
-            )
-            if not compute_wald:
-                continue
-            mask = (rows[None, :] > s_e[:, None]) & (rows[None, :] <= e_e[:, None])
-            # per-candidate coefficient gap entering the score through v_rows:
-            # fit residuals get (beta_score - beta_fit), fixed errors get
-            # beta_score itself (candidate fit when no fixed source given)
-            g = None
-            if v_rows is not None:
-                if u_fixed is None:
-                    if score_beta is not None:
-                        g = score_beta[None, :] - b[:, :p1, 0]
-                elif score_beta is not None:
-                    g = np.broadcast_to(score_beta, (m, p1))
-                else:
-                    g = b[:, :p1, 0]
-
-            def _score_col(c: int) -> np.ndarray:
-                if u_fixed is None:
-                    s = y2[None, :, c] - b[:, :, c] @ W.T
-                else:
-                    s = np.broadcast_to(u_fixed[:, c], (m, n))
-                if g is not None:
-                    s = s + g @ v_rows.T
-                return s
-
-            M = np.zeros((m, deff, deff))
-            for c in range(py):
-                s_c = _score_col(c)
-                for cc in range(c, py):
-                    s_cc = s_c if cc == c else _score_col(cc)
-                    block = ((s_c * s_cc) * mask) @ cross / n_global
-                    blk = block.reshape(m, d, d)
-                    M[:, c * d : (c + 1) * d, cc * d : (cc + 1) * d] = blk
-                    if cc != c:
-                        M[:, cc * d : (cc + 1) * d, c * d : (c + 1) * d] = (
-                            blk.transpose(0, 2, 1)
-                        )
-            Qinv_M = np.zeros_like(M)
-            Q = G / n_global
-            for c in range(py):
-                colsol, ok_q = _batched_solve(Q, M[:, c * d : (c + 1) * d, :])
-                ok &= ok_q
-                Qinv_M[:, c * d : (c + 1) * d, :] = colsol
-            V = np.zeros_like(M)
-            QMt = Qinv_M.transpose(0, 2, 1)
-            for c in range(py):
-                colsol, ok_q = _batched_solve(Q, QMt[:, c * d : (c + 1) * d, :])
-                ok &= ok_q
-                V[:, c * d : (c + 1) * d, :] = colsol
-            thetas.append(b.transpose(0, 2, 1).reshape(m, deff))
-            Vs.append(V)
-
-        if compute_wald:
-            delta = np.concatenate(
-                [thetas[i] - thetas[i + 1] for i in range(k)], axis=1
-            )
-            mid = np.zeros((m, k * deff, k * deff))
-            for a in range(k):
-                sl_a = slice(a * deff, (a + 1) * deff)
-                mid[:, sl_a, sl_a] = Vs[a] + Vs[a + 1]
-                if a + 1 < k:
-                    sl_b = slice((a + 1) * deff, (a + 2) * deff)
-                    mid[:, sl_a, sl_b] = -Vs[a + 1]
-                    mid[:, sl_b, sl_a] = -Vs[a + 1].transpose(0, 2, 1)
-            sol, ok_m = _batched_solve(mid, delta[:, :, None])
-            ok &= ok_m
-            wald = n_global * np.einsum("mi,mi->m", delta, sol[:, :, 0])
-            ok &= np.isfinite(wald) & (wald > -1e-6)
-            wald = np.maximum(wald, 0.0)
-        else:
-            wald = np.zeros(m)
-        wald[~ok] = -np.inf
-        ssr = np.maximum(ssr, 0.0)
-        ssr[~ok] = np.inf
-        skipped += int(np.sum(~ok))
-        wald_out[sel] = wald
-        ssr_out[sel] = ssr
-
-    return ScanResult(parts=parts, wald=wald_out, ssr=ssr_out, n_skipped=skipped)
+    return ScanResult(parts=parts, wald=wald[0], ssr=ssr[0], n_skipped=int(np.sum(~ok)))
 
 
 def scan_partitions_batch(
@@ -297,7 +180,6 @@ def scan_partitions_batch(
     n_global: int,
     *,
     v_rows: np.ndarray | None = None,
-    score_u: np.ndarray | None = None,
     score_beta: np.ndarray | None = None,
     p1: int = 0,
     compute_wald: bool = True,
@@ -305,53 +187,73 @@ def scan_partitions_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Scan one candidate grid over a batch of datasets at once.
 
-    Same statistic as :func:`scan_partitions`, with a leading batch axis:
-    Y is (B, n), Ws is (B, n, d), v_rows/score_u are (B, n, p1)/(B, n),
-    score_beta is (B, p1).  Single-target only.  Returns (wald, ssr, ok),
-    each (B, m).  Used by the bootstrap loops, where every replication
-    shares the grid but has its own regressor rows.
+    Parameters
+    ----------
+    Y : (B, n) or (B, n, py) targets; py > 1 pools equations with a joint
+        stacked contrast (used for the reduced-form tests).
+    Ws : (B, n, d) regressor rows.
+    parts : (m, k) int array of candidate break tuples (1-based local rows).
+    n_global : normalisation length (the full effective sample, even when
+        Y/Ws are a regime slice of it).
+    v_rows : (B, n, p1) first-stage residual rows entering the score
+        together with score_beta.
+    score_beta : (B, p1) fixed endogenous-block coefficients for the score;
+        None means the candidate fit's own (the score is then the fit
+        residual and v_rows does not enter).
+    p1 : width of the endogenous block at the front of Ws.
+    chunk_rows : bound on batch x candidates x rows per batch chunk.
+
+    Returns (wald, ssr, ok), each (B, m); wald is -inf and ssr +inf where
+    a candidate failed.
     """
+    return _scan(Y, Ws, parts, n_global, v_rows, score_beta, p1, compute_wald, chunk_rows)
+
+
+def _prefix(a: np.ndarray) -> np.ndarray:
+    """Cumulative sums over the row axis, with a leading zero row."""
+    return np.concatenate(
+        [np.zeros((a.shape[0], 1) + a.shape[2:]), np.cumsum(a, axis=1)], axis=1
+    )
+
+
+def _scan(Y, Ws, parts, n_global, v_rows, score_beta, p1, compute_wald, chunk_rows):
+    """The one scan kernel: batch chunks of chunk_rows, candidate blocks of _CHUNK."""
+    Y = Y if Y.ndim == 3 else Y[:, :, None]
     B, n, d = Ws.shape
-    m, k = parts.shape
+    m = parts.shape[0]
     edges = np.concatenate(
         [np.zeros((m, 1), dtype=np.int64), parts, np.full((m, 1), n, dtype=np.int64)],
         axis=1,
     )
-    rows = np.arange(1, n + 1)
-    wald_out = np.empty((B, m))
-    ssr_out = np.empty((B, m))
-    ok_out = np.empty((B, m), dtype=bool)
+    wald = np.empty((B, m))
+    ssr = np.empty((B, m))
+    ok = np.empty((B, m), dtype=bool)
     # keep the (batch, candidates, rows) work arrays around L2/L3 size
     bc = max(1, min(B, chunk_rows // max(1, m * n)))
     for b0 in range(0, B, bc):
-        sel = slice(b0, min(b0 + bc, B))
-        res = _scan_batch_chunk(
-            Y[sel],
-            Ws[sel],
-            edges,
-            rows,
-            n_global,
-            v_rows=None if v_rows is None else v_rows[sel],
-            score_u=None if score_u is None else score_u[sel],
-            score_beta=None if score_beta is None else score_beta[sel],
-            p1=p1,
-            compute_wald=compute_wald,
-        )
-        wald_out[sel], ssr_out[sel], ok_out[sel] = res
-    return wald_out, ssr_out, ok_out
+        sb = slice(b0, min(b0 + bc, B))
+        Yc, Wc = Y[sb], Ws[sb]
+        cross = (Wc[:, :, :, None] * Wc[:, :, None, :]).reshape(-1, n, d * d)
+        sums = (cross, _prefix(cross), _prefix(Wc[:, :, :, None] * Yc[:, :, None, :]),
+                _prefix(Yc * Yc))
+        vc = None if v_rows is None else v_rows[sb]
+        betac = None if score_beta is None else score_beta[sb]
+        for c0 in range(0, m, _CHUNK):
+            sc = slice(c0, min(c0 + _CHUNK, m))
+            wald[sb, sc], ssr[sb, sc], ok[sb, sc] = _scan_block(
+                Yc, Wc, sums, edges[sc], n_global, vc, betac, p1, compute_wald
+            )
+    return wald, ssr, ok
 
 
-def _scan_batch_chunk(Y, Ws, edges, rows, n_global, *, v_rows, score_u,
-                      score_beta, p1, compute_wald):
+def _scan_block(Y, Ws, sums, edges, n_global, v_rows, score_beta, p1, compute_wald):
+    """One block of candidates on one batch chunk: (wald, ssr, ok), each (Bc, m)."""
+    cross, cum_G, cum_h, cum_yy = sums
     Bc, n, d = Ws.shape
-    m = edges.shape[0]
+    py = Y.shape[2]
+    m, deff = edges.shape[0], d * py
     k = edges.shape[1] - 2
-    cross = (Ws[:, :, :, None] * Ws[:, :, None, :]).reshape(Bc, n, d * d)
-    cum_G = np.concatenate([np.zeros((Bc, 1, d * d)), np.cumsum(cross, axis=1)], axis=1)
-    cum_h = np.concatenate(
-        [np.zeros((Bc, 1, d)), np.cumsum(Ws * Y[:, :, None], axis=1)], axis=1
-    )
-    cum_yy = np.concatenate([np.zeros((Bc, 1)), np.cumsum(Y * Y, axis=1)], axis=1)
+    rows = np.arange(1, n + 1)
     ok = np.ones((Bc, m), dtype=bool)
     ssr = np.zeros((Bc, m))
     thetas: list[np.ndarray] = []
@@ -359,58 +261,59 @@ def _scan_batch_chunk(Y, Ws, edges, rows, n_global, *, v_rows, score_u,
     for i in range(k + 1):
         s_e, e_e = edges[:, i], edges[:, i + 1]
         G = (cum_G[:, e_e] - cum_G[:, s_e]).reshape(Bc * m, d, d)
-        h = (cum_h[:, e_e] - cum_h[:, s_e]).reshape(Bc * m, d)
-        b, ok_i = _batched_solve(G, h[:, :, None])
-        b = b[:, :, 0].reshape(Bc, m, d)
+        h = cum_h[:, e_e] - cum_h[:, s_e]
+        b, ok_i = _batched_solve(G, h.reshape(Bc * m, d, py))
+        b = b.reshape(Bc, m, d, py)
         ok &= ok_i.reshape(Bc, m)
-        ssr += (cum_yy[:, e_e] - cum_yy[:, s_e]) - np.einsum(
-            "bmd,bmd->bm", b, (cum_h[:, e_e] - cum_h[:, s_e])
+        ssr += np.sum(cum_yy[:, e_e] - cum_yy[:, s_e], axis=2) - np.einsum(
+            "bmdc,bmdc->bm", b, h
         )
+        thetas.append(b.transpose(0, 1, 3, 2).reshape(Bc, m, deff))
         if not compute_wald:
-            thetas.append(b)
             continue
         mask = (rows[None, :] > s_e[:, None]) & (rows[None, :] <= e_e[:, None])
-        if score_u is None:
-            s = Y[:, None, :] - b @ Ws.transpose(0, 2, 1)
-        else:
-            s = np.broadcast_to(score_u[:, None, :], (Bc, m, n))
-        if v_rows is not None:
-            if score_u is None:
-                g = (
-                    None
-                    if score_beta is None
-                    else score_beta[:, None, :] - b[:, :, :p1]
-                )
-            else:
-                g = score_beta[:, None, :] if score_beta is not None else b[:, :, :p1]
-            if g is not None:
+        scores = []
+        for c in range(py):
+            s = Y[:, None, :, c] - b[..., c] @ Ws.transpose(0, 2, 1)
+            if v_rows is not None and score_beta is not None:
+                g = score_beta[:, None, :] - b[:, :, :p1, 0]
                 s = s + g @ v_rows.transpose(0, 2, 1)
-        s2 = s * s * mask[None, :, :]
-        M = (s2 @ cross).reshape(Bc * m, d, d) / n_global
-        Q = G / n_global
-        QM, ok_q = _batched_solve(Q, M)
+            scores.append(s)
+        M = np.empty((Bc, m, deff, deff))
+        for c in range(py):
+            for cc in range(c, py):
+                blk = (((scores[c] * scores[cc]) * mask) @ cross).reshape(Bc, m, d, d)
+                blk = blk / n_global
+                M[:, :, c * d : (c + 1) * d, cc * d : (cc + 1) * d] = blk
+                if cc != c:
+                    M[:, :, cc * d : (cc + 1) * d, c * d : (c + 1) * d] = (
+                        blk.transpose(0, 1, 3, 2)
+                    )
+        # Q \ M and Q \ (Q \ M)' one d-row block of the stacked equations at a time
+        Q = (G / n_global)[:, None]
+        QM, ok_q = _batched_solve(Q, M.reshape(Bc * m, py, d, deff))
+        QMt = QM.reshape(Bc * m, deff, deff).transpose(0, 2, 1)
+        V, ok_v = _batched_solve(Q, QMt.reshape(Bc * m, py, d, deff))
         ok &= ok_q.reshape(Bc, m)
-        V, ok_v = _batched_solve(Q, QM.transpose(0, 2, 1))
         ok &= ok_v.reshape(Bc, m)
-        thetas.append(b)
-        Vs.append(V.reshape(Bc, m, d, d))
+        Vs.append(V.reshape(Bc, m, deff, deff))
     if compute_wald:
         delta = np.concatenate([thetas[i] - thetas[i + 1] for i in range(k)], axis=2)
-        mid = np.zeros((Bc, m, k * d, k * d))
+        mid = np.zeros((Bc, m, k * deff, k * deff))
         for a in range(k):
-            sa = slice(a * d, (a + 1) * d)
+            sa = slice(a * deff, (a + 1) * deff)
             mid[:, :, sa, sa] = Vs[a] + Vs[a + 1]
             if a + 1 < k:
-                sb = slice((a + 1) * d, (a + 2) * d)
+                sb = slice((a + 1) * deff, (a + 2) * deff)
                 mid[:, :, sa, sb] = -Vs[a + 1]
                 mid[:, :, sb, sa] = -Vs[a + 1].transpose(0, 1, 3, 2)
         sol, ok_m = _batched_solve(
-            mid.reshape(Bc * m, k * d, k * d),
-            delta.reshape(Bc * m, k * d, 1),
+            mid.reshape(Bc * m, k * deff, k * deff),
+            delta.reshape(Bc * m, k * deff, 1),
         )
         ok &= ok_m.reshape(Bc, m)
         wald = n_global * np.einsum(
-            "bmi,bmi->bm", delta, sol[:, :, 0].reshape(Bc, m, k * d)
+            "bmi,bmi->bm", delta, sol[:, :, 0].reshape(Bc, m, k * deff)
         )
         ok &= np.isfinite(wald) & (wald > -1e-6)
         wald = np.maximum(wald, 0.0)
@@ -427,28 +330,121 @@ def restricted_fit_batch(Y: np.ndarray, Ws: np.ndarray) -> tuple[np.ndarray, np.
     G = np.einsum("bni,bnj->bij", Ws, Ws)
     h = np.einsum("bni,bn->bi", Ws, Y)
     b = np.linalg.solve(G, h[:, :, None])[:, :, 0]
-    ssr = np.einsum("bn,bn->b", Y, Y) - np.einsum("bd,bd->b", b, h)
-    return b, np.maximum(ssr, 0.0)
+    resid = Y - np.einsum("bnd,bd->bn", Ws, b)
+    return b, np.einsum("bn,bn->b", resid, resid)
 
 
-def restricted_fit(
-    y: np.ndarray, W: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Single-regime OLS on the given rows: (coefficients, SSR).
+# ---------------------------------------------------------------------------
+# Sup reductions over a batch: case (i) H0 m=0 vs H1 m=k, case (ii) m=l vs l+1
+# ---------------------------------------------------------------------------
 
-    y may have several columns; coefficients are (d, py) and the SSR sums
-    across columns.
+
+def _sup_case_i(Y, Ws, k, eps, q, *, want="wald", v_rows=None, beta_source="alt", p1=0):
+    """Case (i) values at every candidate of the full k-break grid.
+
+    Y is (B, n) or (B, n, py) and Ws (B, n, d) over the whole effective
+    sample; v_rows is (B, n, p1).  want is "wald" or "f".  With
+    beta_source="null" the score's endogenous-block coefficients are held
+    at the no-break fit.  Returns (parts (m, k), values (B, m), ok (B, m));
+    a failed candidate holds -inf.
     """
-    y2 = y if y.ndim == 2 else y[:, None]
-    G = W.T @ W
-    b = np.linalg.solve(G, W.T @ y2)
-    resid = y2 - W @ b
-    return b, float(np.sum(resid * resid))
+    _, n, d = Ws.shape
+    parts = enumerate_partitions(n, k, eps, q).as_array()
+    if want == "f":
+        _, ssr0 = restricted_fit_batch(Y, Ws)
+        _, ssr, ok = scan_partitions_batch(Y, Ws, parts, n, compute_wald=False)
+        vals = np.where(
+            np.isfinite(ssr) & (ssr > 0),
+            ((n - (k + 1) * d) / (k * d)) * (ssr0[:, None] - ssr) / ssr,
+            -np.inf,
+        )
+        return parts, vals, ok
+    score_beta = None
+    if beta_source == "null":
+        score_beta = restricted_fit_batch(Y, Ws)[0][:, :p1]
+    vals, _, ok = scan_partitions_batch(
+        Y, Ws, parts, n, v_rows=v_rows, score_beta=score_beta, p1=p1
+    )
+    return parts, vals, ok
+
+
+def _sup_case_ii(Y, Ws, null_partition, min_len, *, want="wald", v_rows=None, p1=0):
+    """Case (ii): the sup over one extra break within each null regime.
+
+    Each regime's restricted single-regime fit supplies the score's
+    endogenous-block coefficients (when v_rows is given) and, for want="f",
+    the restricted SSR.  Returns (best, regime, row, skipped, flags): per
+    batch entry the sup, its 1-based regime and its break row on the full
+    sample (-inf, 0, 0 where every candidate failed), then the failed
+    candidate count and notes on regimes that cannot take a break.
+    """
+    B, n, d = Ws.shape
+    best = np.full(B, -np.inf)
+    regime = np.zeros(B, dtype=np.int64)
+    row = np.zeros(B, dtype=np.int64)
+    skipped = 0
+    flags: list[str] = []
+    feasible = 0
+    for i, (a, bnd) in enumerate(null_partition.regimes(), start=1):
+        length = bnd - a + 1
+        if length < 2 * min_len:
+            flags.append(f"regime {i} infeasible (length {length})")
+            continue
+        feasible += 1
+        sl = slice(a - 1, bnd)
+        Y_i = np.ascontiguousarray(Y[:, sl])
+        W_i = np.ascontiguousarray(Ws[:, sl])
+        local = np.arange(min_len, length - min_len + 1, dtype=np.int64)
+        if want == "f":
+            _, ssr0 = restricted_fit_batch(Y_i, W_i)
+            if np.any(ssr0 <= 0):
+                flags.append(f"regime {i} degenerate restricted SSR")
+            _, ssr, ok = scan_partitions_batch(
+                Y_i, W_i, local[:, None], n, compute_wald=False
+            )
+            vals = np.where(
+                np.isfinite(ssr) & (ssr0[:, None] > 0),
+                (length - d) / d * (ssr0[:, None] - ssr) / ssr0[:, None],
+                -np.inf,
+            )
+        elif v_rows is None:
+            vals, _, ok = scan_partitions_batch(Y_i, W_i, local[:, None], n)
+        else:
+            vals, _, ok = scan_partitions_batch(
+                Y_i, W_i, local[:, None], n,
+                v_rows=np.ascontiguousarray(v_rows[:, sl]),
+                score_beta=restricted_fit_batch(Y_i, W_i)[0][:, :p1], p1=p1,
+            )
+        skipped += int(np.sum(~ok))
+        j = np.argmax(vals, axis=1)
+        top = vals[np.arange(B), j]
+        better = top > best
+        best[better] = top[better]
+        regime[better] = i
+        row[better] = a - 1 + local[j[better]]
+    if feasible == 0:
+        raise InfeasiblePartitionError(
+            "no regime of the null partition admits an extra break"
+        )
+    return best, regime, row, skipped, flags
 
 
 # ---------------------------------------------------------------------------
-# Case (i): H0 m=0 vs H1 m=k
+# Sample statistics: the sample as a batch of one
 # ---------------------------------------------------------------------------
+
+
+def _sample_batch(design: Design, eps: float, rf_partition: Partition | None, rf_breaks: int):
+    """(y, w_hat rows, v_hat rows) with a leading batch axis of one, plus x_hat.
+
+    The first stage is fixed once: at rf_partition when given, else at the
+    partition estimated with rf_breaks RF breaks.
+    """
+    if rf_partition is None:
+        rf_partition, _ = rf_break_grid_and_fit(design, rf_breaks, eps)
+    _, x_hat, v_hat = first_stage(design, rf_partition)
+    W = np.column_stack([x_hat, design.Z1])
+    return design.y[None], W[None], v_hat[None], x_hat
 
 
 def case_i_scan(
@@ -460,33 +456,31 @@ def case_i_scan(
     q: int,
     *,
     v_rows: np.ndarray | None = None,
-    score_u: np.ndarray | None = None,
     score_beta: np.ndarray | None = None,
     p1: int = 0,
 ) -> ScanResult:
     """Scan the full admissible k-break grid."""
     grid = enumerate_partitions(n, k, eps, q)
     return scan_partitions(
-        y,
-        W,
-        grid.as_array(),
-        n,
-        v_rows=v_rows,
-        score_u=score_u,
-        score_beta=score_beta,
-        p1=p1,
+        y, W, grid.as_array(), n, v_rows=v_rows, score_beta=score_beta, p1=p1
     )
 
 
-def _max_outcome(scan: ScanResult, n: int, eps: float, min_len: int) -> TestOutcome:
-    if not np.any(np.isfinite(scan.wald)):
-        raise SingularMiddleError("every candidate partition failed")
-    idx = int(np.argmax(scan.wald))
-    part = Partition(tuple(scan.parts[idx]), n, eps, min_len)
+def _case_i_outcome(design, k, eps, rf_partition, rf_breaks, want, beta_source="alt"):
+    n, q = design.n, design.spec.q
+    Y, W, v_hat, _ = _sample_batch(design, eps, rf_partition, rf_breaks)
+    parts, vals, ok = _sup_case_i(
+        Y, W, k, eps, q, want=want, v_rows=v_hat, beta_source=beta_source,
+        p1=design.spec.p1,
+    )
+    if not np.any(np.isfinite(vals)):
+        error = DegenerateSSRError if want == "f" else SingularMiddleError
+        raise error("every candidate partition failed")
+    idx = int(np.argmax(vals[0]))
     return TestOutcome(
-        statistic=float(scan.wald[idx]),
-        argmax_partition=part,
-        skipped_candidates=scan.n_skipped,
+        statistic=float(vals[0, idx]),
+        argmax_partition=Partition(tuple(parts[idx]), n, eps, min_regime_length(n, eps, q)),
+        skipped_candidates=int(np.sum(~ok)),
     )
 
 
@@ -504,7 +498,7 @@ def sup_wald(
     The first stage is fixed once: at rf_partition when given, else at the
     partition estimated with rf_breaks RF breaks.
     """
-    design = make_design_cached(spec, data)
+    design = make_design(spec, data)
     return sup_wald_design(design, k, eps, rf_partition, rf_breaks, beta_source)
 
 
@@ -516,29 +510,7 @@ def sup_wald_design(
     rf_breaks: int = 0,
     beta_source: str = "alt",
 ) -> TestOutcome:
-    n = design.n
-    q = design.spec.q
-    min_len = min_regime_length(n, eps, q)
-    if rf_partition is None:
-        rf_partition, _ = rf_break_grid_and_fit(design, rf_breaks, eps)
-    _, x_hat, v_hat = first_stage(design, rf_partition)
-    W = np.column_stack([x_hat, design.Z1])
-    score_beta = None
-    if beta_source == "null":
-        b0, _ = restricted_fit(design.y, W)
-        score_beta = b0[: design.spec.p1, 0]
-    scan = case_i_scan(
-        design.y,
-        W,
-        n,
-        k,
-        eps,
-        q,
-        v_rows=v_hat,
-        score_beta=score_beta,
-        p1=design.spec.p1,
-    )
-    return _max_outcome(scan, n, eps, min_len)
+    return _case_i_outcome(design, k, eps, rf_partition, rf_breaks, "wald", beta_source)
 
 
 def f_at(ssr0: float, ssrk: float, T_eff: int, k: int, d_beta: int) -> float:
@@ -559,7 +531,7 @@ def sup_f(
     rf_breaks: int = 0,
 ) -> TestOutcome:
     """Sup-F test of no SE breaks against k breaks."""
-    design = make_design_cached(spec, data)
+    design = make_design(spec, data)
     return sup_f_design(design, k, eps, rf_partition, rf_breaks)
 
 
@@ -570,124 +542,18 @@ def sup_f_design(
     rf_partition: Partition | None = None,
     rf_breaks: int = 0,
 ) -> TestOutcome:
-    n = design.n
-    q = design.spec.q
-    d_beta = design.spec.d_beta
-    min_len = min_regime_length(n, eps, q)
-    if rf_partition is None:
-        rf_partition, _ = rf_break_grid_and_fit(design, rf_breaks, eps)
-    _, x_hat, _ = first_stage(design, rf_partition)
-    W = np.column_stack([x_hat, design.Z1])
-    _, ssr0 = restricted_fit(design.y, W)
-    scan = case_i_scan(design.y, W, n, k, eps, q)
-    fvals = np.where(
-        np.isfinite(scan.ssr) & (scan.ssr > 0),
-        ((n - (k + 1) * d_beta) / (k * d_beta)) * (ssr0 - scan.ssr) / scan.ssr,
-        -np.inf,
-    )
-    if not np.any(np.isfinite(fvals)):
-        raise DegenerateSSRError("every candidate partition failed")
-    idx = int(np.argmax(fvals))
-    part = Partition(tuple(scan.parts[idx]), n, eps, min_len)
-    return TestOutcome(
-        statistic=float(fvals[idx]),
-        argmax_partition=part,
-        skipped_candidates=scan.n_skipped,
-    )
+    return _case_i_outcome(design, k, eps, rf_partition, rf_breaks, "f")
 
 
-# ---------------------------------------------------------------------------
-# Case (ii): H0 m=l vs H1 m=l+1
-# ---------------------------------------------------------------------------
-
-
-def seq_scan(
-    y: np.ndarray,
-    W: np.ndarray,
-    null_partition: Partition,
-    n_global: int,
-    min_len: int,
-    *,
-    v_rows: np.ndarray | None = None,
-    score_u: np.ndarray | None = None,
-    p1: int = 0,
-    want: str = "wald",
-    d_beta: int | None = None,
-) -> tuple[float, int | None, int | None, int, list[str]]:
-    """One-more-break statistic within the regimes of a null partition.
-
-    For each regime of null_partition, fits the restricted single-regime
-    model (supplying the score's endogenous-block coefficients and, for
-    the F variant, the restricted SSR), then scans every admissible
-    interior break.  Returns (statistic, argmax regime, argmax row,
-    skipped count, flags).  want is "wald" or "f".
-    """
-    best = -np.inf
-    best_regime: int | None = None
-    best_row: int | None = None
-    skipped = 0
-    flags: list[str] = []
-    feasible = 0
-    for i, (a, bnd) in enumerate(null_partition.regimes(), start=1):
-        length = bnd - a + 1
-        if length < 2 * min_len:
-            flags.append(f"regime {i} infeasible (length {length})")
-            continue
-        feasible += 1
-        sl = slice(a - 1, bnd)
-        y_i = y[sl]
-        W_i = W[sl]
-        b_null, ssr_null = restricted_fit(y_i, W_i)
-        local = np.arange(min_len, length - min_len + 1, dtype=np.int64)
-        parts = local[:, None]
-        scan = scan_partitions(
-            y_i,
-            W_i,
-            parts,
-            n_global,
-            v_rows=None if v_rows is None else v_rows[sl],
-            score_u=None if score_u is None else score_u[sl],
-            score_beta=b_null[:p1, 0] if (v_rows is not None and p1 > 0) else None,
-            p1=p1,
-        )
-        skipped += scan.n_skipped
-        if want == "f":
-            if ssr_null <= 0:
-                flags.append(f"regime {i} degenerate restricted SSR")
-                continue
-            scale = (length - d_beta) / d_beta
-            vals = np.where(
-                np.isfinite(scan.ssr),
-                scale * (ssr_null - scan.ssr) / ssr_null,
-                -np.inf,
-            )
-        else:
-            vals = scan.wald
-        if not np.any(np.isfinite(vals)):
-            continue
-        j = int(np.argmax(vals))
-        if vals[j] > best:
-            best = float(vals[j])
-            best_regime = i
-            best_row = a - 1 + int(local[j])
-    if feasible == 0:
-        raise InfeasiblePartitionError(
-            "no regime of the null partition admits an extra break"
-        )
-    if not np.isfinite(best):
+def _seq_outcome(null_partition: Partition, best, regime, row, skipped, flags) -> TestOutcome:
+    if not np.isfinite(best[0]):
         raise SingularMiddleError("every within-regime candidate failed")
-    return best, best_regime, best_row, skipped, flags
-
-
-def _seq_outcome(
-    design: Design, null_partition: Partition, stat, regime, row, skipped, flags
-) -> TestOutcome:
-    merged = tuple(sorted(null_partition.breaks + (row,)))
+    merged = tuple(sorted(null_partition.breaks + (int(row[0]),)))
     part = Partition(merged, null_partition.n, null_partition.trim, null_partition.min_len)
     return TestOutcome(
-        statistic=stat,
+        statistic=float(best[0]),
         argmax_partition=part,
-        argmax_regime=regime,
+        argmax_regime=int(regime[0]),
         skipped_candidates=skipped,
         flags=flags,
     )
@@ -702,7 +568,7 @@ def sup_wald_seq(
     rf_breaks: int = 0,
 ) -> TestOutcome:
     """Sup-Wald test of n_breaks SE breaks against one more."""
-    design = make_design_cached(spec, data)
+    design = make_design(spec, data)
     return sup_wald_seq_design(design, n_breaks, eps, rf_partition, rf_breaks)
 
 
@@ -717,26 +583,14 @@ def sup_wald_seq_design(
 ) -> TestOutcome:
     if n_breaks < 1:
         raise InfeasiblePartitionError("the null must impose at least one break")
-    n = design.n
-    min_len = min_regime_length(n, eps, design.spec.q)
-    if rf_partition is None:
-        rf_partition, _ = rf_break_grid_and_fit(design, rf_breaks, eps)
-    _, x_hat, v_hat = first_stage(design, rf_partition)
-    W = np.column_stack([x_hat, design.Z1])
+    Y, W, v_hat, x_hat = _sample_batch(design, eps, rf_partition, rf_breaks)
     if null_partition is None:
         null_partition, _ = global_ssr_breaks(design, x_hat, n_breaks, eps)
-    stat, regime, row, skipped, flags = seq_scan(
-        design.y,
-        W,
-        null_partition,
-        n,
-        min_len,
-        v_rows=v_hat,
-        p1=design.spec.p1,
-        want=want,
-        d_beta=design.spec.d_beta,
+    min_len = min_regime_length(design.n, eps, design.spec.q)
+    found = _sup_case_ii(
+        Y, W, null_partition, min_len, want=want, v_rows=v_hat, p1=design.spec.p1
     )
-    return _seq_outcome(design, null_partition, stat, regime, row, skipped, flags)
+    return _seq_outcome(null_partition, *found)
 
 
 def sup_f_seq(
@@ -748,24 +602,5 @@ def sup_f_seq(
     rf_breaks: int = 0,
 ) -> TestOutcome:
     """Sup-F test of n_breaks SE breaks against one more."""
-    design = make_design_cached(spec, data)
-    return sup_wald_seq_design(design, n_breaks, eps, rf_partition, rf_breaks, want="f")
-
-
-# Small cache so the (spec, data) public wrappers do not rebuild rows on
-# every call within one process.
-_design_cache: dict[int, tuple[object, Design]] = {}
-
-
-def make_design_cached(spec: ModelSpec, data: Dataset) -> Design:
-    from .estimation import make_design
-
-    key = id(data)
-    hit = _design_cache.get(key)
-    if hit is not None and hit[0] is data and hit[1].spec == spec:
-        return hit[1]
     design = make_design(spec, data)
-    if len(_design_cache) > 8:
-        _design_cache.clear()
-    _design_cache[key] = (data, design)
-    return design
+    return sup_wald_seq_design(design, n_breaks, eps, rf_partition, rf_breaks, want="f")

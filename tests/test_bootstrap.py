@@ -10,14 +10,17 @@ from breakboot.bootstrap import (
     bootstrap_sup_test,
     case_i_draws,
     pvalue_and_quantile,
+    rf_case_i_draws,
+    rf_case_ii_draws,
     wf_generate,
     wr_generate,
 )
-from breakboot.estimation import fit_regimes, make_design
+from breakboot.estimation import first_stage, fit_regimes, make_design
 from breakboot.exceptions import EmptyDrawsError
 from breakboot.model import Dataset, ModelSpec, Role, no_breaks
-from breakboot.partition_search import min_regime_length
-from breakboot.rng import derive_seed
+from breakboot.partition_search import min_regime_length, rf_break_grid_and_fit
+from breakboot.rng import STREAM_NU_RF, derive_seed
+from breakboot.sequential import rf_sup_wald, rf_sup_wald_seq
 
 
 def null_estimates(spec, data, eps=0.15):
@@ -277,6 +280,69 @@ def test_supf_bootstrap_variant():
     )
     assert out.statistic >= 0
     assert len(out.boot_draws) == 39
+
+
+def two_endogenous_system(T=120, seed=61):
+    # p1 = 2 endogenous regressors, each with its own lag in the reduced form
+    spec = ModelSpec(
+        p1=2,
+        p2=4,
+        se_regressors=(Role("const"), Role("r", 1)),
+        rf_instruments=(
+            Role("const"), Role("r", 1), Role("r", 2), Role("r", 3), Role("r", 4),
+            Role("x", 1, 1), Role("x", 2, 1),
+        ),
+    )
+    rng = np.random.default_rng(seed)
+    r = rng.normal(size=(T, 4))
+    e = rng.normal(size=(T, 3))
+    x = np.zeros((T, 2))
+    for t in range(1, T):
+        x[t, 0] = 0.5 + r[t] @ [1.0, 0.5, -0.3, 0.2] + 0.3 * x[t - 1, 0] + e[t, 1] + 0.4 * e[t, 0]
+        x[t, 1] = -0.2 + r[t] @ [0.2, -0.7, 0.6, 0.4] + 0.2 * x[t - 1, 1] + e[t, 2] + 0.3 * e[t, 0]
+    y = 0.3 + x @ [0.5, -0.4] + 0.6 * r[:, 0] + e[:, 0]
+    return spec, Dataset(y=y, x=x, r=r)
+
+
+def two_endogenous_rf_stages(eps=0.15):
+    """Design plus the (draws function, leading arguments) of both RF stages."""
+    spec, data = two_endogenous_system()
+    design = make_design(spec, data)
+    n = design.n
+    delta0, _, v0 = first_stage(design, no_breaks(n, eps, min_regime_length(n, eps, spec.q)))
+    part1, delta1 = rf_break_grid_and_fit(design, 1, eps)
+    _, _, v1 = first_stage(design, part1)
+    return design, part1, (
+        (rf_case_i_draws, (design, delta0, v0, eps)),
+        (rf_case_ii_draws, (design, delta1, v1, part1, eps)),
+    )
+
+
+def test_rf_identity_multipliers_reproduce_sample_statistics_p1_two():
+    # nu = +1 rebuilds x, so each RF bootstrap statistic equals the sample one
+    design, part1, stages = two_endogenous_rf_stages()
+    samples = (rf_sup_wald(design)[0], rf_sup_wald_seq(design, part1))
+    ones = np.ones((design.n, 1))
+    for scheme in ("wr", "wf"):
+        for (fn, args), sample in zip(stages, samples):
+            draws, fails = fn(*args, BootstrapConfig(scheme, 1, 0, 1), nu=ones)
+            assert fails == 0
+            assert draws[0] == pytest.approx(sample, rel=1e-9)
+
+
+def test_rf_batched_draws_equal_single_replications_p1_two():
+    design, _, stages = two_endogenous_rf_stages()
+    B = 19
+    nu = MultiplierStream(3, 1, STREAM_NU_RF, 0).matrix(design.n, B)
+    for scheme in ("wr", "wf"):
+        for fn, args in stages:
+            draws, fails = fn(*args, BootstrapConfig(scheme, B, 3, 1), nu=nu)
+            single = [
+                fn(*args, BootstrapConfig(scheme, 1, 3, 1), nu=nu[:, [b]])[0][0]
+                for b in range(B)
+            ]
+            assert fails == 0
+            np.testing.assert_allclose(draws, single, rtol=1e-12)
 
 
 @pytest.mark.slow

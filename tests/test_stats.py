@@ -321,3 +321,14 @@ def test_statistic_nonnegative_and_beta_source_option():
     assert out_null.statistic >= 0
     # the two score conventions differ in general
     assert out_alt.statistic != pytest.approx(out_null.statistic, rel=1e-12)
+
+
+def test_sup_wald_sees_in_place_edits_of_the_data():
+    # the (spec, data) wrappers build the design from the arrays on every
+    # call, so an in-place edit is never answered from the old values
+    data, _ = bb.generate(bb.ScenarioConfig("h0m0", "A", T=120, seed=23))
+    spec = bb.scenario_model_spec()
+    bb.sup_wald(spec, data, k=1)
+    data.y[60:] += 3.0
+    fresh = Dataset(y=data.y.copy(), x=data.x.copy(), r=data.r.copy())
+    assert bb.sup_wald(spec, data, k=1).statistic == bb.sup_wald(spec, fresh, k=1).statistic
