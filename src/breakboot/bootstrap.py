@@ -35,6 +35,7 @@ from .partition_search import global_ssr_breaks, min_regime_length, rf_break_gri
 from .rng import STREAM_NU, STREAM_NU_RF, generator, rademacher
 from .stats import (
     TestOutcome,
+    _batched_solve,
     _sup_case_i,
     _sup_case_ii,
     sup_f_design,
@@ -213,7 +214,8 @@ def _first_stage_wr(Zb, xb, rf_partition: Partition):
     """Per-replication RF fits when instruments are bootstrap-built.
 
     Zb is (B, n, q); xb is (n, p1, B).  Returns w-block fitted values
-    (B, n, p1).
+    (B, n, p1); a replication whose regime Gram is singular gets NaN there,
+    so its draw fails.
     """
     B, n, q = Zb.shape
     p1 = xb.shape[1]
@@ -224,7 +226,8 @@ def _first_stage_wr(Zb, xb, rf_partition: Partition):
         Zr = Zb[:, sl, :]
         G = np.einsum("bti,btj->bij", Zr, Zr)
         h = np.einsum("bti,btp->bip", Zr, xbt[:, sl, :])
-        delta = np.linalg.solve(G, h)
+        delta, ok = _batched_solve(G, h)
+        delta[~ok] = np.nan
         xhat[:, sl, :] = np.einsum("btq,bqp->btp", Zr, delta)
     return xhat
 

@@ -7,6 +7,7 @@ import breakboot as bb
 from breakboot.bootstrap import (
     BootstrapConfig,
     MultiplierStream,
+    _first_stage_wr,
     bootstrap_sup_test,
     case_i_draws,
     pvalue_and_quantile,
@@ -17,7 +18,7 @@ from breakboot.bootstrap import (
 )
 from breakboot.estimation import first_stage, fit_regimes, make_design
 from breakboot.exceptions import EmptyDrawsError
-from breakboot.model import Dataset, ModelSpec, Role, no_breaks
+from breakboot.model import Dataset, ModelSpec, Partition, Role, no_breaks
 from breakboot.partition_search import min_regime_length, rf_break_grid_and_fit
 from breakboot.rng import STREAM_NU_RF, derive_seed
 from breakboot.sequential import rf_sup_wald, rf_sup_wald_seq
@@ -363,3 +364,20 @@ def test_bootstrap_distribution_covers_sample_statistic():
         lo, hi = np.quantile(out.boot_draws, [0.005, 0.995])
         inside += int(lo <= out.statistic <= hi)
     assert inside >= 0.9 * reps
+
+
+def test_singular_first_stage_fails_only_its_replication():
+    # one bootstrap sample whose instrument column is identically zero has a
+    # singular regime Gram: its fitted values are NaN, so that draw fails,
+    # and every other sample's first stage is unchanged
+    rng = np.random.default_rng(11)
+    B, n, q, p1 = 5, 60, 3, 2
+    Zb = rng.normal(size=(B, n, q))
+    xb = rng.normal(size=(n, p1, B))
+    part = Partition((30,), n, 0.15, 9)
+    clean = _first_stage_wr(Zb, xb, part)
+    Zb[2, :, 1] = 0.0
+    xhat = _first_stage_wr(Zb, xb, part)
+    assert np.all(np.isnan(xhat[2]))
+    keep = [0, 1, 3, 4]
+    assert np.array_equal(xhat[keep], clean[keep])

@@ -20,6 +20,7 @@ from breakboot.stats import (
     sup_f,
     sup_f_seq,
     sup_wald_seq,
+    sup_wald_seq_design,
     wald_at,
 )
 
@@ -112,19 +113,21 @@ def test_sup_wald_matches_bruteforce_recomputation():
     spec = bb.scenario_model_spec()
     design = make_design(spec, data)
     n = design.n
-    out = bb.sup_wald(spec, data, k=1, eps=0.15)
-    grid = enumerate_partitions(n, 1, 0.15, spec.q)
     part0 = no_breaks(n, 0.15, 1)
-    best, best_c = -np.inf, None
-    for (c,) in grid.candidates():
-        part = Partition((c,), n, 0.15, grid.min_len)
-        est = fit_regimes(design, part0, part)
-        blocks = eicker_white(design, est, part)
-        w = wald_at(np.concatenate(est.beta), blocks, ContrastMatrix(1, 4), n)
-        if w > best:
-            best, best_c = w, c
-    assert out.statistic == pytest.approx(best, rel=1e-8)
-    assert out.argmax_partition.breaks == (best_c,)
+    # k = 2 puts a middle regime, with both mask edges inside the sample
+    for k in (1, 2):
+        out = bb.sup_wald(spec, data, k=k, eps=0.15)
+        grid = enumerate_partitions(n, k, 0.15, spec.q)
+        best, best_c = -np.inf, None
+        for c in grid.candidates():
+            part = Partition(c, n, 0.15, grid.min_len)
+            est = fit_regimes(design, part0, part)
+            blocks = eicker_white(design, est, part)
+            w = wald_at(np.concatenate(est.beta), blocks, ContrastMatrix(k, 4), n)
+            if w > best:
+                best, best_c = w, c
+        assert out.statistic == pytest.approx(best, rel=1e-8)
+        assert out.argmax_partition.breaks == best_c
 
 
 def test_sup_wald_scale_equivariance():
@@ -332,3 +335,20 @@ def test_sup_wald_sees_in_place_edits_of_the_data():
     data.y[60:] += 3.0
     fresh = Dataset(y=data.y.copy(), x=data.x.copy(), r=data.r.copy())
     assert bb.sup_wald(spec, data, k=1).statistic == bb.sup_wald(spec, fresh, k=1).statistic
+
+
+def test_singular_null_regime_is_skipped_not_raised():
+    # a regressor that is zero over the whole first null regime: its
+    # restricted fit has a singular Gram matrix, so that regime's
+    # candidates fail and the sup comes from the second regime
+    data, _ = bb.generate(bb.ScenarioConfig("h0m0", "A", T=240, seed=5))
+    data.r[:81, 0] = 0.0
+    design = make_design(bb.scenario_model_spec(), data)
+    n = design.n
+    ml = min_regime_length(n, 0.15, design.spec.q)
+    out = sup_wald_seq_design(
+        design, 1, 0.15, no_breaks(n, 0.15, ml), null_partition=Partition((80,), n, 0.15, ml)
+    )
+    assert out.argmax_regime == 2
+    assert out.skipped_candidates == 80 - 2 * ml + 1
+    assert out.statistic == pytest.approx(17.69356340904543, rel=1e-9)
