@@ -11,6 +11,11 @@ treated when rebuilding the sample:
   WF  (wild fixed)      every regressor row is kept at its sample value
       and only the errors are resampled.
 
+One path builder serves both equations.  The structural equation's
+bootstrap generates x and y, so its WR rebuilds lagged x and lagged y.  The
+reduced-form pre-test bootstraps x alone, so its WR rebuilds only lagged x
+and holds lagged y at its sample values.  WR without lags is WF.
+
 Replication b of Monte Carlo repetition j draws its multipliers from the
 stream seeded by derive_seed(master_seed, j, STREAM_NU, b); reduced-form
 pre-test stages use STREAM_NU_RF with the stage index appended.  The
@@ -28,14 +33,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import Design, RegimeEstimates, first_stage, fit_regimes, make_design
+from .estimation import (
+    Design,
+    RegimeEstimates,
+    _batched_solve,
+    first_stage,
+    fit_regimes,
+    make_design,
+)
 from .exceptions import BootstrapFailureError, ConfigError, EmptyDrawsError
-from .model import Dataset, ModelSpec, Partition, no_breaks, regime_of
+from .model import Dataset, ModelSpec, Partition, no_breaks
 from .partition_search import global_ssr_breaks, min_regime_length, rf_break_grid_and_fit
 from .rng import STREAM_NU, STREAM_NU_RF, generator, rademacher
 from .stats import (
     TestOutcome,
-    _batched_solve,
     _sup_case_i,
     _sup_case_ii,
     sup_f_design,
@@ -91,94 +102,86 @@ class MultiplierStream:
 
 
 # ---------------------------------------------------------------------------
-# Bootstrap sample generation (structural-equation system)
+# Bootstrap paths and samples
 # ---------------------------------------------------------------------------
 
 
-def _coef_schedules(design: Design, est: RegimeEstimates):
-    """Per-row coefficient arrays on the effective sample."""
-    n = design.n
-    p1 = design.spec.p1
-    bx = np.empty((n, p1))
-    bz = np.empty((n, design.spec.q1))
-    d_idx = np.empty(n, dtype=np.int64)
-    for t in range(1, n + 1):
-        beta = est.beta[regime_of(t, est.se_breaks) - 1]
-        bx[t - 1] = beta[:p1]
-        bz[t - 1] = beta[p1:]
-        d_idx[t - 1] = regime_of(t, est.rf_breaks) - 1
-    return bx, bz, d_idx
+def _row_regimes(partition: Partition) -> np.ndarray:
+    """0-based regime index of each effective row 1..n."""
+    breaks = np.asarray(partition.breaks, dtype=np.int64)
+    return np.searchsorted(breaks, np.arange(1, partition.n + 1), side="left")
 
 
-def _wf_paths(design: Design, est: RegimeEstimates, nu: np.ndarray):
-    """Fixed-regressor bootstrap paths for all multiplier columns.
+def _paths(design: Design, delta: list[np.ndarray], rf_partition: Partition,
+           v_hat: np.ndarray, nu: np.ndarray, *, recursive: bool,
+           est: RegimeEstimates | None = None):
+    """Bootstrap rows for all multiplier columns nu (n, B): (xb, Zb, yb).
 
-    Returns (yb (n, B), xb (n, p1, B)); regressor rows stay the sample's.
+    x (xb, (n, p1, B)) follows the RF over rf_partition with errors
+    v_hat * nu.  y (yb, (n, B)) follows the SE with errors u_hat * nu, and
+    is generated only when est, a null-imposed SE fit, is given; else yb
+    is None.  Zb (B, n, q) holds the instrument rows.  Under WR each row
+    starts as the sample's, and its lagged x columns, plus its lagged y
+    columns when y is generated, are overwritten from the bootstrap history
+    that starts at the first max_lag original observations.  Under WF, and
+    WR without lags, every row stays the sample's.
     """
-    bx, bz, _ = _coef_schedules(design, est)
-    xb = est.x_hat[:, :, None] + est.v_hat[:, :, None] * nu[:, None, :]
-    fixed = np.einsum("nq,nq->n", design.Z1, bz)
-    yb = (
-        np.einsum("npb,np->nb", xb, bx)
-        + fixed[:, None]
-        + est.u_hat[:, None] * nu
-    )
-    return yb, xb
-
-
-def _wr_paths(design: Design, est: RegimeEstimates, nu: np.ndarray):
-    """Recursive bootstrap paths for all multiplier columns.
-
-    Returns (yb (n, B), xb (n, p1, B), Zb (B, n, q)).  Start-up values are
-    the first max_lag original observations.  With no lags anywhere the
-    recursion is the fixed-regressor computation, shared verbatim so the
-    two schemes agree bit for bit.
-    """
-    spec = design.spec
-    lag = spec.max_lag
-    if lag == 0:
-        yb, xb = _wf_paths(design, est, nu)
-        Zb = np.broadcast_to(design.Z, (nu.shape[1],) + design.Z.shape)
-        return yb, xb, Zb
+    spec, data = design.spec, design.data
     n, B = nu.shape
-    p1, q = spec.p1, spec.q
-    data = design.data
-    bx, bz, d_idx = _coef_schedules(design, est)
-    ub = est.u_hat[:, None] * nu
-    vb = est.v_hat[:, :, None] * nu[:, None, :]
+    lag, p1 = spec.max_lag, spec.p1
+    vb = v_hat[:, :, None] * nu[:, None, :]
+    if est is not None:
+        beta = np.array(est.beta)[_row_regimes(est.se_breaks)]
+        bx, bz = beta[:, :p1].copy(), beta[:, p1:].copy()
+        ub = est.u_hat[:, None] * nu
+    if not recursive or lag == 0:
+        x_hat = np.empty((n, p1))
+        for j, (a, bnd) in enumerate(rf_partition.regimes()):
+            x_hat[a - 1 : bnd] = design.Z[a - 1 : bnd] @ delta[j]
+        xb = x_hat[:, :, None] + vb
+        yb = None
+        if est is not None:
+            fixed = np.einsum("nq,nq->n", design.Z1, bz)
+            yb = np.einsum("npb,np->nb", xb, bx) + fixed[:, None] + ub
+        return xb, np.broadcast_to(design.Z, (B,) + design.Z.shape), yb
 
-    y_hist = np.empty((lag + n, B))
+    live = [(c, role) for c, role in enumerate(spec.rf_instruments)
+            if role.kind == "x" or (role.kind == "y" and est is not None)]
+    z1 = list(spec.z1_positions)
+    d_idx = _row_regimes(rf_partition)
     x_hist = np.empty((lag + n, p1, B))
-    y_hist[:lag] = data.y[:lag, None]
+    y_hist = np.empty((lag + n, B))
     x_hist[:lag] = data.x[:lag, :, None]
-    Zb = np.empty((B, n, q))
-    zrow = np.empty((B, q))
-    for t in range(1, n + 1):
-        i = t - 1
-        orig = lag + i  # 0-based original index of this row
-        for c, role in enumerate(spec.rf_instruments):
-            if role.kind == "const":
-                zrow[:, c] = 1.0
-            elif role.kind == "r":
-                zrow[:, c] = data.r[orig - role.lag, role.index - 1]
-            elif role.kind == "y":
-                zrow[:, c] = y_hist[lag + i - role.lag]
-            else:
+    y_hist[:lag] = data.y[:lag, None]
+    Zb = np.empty((B, n, design.Z.shape[1]))
+    zrow = np.empty((B, design.Z.shape[1]))
+    for i in range(n):
+        zrow[:] = design.Z[i]
+        for c, role in live:
+            if role.kind == "x":
                 zrow[:, c] = x_hist[lag + i - role.lag, role.index - 1]
+            else:
+                zrow[:, c] = y_hist[lag + i - role.lag]
         Zb[:, i, :] = zrow
-        x_t = zrow @ est.delta[d_idx[i]] + vb[i].T  # (B, p1)
-        y_t = x_t @ bx[i] + zrow[:, list(spec.z1_positions)] @ bz[i] + ub[i]
+        x_t = zrow @ delta[d_idx[i]] + vb[i].T  # (B, p1)
         x_hist[lag + i] = x_t.T
-        y_hist[lag + i] = y_t
-    return y_hist[lag:], x_hist[lag:], Zb
+        if est is not None:
+            y_hist[lag + i] = x_t @ bx[i] + zrow[:, z1] @ bz[i] + ub[i]
+    return x_hist[lag:], Zb, None if est is None else y_hist[lag:]
 
 
-def _paths_to_dataset(design: Design, yb: np.ndarray, xb: np.ndarray) -> Dataset:
-    lag = design.spec.max_lag
-    data = design.data
-    y = np.concatenate([data.y[:lag], yb])
-    x = np.concatenate([data.x[:lag], xb])
-    return Dataset(y=y, x=x, r=data.r.copy())
+def _generate(spec: ModelSpec, data: Dataset, est: RegimeEstimates, nu: np.ndarray,
+              recursive: bool) -> Dataset:
+    design = make_design(spec, data)
+    nu = np.asarray(nu, dtype=np.float64)[:, None]
+    xb, _, yb = _paths(design, est.delta, est.rf_breaks, est.v_hat, nu,
+                       recursive=recursive, est=est)
+    lag = spec.max_lag
+    return Dataset(
+        y=np.concatenate([data.y[:lag], yb[:, 0]]),
+        x=np.concatenate([data.x[:lag], xb[:, :, 0]]),
+        r=data.r.copy(),
+    )
 
 
 def wr_generate(
@@ -188,9 +191,7 @@ def wr_generate(
     nu: np.ndarray,
 ) -> Dataset:
     """One wild-recursive bootstrap dataset from null-imposed estimates."""
-    design = make_design(spec, data)
-    yb, xb, _ = _wr_paths(design, estimates, np.asarray(nu, dtype=np.float64)[:, None])
-    return _paths_to_dataset(design, yb[:, 0], xb[:, :, 0])
+    return _generate(spec, data, estimates, nu, recursive=True)
 
 
 def wf_generate(
@@ -200,22 +201,15 @@ def wf_generate(
     nu: np.ndarray,
 ) -> Dataset:
     """One wild-fixed bootstrap dataset from null-imposed estimates."""
-    design = make_design(spec, data)
-    yb, xb = _wf_paths(design, estimates, np.asarray(nu, dtype=np.float64)[:, None])
-    return _paths_to_dataset(design, yb[:, 0], xb[:, :, 0])
+    return _generate(spec, data, estimates, nu, recursive=False)
 
 
-# ---------------------------------------------------------------------------
-# Batched first stage on bootstrap samples
-# ---------------------------------------------------------------------------
+def _first_stage_batch(Zb, xb, rf_partition: Partition):
+    """Per-replication RF fits: w-block fitted values (B, n, p1).
 
-
-def _first_stage_wr(Zb, xb, rf_partition: Partition):
-    """Per-replication RF fits when instruments are bootstrap-built.
-
-    Zb is (B, n, q); xb is (n, p1, B).  Returns w-block fitted values
-    (B, n, p1); a replication whose regime Gram is singular gets NaN there,
-    so its draw fails.
+    Zb is (B, n, q), the bootstrap instrument rows or the sample's broadcast
+    over B; xb is (n, p1, B).  A replication whose regime Gram is singular
+    gets NaN there, so its draw fails.
     """
     B, n, q = Zb.shape
     p1 = xb.shape[1]
@@ -232,58 +226,6 @@ def _first_stage_wr(Zb, xb, rf_partition: Partition):
     return xhat
 
 
-def _first_stage_wf(Z, xb, rf_partition: Partition):
-    """Per-replication RF fits on fixed instruments (one Gram per regime)."""
-    n, p1, B = xb.shape
-    xhat = np.empty((B, n, p1))
-    for a, bnd in rf_partition.regimes():
-        sl = slice(a - 1, bnd)
-        Zr = Z[sl]
-        G = Zr.T @ Zr
-        rhs = Zr.T @ xb[sl].reshape(bnd - a + 1, p1 * B)
-        delta = np.linalg.solve(G, rhs).reshape(Zr.shape[1], p1, B)
-        xhat[:, sl, :] = np.einsum("tq,qpb->btp", Zr, delta)
-    return xhat
-
-
-# ---------------------------------------------------------------------------
-# Bootstrap samples and draws
-# ---------------------------------------------------------------------------
-
-
-def _rf_wr_paths(design: Design, delta: list[np.ndarray], rf_partition: Partition,
-                 v_hat: np.ndarray, nu: np.ndarray):
-    """Recursive bootstrap of the RF equation alone (max_lag > 0).
-
-    Only lagged x inside z is replaced by bootstrap values; lagged y and
-    all r columns stay at their sample values (the RF is treated as a
-    single-equation OLS model).
-    """
-    spec = design.spec
-    lag = spec.max_lag
-    vb = v_hat[:, :, None] * nu[:, None, :]
-    n, B = nu.shape
-    p1, q = spec.p1, spec.q
-    d_idx = np.array(
-        [regime_of(t, rf_partition) - 1 for t in range(1, n + 1)], dtype=np.int64
-    )
-    x_hist = np.empty((lag + n, p1, B))
-    x_hist[:lag] = design.data.x[:lag, :, None]
-    Zb = np.empty((B, n, q))
-    zrow = np.empty((B, q))
-    for t in range(1, n + 1):
-        i = t - 1
-        for c, role in enumerate(spec.rf_instruments):
-            if role.kind == "x":
-                zrow[:, c] = x_hist[lag + i - role.lag, role.index - 1]
-            else:
-                zrow[:, c] = design.Z[i, c]
-        Zb[:, i, :] = zrow
-        x_t = zrow @ delta[d_idx[i]] + vb[i].T
-        x_hist[lag + i] = x_t.T
-    return x_hist[lag:], Zb
-
-
 def _samples(design: Design, cfg: BootstrapConfig, nu: np.ndarray | None, *,
              est: RegimeEstimates | None = None, rf=None, stage: int = 0):
     """The B bootstrap samples of one test as a batch: (Yb, Wb, v_hat_b).
@@ -294,7 +236,7 @@ def _samples(design: Design, cfg: BootstrapConfig, nu: np.ndarray | None, *,
     Reduced form (rf = (delta, v_hat, rf_partition)): Yb (B, n, p1) is x,
     Wb (B, n, q) is z and v_hat_b is None.  Multipliers come from the
     SE stream, or the RF stream of the given pre-test stage, unless nu
-    (n, B) is passed.  WR without lags is WF.
+    (n, B) is passed.
     """
     n, spec = design.n, design.spec
     if nu is None:
@@ -303,29 +245,15 @@ def _samples(design: Design, cfg: BootstrapConfig, nu: np.ndarray | None, *,
             else MultiplierStream(cfg.master_seed, cfg.rep_index, STREAM_NU_RF, stage)
         )
         nu = stream.matrix(n, cfg.B)
-    recursive = cfg.scheme == "wr" and spec.max_lag > 0
-    if rf is not None:
-        delta, v_hat, rf_partition = rf
-        if recursive:
-            xb, Zb = _rf_wr_paths(design, delta, rf_partition, v_hat, nu)
-        else:
-            x_hat = np.empty_like(design.x)
-            for j, (a, bnd) in enumerate(rf_partition.regimes()):
-                x_hat[a - 1 : bnd] = design.Z[a - 1 : bnd] @ delta[j]
-            xb = x_hat[:, :, None] + v_hat[:, :, None] * nu[:, None, :]
-            Zb = np.broadcast_to(design.Z, (nu.shape[1],) + design.Z.shape)
+    delta, v_hat, rf_partition = rf if est is None else (est.delta, est.v_hat, est.rf_breaks)
+    xb, Zb, yb = _paths(design, delta, rf_partition, v_hat, nu,
+                        recursive=cfg.scheme == "wr", est=est)
+    if est is None:
         return np.ascontiguousarray(xb.transpose(2, 0, 1)), Zb, None
-    if recursive:
-        yb, xb, Zb = _wr_paths(design, est, nu)
-        what = _first_stage_wr(Zb, xb, est.rf_breaks)
-        Z1b = Zb[:, :, list(spec.z1_positions)]
-    else:
-        yb, xb = _wf_paths(design, est, nu)
-        what = _first_stage_wf(design.Z, xb, est.rf_breaks)
-        Z1b = design.Z1[None, :, :]
+    what = _first_stage_batch(Zb, xb, rf_partition)
     Wb = np.empty((nu.shape[1], n, spec.d_beta))
     Wb[:, :, : spec.p1] = what
-    Wb[:, :, spec.p1 :] = Z1b
+    Wb[:, :, spec.p1 :] = Zb[:, :, list(spec.z1_positions)]
     return yb.T.copy(), Wb, xb.transpose(2, 0, 1) - what
 
 
@@ -534,6 +462,8 @@ def bootstrap_sup_test_design(
 ) -> TestOutcome:
     if statistic not in ("supwald", "supf"):
         raise ConfigError("statistic must be 'supwald' or 'supf'")
+    if beta_source not in ("alt", "null"):
+        raise ConfigError("beta_source must be 'alt' or 'null'")
     if null_breaks < 0:
         raise ConfigError("null_breaks must be >= 0")
     if null_breaks > 0 and alt_breaks != null_breaks + 1:

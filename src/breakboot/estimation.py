@@ -141,6 +141,28 @@ def ols(X: np.ndarray, y: np.ndarray) -> OlsFit:
     )
 
 
+def _batched_solve(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve stacked systems, masking singular rows instead of raising."""
+    try:
+        X = np.linalg.solve(A, B)
+        ok = np.all(np.isfinite(X.reshape(X.shape[0], -1)), axis=1)
+        return X, ok
+    except np.linalg.LinAlgError:
+        pass
+    m = A.shape[0]
+    X = np.zeros_like(B, dtype=np.float64)
+    ok = np.zeros(m, dtype=bool)
+    for i in range(m):
+        try:
+            Xi = np.linalg.solve(A[i], B[i])
+        except np.linalg.LinAlgError:
+            continue
+        if np.all(np.isfinite(Xi)):
+            X[i] = Xi
+            ok[i] = True
+    return X, ok
+
+
 def _regime_slices(partition: Partition) -> list[slice]:
     return [slice(a - 1, b) for a, b in partition.regimes()]
 

@@ -22,7 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .estimation import Design, first_stage
+from .estimation import Design, _batched_solve, first_stage
 from .exceptions import InfeasiblePartitionError, RankDeficientError
 from .model import Partition
 
@@ -112,19 +112,9 @@ def segment_ssr_table(y: np.ndarray, X: np.ndarray, min_len: int) -> np.ndarray:
     G = cum_G[B] - cum_G[A - 1]
     h = cum_h[B] - cum_h[A - 1]
     yy = cum_yy[B] - cum_yy[A - 1]
-    ssr = np.full(A.shape, np.inf)
-    try:
-        sol = np.linalg.solve(G, h)
-        ssr = yy - np.einsum("pdc,pdc->p", sol, h)
-    except np.linalg.LinAlgError:
-        for i in range(A.shape[0]):
-            try:
-                sol_i = np.linalg.solve(G[i], h[i])
-                ssr[i] = yy[i] - float(np.sum(sol_i * h[i]))
-            except np.linalg.LinAlgError:
-                pass
-    bad = ~np.isfinite(ssr)
-    ssr[bad] = np.inf
+    sol, ok = _batched_solve(G, h)
+    ssr = yy - np.einsum("pdc,pdc->p", sol, h)
+    ssr[~(ok & np.isfinite(ssr))] = np.inf
     np.maximum(ssr, 0.0, out=ssr)
     table[A, B] = ssr
     return table

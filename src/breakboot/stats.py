@@ -36,8 +36,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimation import Design, RobustBlocks, first_stage, make_design
+from .estimation import Design, RobustBlocks, _batched_solve, first_stage, make_design
 from .exceptions import (
+    ConfigError,
     DegenerateSSRError,
     InfeasiblePartitionError,
     SingularMiddleError,
@@ -122,28 +123,6 @@ class ScanResult:
     wald: np.ndarray         # (m,), -inf where skipped
     ssr: np.ndarray          # (m,) alternative-model SSR, +inf where failed
     n_skipped: int
-
-
-def _batched_solve(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve stacked systems, masking singular rows instead of raising."""
-    try:
-        X = np.linalg.solve(A, B)
-        ok = np.all(np.isfinite(X.reshape(X.shape[0], -1)), axis=1)
-        return X, ok
-    except np.linalg.LinAlgError:
-        pass
-    m = A.shape[0]
-    X = np.zeros_like(B, dtype=np.float64)
-    ok = np.zeros(m, dtype=bool)
-    for i in range(m):
-        try:
-            Xi = np.linalg.solve(A[i], B[i])
-        except np.linalg.LinAlgError:
-            continue
-        if np.all(np.isfinite(Xi)):
-            X[i] = Xi
-            ok[i] = True
-    return X, ok
 
 
 def scan_partitions(
@@ -454,25 +433,6 @@ def _sample_batch(design: Design, eps: float, rf_partition: Partition | None, rf
     return design.y[None], W[None], v_hat[None], x_hat
 
 
-def case_i_scan(
-    y: np.ndarray,
-    W: np.ndarray,
-    n: int,
-    k: int,
-    eps: float,
-    q: int,
-    *,
-    v_rows: np.ndarray | None = None,
-    score_beta: np.ndarray | None = None,
-    p1: int = 0,
-) -> ScanResult:
-    """Scan the full admissible k-break grid."""
-    grid = enumerate_partitions(n, k, eps, q)
-    return scan_partitions(
-        y, W, grid.as_array(), n, v_rows=v_rows, score_beta=score_beta, p1=p1
-    )
-
-
 def _case_i_outcome(design, k, eps, rf_partition, rf_breaks, want, beta_source="alt"):
     n, q = design.n, design.spec.q
     Y, W, v_hat, _ = _sample_batch(design, eps, rf_partition, rf_breaks)
@@ -517,6 +477,8 @@ def sup_wald_design(
     rf_breaks: int = 0,
     beta_source: str = "alt",
 ) -> TestOutcome:
+    if beta_source not in ("alt", "null"):
+        raise ConfigError("beta_source must be 'alt' or 'null'")
     return _case_i_outcome(design, k, eps, rf_partition, rf_breaks, "wald", beta_source)
 
 

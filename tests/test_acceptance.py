@@ -34,7 +34,7 @@ from breakboot.partition_search import (
     global_ssr_breaks,
     min_regime_length,
 )
-from breakboot.stats import case_i_scan, f_at
+from breakboot.stats import f_at, scan_partitions
 
 FULL = os.environ.get("BREAKBOOT_ACCEPTANCE", "").lower() == "full"
 full_scale = pytest.mark.skipif(
@@ -314,16 +314,18 @@ def test_criterion_7e_instrument_invariance():
     n = design.n
     base = bb.sup_wald(spec, data, k=1).statistic
     rng = np.random.default_rng(23)
+    parts = enumerate_partitions(n, 1, 0.15, spec.q).as_array()
     worst = 0.0
     for _ in range(10):
         A = rng.normal(size=(spec.q, spec.q)) + 2.0 * np.eye(spec.q)
         ZA = design.Z @ A.T
         delta = np.linalg.solve(ZA.T @ ZA, ZA.T @ design.x)
         x_hat = ZA @ delta
-        scan = case_i_scan(
+        scan = scan_partitions(
             design.y,
             np.column_stack([x_hat, design.Z1]),
-            n, 1, 0.15, spec.q,
+            parts,
+            n,
             v_rows=design.x - x_hat,
             p1=1,
         )

@@ -7,7 +7,8 @@ import breakboot as bb
 from breakboot.bootstrap import (
     BootstrapConfig,
     MultiplierStream,
-    _first_stage_wr,
+    _first_stage_batch,
+    _paths,
     bootstrap_sup_test,
     case_i_draws,
     pvalue_and_quantile,
@@ -375,9 +376,43 @@ def test_singular_first_stage_fails_only_its_replication():
     Zb = rng.normal(size=(B, n, q))
     xb = rng.normal(size=(n, p1, B))
     part = Partition((30,), n, 0.15, 9)
-    clean = _first_stage_wr(Zb, xb, part)
+    clean = _first_stage_batch(Zb, xb, part)
     Zb[2, :, 1] = 0.0
-    xhat = _first_stage_wr(Zb, xb, part)
+    xhat = _first_stage_batch(Zb, xb, part)
     assert np.all(np.isnan(xhat[2]))
     keep = [0, 1, 3, 4]
     assert np.array_equal(xhat[keep], clean[keep])
+
+
+def test_recursion_rebuilds_only_lagged_x_and_y_columns():
+    # WR overwrites the lagged-x columns of z from the bootstrap history, and
+    # the lagged-y columns only when y is generated (SE); const and r columns
+    # keep the sample's values, and WF keeps every row
+    data, _ = bb.generate(bb.ScenarioConfig("h0m0", "A", T=61, seed=53))
+    spec = bb.scenario_model_spec()
+    design, est = null_estimates(spec, data)
+    B = 4
+    nu = MultiplierStream(9, 1).matrix(design.n, B)
+    args = (design, est.delta, est.rf_breaks, est.v_hat, nu)
+    roles = spec.rf_instruments
+    cx, cy = roles.index(Role("x", 1, 1)), roles.index(Role("y", lag=1))
+    fixed = [c for c, role in enumerate(roles) if role.kind in ("const", "r")]
+    Z = np.broadcast_to(design.Z, (B,) + design.Z.shape)
+
+    xb, Zb, yb = _paths(*args, recursive=True, est=est)
+    assert np.array_equal(Zb[:, 1:, cx], xb[:-1, 0, :].T)
+    assert np.array_equal(Zb[:, 1:, cy], yb[:-1].T)
+    assert np.array_equal(Zb[:, 0], Z[:, 0])  # lags of row 1 are start-up values
+    assert np.array_equal(Zb[:, :, fixed], Z[:, :, fixed])
+    assert not np.array_equal(Zb[:, 1:, cy], Z[:, 1:, cy])
+
+    xb, Zb, yb = _paths(*args, recursive=True)
+    assert yb is None
+    assert np.array_equal(Zb[:, 1:, cx], xb[:-1, 0, :].T)
+    assert not np.array_equal(Zb[:, 1:, cx], Z[:, 1:, cx])
+    rest = [c for c in range(spec.q) if c != cx]
+    assert np.array_equal(Zb[:, :, rest], Z[:, :, rest])
+
+    for fit in (est, None):
+        _, Zb, _ = _paths(*args, recursive=False, est=fit)
+        assert np.array_equal(Zb, Z)

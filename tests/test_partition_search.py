@@ -175,6 +175,27 @@ def test_segment_table_matches_fresh_ols():
         assert abs(table[a, b] - want) < 1e-10 * max(1.0, want)
 
 
+def test_segment_table_marks_singular_segments_inf():
+    # a regressor that is zero over rows 1..20 makes every segment inside
+    # that stretch singular: those hold +inf, and every other segment still
+    # matches a fresh OLS fit
+    rng = np.random.default_rng(8)
+    n, d, ml = 60, 3, 5
+    W = rng.normal(size=(n, d))
+    W[:20, 1] = 0.0
+    y = rng.normal(size=n)
+    table = segment_ssr_table(y, W, min_len=ml)
+    for a in range(1, n - ml + 2):
+        for b in range(a + ml - 1, n + 1):
+            if b <= 20:
+                assert table[a, b] == np.inf
+                continue
+            beta = np.linalg.lstsq(W[a - 1 : b], y[a - 1 : b], rcond=None)[0]
+            resid = y[a - 1 : b] - W[a - 1 : b] @ beta
+            want = float(resid @ resid)
+            assert abs(table[a, b] - want) < 1e-10 * max(1.0, want)
+
+
 def test_dp_ssr_monotone_in_l():
     spec = static_spec()
     data = random_static_data(45, seed=5)

@@ -11,12 +11,13 @@ from breakboot.estimation import (
     make_design,
     second_stage,
 )
-from breakboot.exceptions import DegenerateSSRError, InfeasiblePartitionError
+from breakboot.exceptions import ConfigError, DegenerateSSRError, InfeasiblePartitionError
 from breakboot.model import Dataset, Partition, no_breaks
 from breakboot.partition_search import enumerate_partitions, min_regime_length
 from breakboot.stats import (
     ContrastMatrix,
     f_at,
+    scan_partitions,
     sup_f,
     sup_f_seq,
     sup_wald_seq,
@@ -146,18 +147,14 @@ def test_sup_wald_instrument_transformation_invariance():
     n = design.n
     base = bb.sup_wald(spec, data, k=1)
     rng = np.random.default_rng(7)
-    from breakboot.stats import case_i_scan
-
+    parts = enumerate_partitions(n, 1, 0.15, spec.q).as_array()
     for _ in range(3):
         A = rng.normal(size=(spec.q, spec.q)) + 2.0 * np.eye(spec.q)
         ZA = design.Z @ A.T
         delta = np.linalg.solve(ZA.T @ ZA, ZA.T @ design.x)
         x_hat = ZA @ delta
         W = np.column_stack([x_hat, design.Z1])
-        scan = case_i_scan(
-            design.y, W, n, 1, 0.15, spec.q,
-            v_rows=design.x - x_hat, p1=1,
-        )
+        scan = scan_partitions(design.y, W, parts, n, v_rows=design.x - x_hat, p1=1)
         assert np.max(scan.wald) == pytest.approx(base.statistic, rel=1e-8)
 
 
@@ -324,6 +321,11 @@ def test_statistic_nonnegative_and_beta_source_option():
     assert out_null.statistic >= 0
     # the two score conventions differ in general
     assert out_alt.statistic != pytest.approx(out_null.statistic, rel=1e-12)
+    # any other value is rejected, by the sample test and the bootstrap test
+    with pytest.raises(ConfigError):
+        bb.sup_wald(spec, data, k=1, beta_source="nul")
+    with pytest.raises(ConfigError):
+        bb.bootstrap_sup_test(spec, data, B=9, beta_source="nul")
 
 
 def test_sup_wald_sees_in_place_edits_of_the_data():
