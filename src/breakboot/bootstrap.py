@@ -37,16 +37,18 @@ from .estimation import (
     Design,
     RegimeEstimates,
     _batched_solve,
-    first_stage,
     fit_regimes,
     make_design,
 )
 from .exceptions import BootstrapFailureError, ConfigError, EmptyDrawsError
 from .model import Dataset, ModelSpec, Partition, no_breaks
-from .partition_search import global_ssr_breaks, min_regime_length, rf_break_grid_and_fit
+from .partition_search import min_regime_length
 from .rng import STREAM_NU, STREAM_NU_RF, generator, rademacher
 from .stats import (
+    STATISTICS,
     TestOutcome,
+    _null_partition,
+    _rf_partition,
     _sup_case_i,
     _sup_case_ii,
     sup_f_design,
@@ -55,7 +57,7 @@ from .stats import (
 )
 
 SCHEMES = ("wr", "wf")
-_WANT = {"supwald": "wald", "supf": "f"}  # statistic -> scan value
+MAX_FAILURE_RATE = 0.05  # largest share of the B replications a test may lose
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,6 @@ class BootstrapConfig:
     B: int
     master_seed: int
     rep_index: int = 1
-    max_failure_rate: float = 0.05
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -131,7 +132,7 @@ def _paths(design: Design, delta: list[np.ndarray], rf_partition: Partition,
     lag, p1 = spec.max_lag, spec.p1
     vb = v_hat[:, :, None] * nu[:, None, :]
     if est is not None:
-        beta = np.array(est.beta)[_row_regimes(est.se_breaks)]
+        beta = np.array(est.beta)[_row_regimes(est.se_partition)]
         bx, bz = beta[:, :p1].copy(), beta[:, p1:].copy()
         ub = est.u_hat[:, None] * nu
     if not recursive or lag == 0:
@@ -174,7 +175,7 @@ def _generate(spec: ModelSpec, data: Dataset, est: RegimeEstimates, nu: np.ndarr
               recursive: bool) -> Dataset:
     design = make_design(spec, data)
     nu = np.asarray(nu, dtype=np.float64)[:, None]
-    xb, _, yb = _paths(design, est.delta, est.rf_breaks, est.v_hat, nu,
+    xb, _, yb = _paths(design, est.delta, est.rf_partition, est.v_hat, nu,
                        recursive=recursive, est=est)
     lag = spec.max_lag
     return Dataset(
@@ -232,7 +233,7 @@ def _samples(design: Design, cfg: BootstrapConfig, nu: np.ndarray | None, *,
 
     Structural equation (est, a null-imposed fit): Yb (B, n) is y, Wb
     (B, n, d) holds the first stage re-estimated on each sample over
-    est.rf_breaks next to z1, and v_hat_b (B, n, p1) its residuals.
+    est.rf_partition next to z1, and v_hat_b (B, n, p1) its residuals.
     Reduced form (rf = (delta, v_hat, rf_partition)): Yb (B, n, p1) is x,
     Wb (B, n, q) is z and v_hat_b is None.  Multipliers come from the
     SE stream, or the RF stream of the given pre-test stage, unless nu
@@ -245,7 +246,7 @@ def _samples(design: Design, cfg: BootstrapConfig, nu: np.ndarray | None, *,
             else MultiplierStream(cfg.master_seed, cfg.rep_index, STREAM_NU_RF, stage)
         )
         nu = stream.matrix(n, cfg.B)
-    delta, v_hat, rf_partition = rf if est is None else (est.delta, est.v_hat, est.rf_breaks)
+    delta, v_hat, rf_partition = rf if est is None else (est.delta, est.v_hat, est.rf_partition)
     xb, Zb, yb = _paths(design, delta, rf_partition, v_hat, nu,
                         recursive=cfg.scheme == "wr", est=est)
     if est is None:
@@ -257,18 +258,17 @@ def _samples(design: Design, cfg: BootstrapConfig, nu: np.ndarray | None, *,
     return yb.T.copy(), Wb, xb.transpose(2, 0, 1) - what
 
 
-def _drop_failures(draws, failures: int, cfg: BootstrapConfig):
-    if failures > cfg.max_failure_rate * cfg.B:
-        raise BootstrapFailureError(
-            f"{failures} of {cfg.B} bootstrap replications failed"
-        )
-    return np.asarray(draws, dtype=np.float64), failures
-
-
 def _draws(stats: np.ndarray, cfg: BootstrapConfig) -> tuple[np.ndarray, int]:
-    """Finite bootstrap statistics and the count of failed replications."""
+    """Finite bootstrap statistics and the count of failed replications.
+
+    A replication fails when its statistic is not finite; more than
+    MAX_FAILURE_RATE * B failures raise BootstrapFailureError.
+    """
     finite = np.isfinite(stats)
-    return _drop_failures(stats[finite], int(np.sum(~finite)), cfg)
+    failures = int(np.sum(~finite))
+    if failures > MAX_FAILURE_RATE * cfg.B:
+        raise BootstrapFailureError(f"{failures} of {cfg.B} bootstrap replications failed")
+    return stats[finite], failures
 
 
 def case_i_draws(
@@ -290,7 +290,7 @@ def case_i_draws(
     """
     Yb, Wb, vb = _samples(design, cfg, nu, est=est)
     _, vals, _ = _sup_case_i(
-        Yb, Wb, k, eps, design.spec.q, want=_WANT[statistic], v_rows=vb,
+        Yb, Wb, k, eps, design.spec.q, statistic=statistic, v_rows=vb,
         beta_source=beta_source, p1=design.spec.p1,
     )
     return _draws(np.max(vals, axis=1), cfg)
@@ -307,13 +307,13 @@ def case_ii_draws(
 ) -> tuple[np.ndarray, int]:
     """B bootstrap one-more-break statistics for an l-break null.
 
-    est must impose the l-break null: its se_breaks partition is reused
+    est must impose the l-break null: its se_partition is reused
     as the regime frame for every replication.
     """
     Yb, Wb, vb = _samples(design, cfg, nu, est=est)
     min_len = min_regime_length(design.n, eps, design.spec.q)
     best, *_ = _sup_case_ii(
-        Yb, Wb, est.se_breaks, min_len, want=_WANT[statistic], v_rows=vb,
+        Yb, Wb, est.se_partition, min_len, statistic=statistic, v_rows=vb,
         p1=design.spec.p1,
     )
     return _draws(best, cfg)
@@ -417,14 +417,15 @@ def bootstrap_sup_test(
     master_seed: int = 0,
     rep_index: int = 1,
     rf_partition: Partition | None = None,
-    rf_breaks: int = 0,
     alphas: tuple[float, ...] = (0.10, 0.05, 0.01),
     beta_source: str = "alt",
 ) -> TestOutcome:
     """Run one structural-change test end to end with bootstrap inference.
 
     null_breaks=0 tests no change against alt_breaks changes; null_breaks
-    = l >= 1 tests l against l+1 (alt_breaks must then be l+1).
+    = l >= 1 tests l against l+1 (alt_breaks must then be l+1), with the
+    null partition at the SSR-minimising l breaks.  The first stage is
+    fixed at rf_partition; None means no RF breaks.
     """
     design = make_design(spec, data)
     return bootstrap_sup_test_design(
@@ -438,7 +439,6 @@ def bootstrap_sup_test(
         master_seed=master_seed,
         rep_index=rep_index,
         rf_partition=rf_partition,
-        rf_breaks=rf_breaks,
         alphas=alphas,
         beta_source=beta_source,
     )
@@ -456,12 +456,11 @@ def bootstrap_sup_test_design(
     master_seed: int = 0,
     rep_index: int = 1,
     rf_partition: Partition | None = None,
-    rf_breaks: int = 0,
     alphas: tuple[float, ...] = (0.10, 0.05, 0.01),
     beta_source: str = "alt",
 ) -> TestOutcome:
-    if statistic not in ("supwald", "supf"):
-        raise ConfigError("statistic must be 'supwald' or 'supf'")
+    if statistic not in STATISTICS:
+        raise ConfigError(f"statistic must be one of {STATISTICS}")
     if beta_source not in ("alt", "null"):
         raise ConfigError("beta_source must be 'alt' or 'null'")
     if null_breaks < 0:
@@ -469,8 +468,7 @@ def bootstrap_sup_test_design(
     if null_breaks > 0 and alt_breaks != null_breaks + 1:
         raise ConfigError("with a breaking null, alt_breaks must equal null_breaks + 1")
     n = design.n
-    if rf_partition is None:
-        rf_partition, _ = rf_break_grid_and_fit(design, rf_breaks, eps)
+    rf_partition = _rf_partition(design, eps, rf_partition)
     cfg = BootstrapConfig(scheme=scheme, B=B, master_seed=master_seed, rep_index=rep_index)
 
     if null_breaks == 0:
@@ -485,12 +483,8 @@ def bootstrap_sup_test_design(
             design, est, alt_breaks, eps, cfg, beta_source=beta_source, statistic=statistic
         )
     else:
-        _, x_hat, _ = first_stage(design, rf_partition)
-        null_partition, _ = global_ssr_breaks(design, x_hat, null_breaks, eps)
-        outcome = sup_wald_seq_design(
-            design, null_breaks, eps, rf_partition,
-            null_partition=null_partition, want=_WANT[statistic],
-        )
+        null_partition = _null_partition(design, null_breaks, eps, rf_partition)
+        outcome = sup_wald_seq_design(design, null_partition, eps, rf_partition, statistic)
         est = fit_regimes(design, rf_partition, null_partition)
         draws, failures = case_ii_draws(design, est, eps, cfg, statistic=statistic)
 

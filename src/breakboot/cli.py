@@ -152,22 +152,13 @@ def _mc_config(args) -> McConfig:
 
 def _cmd_simulate(args) -> int:
     cfg = _mc_config(args)
+    if args.out:
+        run_table(cfg, [{}], args.out, progress=sys.stderr)
+        print(f"wrote {args.out}")
+        return 0
     cell = run_cell(cfg, progress=sys.stderr)
-    out = args.out
-    if out:
-        import csv as _csv
-
-        from .harness import TABLE_HEADER
-
-        with open(out, "w", newline="") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(TABLE_HEADER)
-            for a in cfg.alphas:
-                writer.writerow(cell.rate_row(cfg, a))
-        print(f"wrote {out}")
-    else:
-        for a in cfg.alphas:
-            print(f"alpha={a:g}: rejection rate {cell.rates[a]:.4f}")
+    for a in cfg.alphas:
+        print(f"alpha={a:g}: rejection rate {cell.rates[a]:.4f}")
     return 0
 
 

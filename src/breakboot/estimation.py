@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import RankDeficientError, SingularQError
+from .exceptions import ConfigError, RankDeficientError, SingularQError
 from .model import Dataset, ModelSpec, Partition, build_instrument_rows
 
 # Gram matrices with condition number above this cap are treated as rank
@@ -63,9 +63,9 @@ class SecondStageFit:
 class RegimeEstimates:
     """Everything a null-imposed model fit produces, for reuse downstream."""
 
-    rf_breaks: Partition
+    rf_partition: Partition
     delta: list[np.ndarray]
-    se_breaks: Partition
+    se_partition: Partition
     beta: list[np.ndarray]
     u_hat: np.ndarray
     v_hat: np.ndarray
@@ -81,7 +81,6 @@ class Design:
     x: np.ndarray          # (n, p1) actual endogenous regressors
     Z: np.ndarray          # (n, q)
     Z1: np.ndarray         # (n, q1)
-    offsets: np.ndarray    # original time index per row
     data: Dataset = field(repr=False, default=None)
 
     @property
@@ -95,7 +94,7 @@ class Design:
 
 def make_design(spec: ModelSpec, data: Dataset) -> Design:
     """Build the effective-sample bundle for a dataset."""
-    Z, Z1, offsets = build_instrument_rows(spec, data)
+    Z, Z1, _ = build_instrument_rows(spec, data)
     lag = spec.max_lag
     return Design(
         spec=spec,
@@ -103,7 +102,6 @@ def make_design(spec: ModelSpec, data: Dataset) -> Design:
         x=data.x[lag:].copy(),
         Z=Z,
         Z1=Z1,
-        offsets=offsets,
         data=data,
     )
 
@@ -142,24 +140,27 @@ def ols(X: np.ndarray, y: np.ndarray) -> OlsFit:
 
 
 def _batched_solve(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve stacked systems, masking singular rows instead of raising."""
+    """Solve stacked systems, masking singular rows instead of raising.
+
+    Returns (X, ok); ok is False where a system is exactly singular or its
+    solution is not finite.  When the batch holds an exactly singular
+    system (an LU pivot of zero, so slogdet's sign is 0), those systems are
+    swapped for the identity, the batch is solved once more, and every row
+    that is not ok holds zeros.
+    """
     try:
         X = np.linalg.solve(A, B)
         ok = np.all(np.isfinite(X.reshape(X.shape[0], -1)), axis=1)
         return X, ok
     except np.linalg.LinAlgError:
         pass
-    m = A.shape[0]
-    X = np.zeros_like(B, dtype=np.float64)
-    ok = np.zeros(m, dtype=bool)
-    for i in range(m):
-        try:
-            Xi = np.linalg.solve(A[i], B[i])
-        except np.linalg.LinAlgError:
-            continue
-        if np.all(np.isfinite(Xi)):
-            X[i] = Xi
-            ok[i] = True
+    singular = np.linalg.slogdet(A)[0] == 0  # A's stack shape, may be (m, 1)
+    A = A.copy()
+    A[singular] = np.eye(A.shape[-1])
+    X = np.linalg.solve(A, B)
+    ok = ~np.any(singular.reshape(X.shape[0], -1), axis=1)
+    ok &= np.all(np.isfinite(X.reshape(X.shape[0], -1)), axis=1)
+    X[~ok] = 0.0
     return X, ok
 
 
@@ -219,9 +220,9 @@ def fit_regimes(
     delta, x_hat, v_hat = first_stage(design, rf_partition)
     fit = second_stage(design, x_hat, se_partition)
     return RegimeEstimates(
-        rf_breaks=rf_partition,
+        rf_partition=rf_partition,
         delta=delta,
-        se_breaks=se_partition,
+        se_partition=se_partition,
         beta=fit.beta,
         u_hat=fit.u_hat,
         v_hat=v_hat,
@@ -251,7 +252,7 @@ def eicker_white(
     Q_i = n^{-1} sum_{t in I_i} w_hat_t w_hat_t'; V_i = Q_i^{-1} M_i Q_i^{-1}.
     """
     if beta_source not in ("alt", "null"):
-        raise ValueError("beta_source must be 'alt' or 'null'")
+        raise ConfigError("beta_source must be 'alt' or 'null'")
     n = design.n
     p1 = design.spec.p1
     W = np.column_stack([estimates.x_hat, design.Z1])

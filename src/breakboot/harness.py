@@ -102,11 +102,10 @@ def _replication(args: tuple[int, McConfig]) -> dict:
     data, _ = dgp.generate(scen_cfg)
     spec = dgp.scenario_model_spec()
     design = make_design(spec, data)
-    n = design.n
     h_true = int(cfg.scenario[1])
     m_true = int(cfg.scenario[3])
 
-    h_hat = 0
+    h_hat, rf_partition = 0, None  # None: no RF breaks
     if h_true > 0:
         boot = BootstrapConfig(
             scheme=cfg.scheme, B=cfg.B, master_seed=cfg.master_seed, rep_index=j
@@ -117,8 +116,6 @@ def _replication(args: tuple[int, McConfig]) -> dict:
         )
         rf_partition = seq.partition
         h_hat = seq.chosen_breaks
-    else:
-        rf_partition = no_breaks(n, cfg.eps, min_regime_length(n, cfg.eps, spec.q))
 
     outcome = bootstrap_sup_test_design(
         design,
@@ -254,7 +251,7 @@ def test_dataset(
         if h == 0:
             rf_partition = no_breaks(n, eps, min_len)
         else:
-            rf_partition, _ = rf_break_grid_and_fit(design, h, eps)
+            rf_partition, _, _ = rf_break_grid_and_fit(design, h, eps)
         rf_note = f"{h} RF break(s) imposed"
 
     outcome = bootstrap_sup_test_design(

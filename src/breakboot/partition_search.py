@@ -183,8 +183,12 @@ def global_ssr_breaks(
 
 def rf_break_grid_and_fit(
     design: Design, h: int, eps: float
-) -> tuple[Partition, list[np.ndarray]]:
-    """RF analogue: minimise the x-on-z SSR (summed over x columns)."""
+) -> tuple[Partition, list[np.ndarray], np.ndarray]:
+    """RF analogue: minimise the x-on-z SSR (summed over x columns).
+
+    Returns the h-break partition with the first stage fitted on it: the
+    regime coefficients delta and the residuals v_hat.
+    """
     if h < 0:
         raise InfeasiblePartitionError("h must be >= 0")
     n = design.n
@@ -192,5 +196,5 @@ def rf_break_grid_and_fit(
     table = segment_ssr_table(design.x, design.Z, min_len)
     breaks, _ = dp_breaks(table, n, h, min_len)
     partition = Partition(breaks, n, eps, min_len)
-    delta, _, _ = first_stage(design, partition)
-    return partition, delta
+    delta, _, v_hat = first_stage(design, partition)
+    return partition, delta, v_hat

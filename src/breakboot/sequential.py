@@ -2,9 +2,10 @@
 
 The RF is a linear model estimated by OLS, so the structural-change
 machinery applies with x as the dependent block and no second stage.
-Stage l tests l breaks against l+1 with the bootstrap sup-Wald; testing
-stops at the first p-value above the significance level or at the break
-cap, and break locations are re-estimated at the selected count.
+Stage l tests l breaks against l+1 with the bootstrap sup-Wald, with the
+first stage fitted once on the stage's l-break partition; testing stops
+at the first p-value above the significance level, keeping that stage's
+partition, or at the break cap, whose partition is estimated then.
 """
 
 from __future__ import annotations
@@ -71,20 +72,17 @@ def estimate_rf_breaks_design(
     if boot is None:
         boot = BootstrapConfig(scheme="wr", B=399, master_seed=0)
     n = design.n
-    min_len = min_regime_length(n, eps, design.spec.q)
     trail: list[tuple[int, float, float]] = []
-    chosen = 0
     for level in range(max_breaks):
         if level == 0:
-            partition = no_breaks(n, eps, min_len)
+            partition = no_breaks(n, eps, min_regime_length(n, eps, design.spec.q))
             delta, _, v_hat = first_stage(design, partition)
             stat, _ = rf_sup_wald(design, eps)
             draws, _ = rf_case_i_draws(
                 design, delta, v_hat, eps, boot, stage=0
             )
         else:
-            partition, delta = rf_break_grid_and_fit(design, level, eps)
-            _, _, v_hat = first_stage(design, partition)
+            partition, delta, v_hat = rf_break_grid_and_fit(design, level, eps)
             stat = rf_sup_wald_seq(design, partition, eps)
             draws, _ = rf_case_ii_draws(
                 design, delta, v_hat, partition, eps, boot, stage=level
@@ -92,11 +90,6 @@ def estimate_rf_breaks_design(
         p = float(np.mean(draws >= stat))
         trail.append((level, stat, p))
         if p > alpha_seq:
-            chosen = level
-            break
-        chosen = level + 1
-    if chosen == 0:
-        final = no_breaks(n, eps, min_len)
-    else:
-        final, _ = rf_break_grid_and_fit(design, chosen, eps)
-    return SequentialResult(chosen_breaks=chosen, partition=final, trail=trail)
+            return SequentialResult(chosen_breaks=level, partition=partition, trail=trail)
+    final, _, _ = rf_break_grid_and_fit(design, max_breaks, eps)
+    return SequentialResult(chosen_breaks=max_breaks, partition=final, trail=trail)

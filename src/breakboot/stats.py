@@ -43,15 +43,11 @@ from .exceptions import (
     InfeasiblePartitionError,
     SingularMiddleError,
 )
-from .model import Dataset, ModelSpec, Partition
-from .partition_search import (
-    enumerate_partitions,
-    global_ssr_breaks,
-    min_regime_length,
-    rf_break_grid_and_fit,
-)
+from .model import Dataset, ModelSpec, Partition, no_breaks
+from .partition_search import enumerate_partitions, global_ssr_breaks, min_regime_length
 
 _CHUNK = 2048  # candidates per block of a scan
+STATISTICS = ("supwald", "supf")
 
 
 @dataclass(frozen=True)
@@ -325,18 +321,19 @@ def restricted_fit_batch(Y: np.ndarray, Ws: np.ndarray) -> tuple[np.ndarray, np.
 # ---------------------------------------------------------------------------
 
 
-def _sup_case_i(Y, Ws, k, eps, q, *, want="wald", v_rows=None, beta_source="alt", p1=0):
+def _sup_case_i(Y, Ws, k, eps, q, *, statistic="supwald", v_rows=None, beta_source="alt",
+                p1=0):
     """Case (i) values at every candidate of the full k-break grid.
 
     Y is (B, n) or (B, n, py) and Ws (B, n, d) over the whole effective
-    sample; v_rows is (B, n, p1).  want is "wald" or "f".  With
+    sample; v_rows is (B, n, p1).  statistic is "supwald" or "supf".  With
     beta_source="null" the score's endogenous-block coefficients are held
     at the no-break fit.  Returns (parts (m, k), values (B, m), ok (B, m));
     a failed candidate holds -inf.
     """
     _, n, d = Ws.shape
     parts = enumerate_partitions(n, k, eps, q).as_array()
-    if want == "f":
+    if statistic == "supf":
         _, ssr0 = restricted_fit_batch(Y, Ws)
         _, ssr, ok = scan_partitions_batch(Y, Ws, parts, n, compute_wald=False)
         vals = np.where(
@@ -354,15 +351,16 @@ def _sup_case_i(Y, Ws, k, eps, q, *, want="wald", v_rows=None, beta_source="alt"
     return parts, vals, ok
 
 
-def _sup_case_ii(Y, Ws, null_partition, min_len, *, want="wald", v_rows=None, p1=0):
+def _sup_case_ii(Y, Ws, null_partition, min_len, *, statistic="supwald", v_rows=None, p1=0):
     """Case (ii): the sup over one extra break within each null regime.
 
     Each regime's restricted single-regime fit supplies the score's
-    endogenous-block coefficients (when v_rows is given) and, for want="f",
-    the restricted SSR.  Returns (best, regime, row, skipped, flags): per
-    batch entry the sup, its 1-based regime and its break row on the full
-    sample (-inf, 0, 0 where every candidate failed), then the failed
-    candidate count and notes on regimes that cannot take a break.
+    endogenous-block coefficients (when v_rows is given) and, for
+    statistic="supf", the restricted SSR.  Returns (best, regime, row,
+    skipped, flags): per batch entry the sup, its 1-based regime and its
+    break row on the full sample (-inf, 0, 0 where every candidate
+    failed), then the failed candidate count and notes on regimes that
+    cannot take a break.
     """
     B, n, d = Ws.shape
     best = np.full(B, -np.inf)
@@ -381,7 +379,7 @@ def _sup_case_ii(Y, Ws, null_partition, min_len, *, want="wald", v_rows=None, p1
         Y_i = np.ascontiguousarray(Y[:, sl])
         W_i = np.ascontiguousarray(Ws[:, sl])
         local = np.arange(min_len, length - min_len + 1, dtype=np.int64)
-        if want == "f":
+        if statistic == "supf":
             _, ssr0 = restricted_fit_batch(Y_i, W_i)
             if np.any(ssr0 <= 0):
                 flags.append(f"regime {i} degenerate restricted SSR")
@@ -420,28 +418,45 @@ def _sup_case_ii(Y, Ws, null_partition, min_len, *, want="wald", v_rows=None, p1
 # ---------------------------------------------------------------------------
 
 
-def _sample_batch(design: Design, eps: float, rf_partition: Partition | None, rf_breaks: int):
-    """(y, w_hat rows, v_hat rows) with a leading batch axis of one, plus x_hat.
+def _rf_partition(design: Design, eps: float, rf_partition: Partition | None) -> Partition:
+    """The first stage's RF partition: rf_partition, or no RF breaks when None."""
+    if rf_partition is not None:
+        return rf_partition
+    n = design.n
+    return no_breaks(n, eps, min_regime_length(n, eps, design.spec.q))
 
-    The first stage is fixed once: at rf_partition when given, else at the
-    partition estimated with rf_breaks RF breaks.
+
+def _null_partition(design: Design, n_breaks: int, eps: float,
+                    rf_partition: Partition | None) -> Partition:
+    """The n_breaks SE partition minimising the second-stage SSR.
+
+    The first stage is fixed at rf_partition (None: no RF breaks).
     """
-    if rf_partition is None:
-        rf_partition, _ = rf_break_grid_and_fit(design, rf_breaks, eps)
-    _, x_hat, v_hat = first_stage(design, rf_partition)
+    if n_breaks < 1:
+        raise InfeasiblePartitionError("the null must impose at least one break")
+    _, x_hat, _ = first_stage(design, _rf_partition(design, eps, rf_partition))
+    return global_ssr_breaks(design, x_hat, n_breaks, eps)[0]
+
+
+def _sample_batch(design: Design, eps: float, rf_partition: Partition | None):
+    """(y, w_hat rows, v_hat rows) with a leading batch axis of one.
+
+    The first stage is fixed once, at rf_partition (None: no RF breaks).
+    """
+    _, x_hat, v_hat = first_stage(design, _rf_partition(design, eps, rf_partition))
     W = np.column_stack([x_hat, design.Z1])
-    return design.y[None], W[None], v_hat[None], x_hat
+    return design.y[None], W[None], v_hat[None]
 
 
-def _case_i_outcome(design, k, eps, rf_partition, rf_breaks, want, beta_source="alt"):
+def _case_i_outcome(design, k, eps, rf_partition, statistic, beta_source="alt"):
     n, q = design.n, design.spec.q
-    Y, W, v_hat, _ = _sample_batch(design, eps, rf_partition, rf_breaks)
+    Y, W, v_hat = _sample_batch(design, eps, rf_partition)
     parts, vals, ok = _sup_case_i(
-        Y, W, k, eps, q, want=want, v_rows=v_hat, beta_source=beta_source,
+        Y, W, k, eps, q, statistic=statistic, v_rows=v_hat, beta_source=beta_source,
         p1=design.spec.p1,
     )
     if not np.any(np.isfinite(vals)):
-        error = DegenerateSSRError if want == "f" else SingularMiddleError
+        error = DegenerateSSRError if statistic == "supf" else SingularMiddleError
         raise error("every candidate partition failed")
     idx = int(np.argmax(vals[0]))
     return TestOutcome(
@@ -457,16 +472,15 @@ def sup_wald(
     k: int = 1,
     eps: float = 0.15,
     rf_partition: Partition | None = None,
-    rf_breaks: int = 0,
     beta_source: str = "alt",
 ) -> TestOutcome:
     """Sup-Wald test of no SE breaks against k breaks.
 
-    The first stage is fixed once: at rf_partition when given, else at the
-    partition estimated with rf_breaks RF breaks.
+    The first stage is fixed once, at rf_partition; None means no RF
+    breaks.
     """
     design = make_design(spec, data)
-    return sup_wald_design(design, k, eps, rf_partition, rf_breaks, beta_source)
+    return sup_wald_design(design, k, eps, rf_partition, beta_source)
 
 
 def sup_wald_design(
@@ -474,12 +488,11 @@ def sup_wald_design(
     k: int = 1,
     eps: float = 0.15,
     rf_partition: Partition | None = None,
-    rf_breaks: int = 0,
     beta_source: str = "alt",
 ) -> TestOutcome:
     if beta_source not in ("alt", "null"):
         raise ConfigError("beta_source must be 'alt' or 'null'")
-    return _case_i_outcome(design, k, eps, rf_partition, rf_breaks, "wald", beta_source)
+    return _case_i_outcome(design, k, eps, rf_partition, "supwald", beta_source)
 
 
 def f_at(ssr0: float, ssrk: float, T_eff: int, k: int, d_beta: int) -> float:
@@ -497,11 +510,10 @@ def sup_f(
     k: int = 1,
     eps: float = 0.15,
     rf_partition: Partition | None = None,
-    rf_breaks: int = 0,
 ) -> TestOutcome:
-    """Sup-F test of no SE breaks against k breaks."""
+    """Sup-F test of no SE breaks against k breaks (rf_partition as in sup_wald)."""
     design = make_design(spec, data)
-    return sup_f_design(design, k, eps, rf_partition, rf_breaks)
+    return sup_f_design(design, k, eps, rf_partition)
 
 
 def sup_f_design(
@@ -509,9 +521,8 @@ def sup_f_design(
     k: int = 1,
     eps: float = 0.15,
     rf_partition: Partition | None = None,
-    rf_breaks: int = 0,
 ) -> TestOutcome:
-    return _case_i_outcome(design, k, eps, rf_partition, rf_breaks, "f")
+    return _case_i_outcome(design, k, eps, rf_partition, "supf")
 
 
 def _seq_outcome(null_partition: Partition, best, regime, row, skipped, flags) -> TestOutcome:
@@ -534,30 +545,33 @@ def sup_wald_seq(
     n_breaks: int,
     eps: float = 0.15,
     rf_partition: Partition | None = None,
-    rf_breaks: int = 0,
 ) -> TestOutcome:
-    """Sup-Wald test of n_breaks SE breaks against one more."""
+    """Sup-Wald test of n_breaks SE breaks against one more.
+
+    The null partition is the SSR-minimising n_breaks partition;
+    rf_partition is as in sup_wald.
+    """
     design = make_design(spec, data)
-    return sup_wald_seq_design(design, n_breaks, eps, rf_partition, rf_breaks)
+    null_partition = _null_partition(design, n_breaks, eps, rf_partition)
+    return sup_wald_seq_design(design, null_partition, eps, rf_partition)
 
 
 def sup_wald_seq_design(
     design: Design,
-    n_breaks: int,
+    null_partition: Partition,
     eps: float = 0.15,
     rf_partition: Partition | None = None,
-    rf_breaks: int = 0,
-    null_partition: Partition | None = None,
-    want: str = "wald",
+    statistic: str = "supwald",
 ) -> TestOutcome:
-    if n_breaks < 1:
+    """Sup-Wald or sup-F test of the SE breaks of null_partition against one more."""
+    if statistic not in STATISTICS:
+        raise ConfigError(f"statistic must be one of {STATISTICS}")
+    if null_partition.k < 1:
         raise InfeasiblePartitionError("the null must impose at least one break")
-    Y, W, v_hat, x_hat = _sample_batch(design, eps, rf_partition, rf_breaks)
-    if null_partition is None:
-        null_partition, _ = global_ssr_breaks(design, x_hat, n_breaks, eps)
+    Y, W, v_hat = _sample_batch(design, eps, rf_partition)
     min_len = min_regime_length(design.n, eps, design.spec.q)
     found = _sup_case_ii(
-        Y, W, null_partition, min_len, want=want, v_rows=v_hat, p1=design.spec.p1
+        Y, W, null_partition, min_len, statistic=statistic, v_rows=v_hat, p1=design.spec.p1
     )
     return _seq_outcome(null_partition, *found)
 
@@ -568,8 +582,8 @@ def sup_f_seq(
     n_breaks: int,
     eps: float = 0.15,
     rf_partition: Partition | None = None,
-    rf_breaks: int = 0,
 ) -> TestOutcome:
-    """Sup-F test of n_breaks SE breaks against one more."""
+    """Sup-F test of n_breaks SE breaks against one more (as sup_wald_seq)."""
     design = make_design(spec, data)
-    return sup_wald_seq_design(design, n_breaks, eps, rf_partition, rf_breaks, want="f")
+    null_partition = _null_partition(design, n_breaks, eps, rf_partition)
+    return sup_wald_seq_design(design, null_partition, eps, rf_partition, "supf")

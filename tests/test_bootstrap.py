@@ -197,14 +197,14 @@ def test_same_multiplier_for_u_and_v():
 
 
 def test_failure_cap_enforced():
-    from breakboot.bootstrap import _drop_failures
+    from breakboot.bootstrap import _draws
     from breakboot.exceptions import BootstrapFailureError
 
     cfg = BootstrapConfig("wr", 100, 0, 1)
-    draws, failures = _drop_failures([1.0] * 96, 4, cfg)
+    draws, failures = _draws(np.array([1.0] * 96 + [np.nan] * 4), cfg)
     assert failures == 4 and len(draws) == 96
     with pytest.raises(BootstrapFailureError):
-        _drop_failures([1.0] * 94, 6, cfg)
+        _draws(np.array([1.0] * 94 + [np.nan] * 6), cfg)
 
 
 def test_pvalue_order_statistic_rules():
@@ -312,8 +312,7 @@ def two_endogenous_rf_stages(eps=0.15):
     design = make_design(spec, data)
     n = design.n
     delta0, _, v0 = first_stage(design, no_breaks(n, eps, min_regime_length(n, eps, spec.q)))
-    part1, delta1 = rf_break_grid_and_fit(design, 1, eps)
-    _, _, v1 = first_stage(design, part1)
+    part1, delta1, v1 = rf_break_grid_and_fit(design, 1, eps)
     return design, part1, (
         (rf_case_i_draws, (design, delta0, v0, eps)),
         (rf_case_ii_draws, (design, delta1, v1, part1, eps)),
@@ -393,7 +392,7 @@ def test_recursion_rebuilds_only_lagged_x_and_y_columns():
     design, est = null_estimates(spec, data)
     B = 4
     nu = MultiplierStream(9, 1).matrix(design.n, B)
-    args = (design, est.delta, est.rf_breaks, est.v_hat, nu)
+    args = (design, est.delta, est.rf_partition, est.v_hat, nu)
     roles = spec.rf_instruments
     cx, cy = roles.index(Role("x", 1, 1)), roles.index(Role("y", lag=1))
     fixed = [c for c, role in enumerate(roles) if role.kind in ("const", "r")]

@@ -5,6 +5,7 @@ import pytest
 
 import breakboot as bb
 from breakboot.estimation import (
+    _batched_solve,
     eicker_white,
     first_stage,
     fit_regimes,
@@ -170,9 +171,9 @@ def test_eicker_white_zero_scores_give_zero_meat():
     est = fit_regimes(design, part0, part0)
     # force zero residuals
     est_zero = type(est)(
-        rf_breaks=est.rf_breaks,
+        rf_partition=est.rf_partition,
         delta=est.delta,
-        se_breaks=est.se_breaks,
+        se_partition=est.se_partition,
         beta=est.beta,
         u_hat=np.zeros(n),
         v_hat=np.zeros_like(est.v_hat),
@@ -263,3 +264,19 @@ def test_instrument_transformation_invariance_of_fit():
     delta2 = np.linalg.lstsq(ZA, design.x, rcond=None)[0]
     x_hat2 = ZA @ delta2
     np.testing.assert_allclose(x_hat2, x_hat, rtol=1e-8, atol=1e-8)
+
+
+def test_batched_solve_masks_singular_systems_with_per_row_bits():
+    # a batch mixing exactly singular and regular systems: regular rows
+    # equal a per-row solve bit for bit, singular rows are zero and not ok
+    rng = np.random.default_rng(61)
+    A = rng.normal(size=(200, 7, 7))
+    A[::17, :, 3] = 0.0
+    B = rng.normal(size=(200, 7, 2))
+    X, ok = _batched_solve(A, B)
+    singular = np.zeros(200, dtype=bool)
+    singular[::17] = True
+    np.testing.assert_array_equal(ok, ~singular)
+    assert np.all(X[singular] == 0.0)
+    for i in np.flatnonzero(~singular):
+        assert np.array_equal(X[i], np.linalg.solve(A[i], B[i]))

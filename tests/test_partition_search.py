@@ -231,7 +231,7 @@ def test_rf_dp_matches_brute_force():
     design = make_design(spec, data)
     n = design.n
     ml = min_regime_length(n, 0.15, spec.q)
-    part, delta = rf_break_grid_and_fit(design, 2, 0.15)
+    part, delta, _ = rf_break_grid_and_fit(design, 2, 0.15)
     best = (math.inf, None)
     for tup in brute_force_tuples(n, 2, ml):
         edges = (0,) + tup + (n,)
@@ -257,7 +257,7 @@ def test_rf_break_fraction_recovered():
     for j in range(reps):
         data, truth = bb.generate(bb.ScenarioConfig("h1m0", "A", T=480, seed=1000 + j))
         design = make_design(spec, data)
-        part, _ = rf_break_grid_and_fit(design, 1, 0.15)
+        part, _, _ = rf_break_grid_and_fit(design, 1, 0.15)
         frac = part.breaks[0] / design.n
         if abs(frac - 0.25) <= 0.05:
             hits += 1

@@ -16,7 +16,17 @@ def test_max_breaks_zero_rejected():
         estimate_rf_breaks(spec, data, max_breaks=0)
 
 
-def test_detects_planted_rf_break():
+def test_detects_planted_rf_break(monkeypatch):
+    import breakboot.sequential as seq
+
+    grid_and_fit = seq.rf_break_grid_and_fit
+    calls = []
+
+    def counted(design, h, eps):
+        calls.append(h)
+        return grid_and_fit(design, h, eps)
+
+    monkeypatch.setattr(seq, "rf_break_grid_and_fit", counted)
     data, _ = bb.generate(bb.ScenarioConfig("h1m0", "A", T=240, seed=5))
     spec = bb.scenario_model_spec()
     res = estimate_rf_breaks(
@@ -28,6 +38,9 @@ def test_detects_planted_rf_break():
     assert abs(frac - 0.25) < 0.08
     # trail: stage 0 rejected, stage 1 not
     assert res.trail[0][2] <= 0.05 < res.trail[1][2]
+    # the stopping stage's partition is kept, not searched for again
+    assert calls == [1]
+    assert res.partition == grid_and_fit(bb.make_design(spec, data), 1, 0.15)[0]
 
 
 def test_trail_reproducible_and_partition_consistent():

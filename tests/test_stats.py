@@ -326,6 +326,10 @@ def test_statistic_nonnegative_and_beta_source_option():
         bb.sup_wald(spec, data, k=1, beta_source="nul")
     with pytest.raises(ConfigError):
         bb.bootstrap_sup_test(spec, data, B=9, beta_source="nul")
+    design = make_design(spec, data)
+    part0 = no_breaks(design.n, 0.15, min_regime_length(design.n, 0.15, spec.q))
+    with pytest.raises(ConfigError):
+        eicker_white(design, fit_regimes(design, part0, part0), part0, beta_source="nul")
 
 
 def test_sup_wald_sees_in_place_edits_of_the_data():
@@ -349,8 +353,30 @@ def test_singular_null_regime_is_skipped_not_raised():
     n = design.n
     ml = min_regime_length(n, 0.15, design.spec.q)
     out = sup_wald_seq_design(
-        design, 1, 0.15, no_breaks(n, 0.15, ml), null_partition=Partition((80,), n, 0.15, ml)
+        design, Partition((80,), n, 0.15, ml), 0.15, no_breaks(n, 0.15, ml)
     )
     assert out.argmax_regime == 2
     assert out.skipped_candidates == 80 - 2 * ml + 1
     assert out.statistic == pytest.approx(17.69356340904543, rel=1e-9)
+
+
+def test_default_first_stage_is_no_rf_breaks_without_a_search(monkeypatch):
+    # rf_partition=None means no RF breaks: the same statistic as passing
+    # that partition, reached without building a segment table
+    import breakboot.partition_search as ps
+
+    data, _ = bb.generate(bb.ScenarioConfig("h0m0", "A", T=240, seed=7))
+    spec = bb.scenario_model_spec()
+    n = make_design(spec, data).n
+    given = bb.sup_wald(
+        spec, data, rf_partition=no_breaks(n, 0.15, min_regime_length(n, 0.15, spec.q))
+    )
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("segment_ssr_table called")
+
+    monkeypatch.setattr(ps, "segment_ssr_table", no_table)
+    default = bb.sup_wald(spec, data)
+    assert default.statistic == given.statistic
+    assert default.argmax_partition == given.argmax_partition
+    bb.bootstrap_sup_test(spec, data, B=9)
