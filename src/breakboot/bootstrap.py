@@ -14,7 +14,11 @@ treated when rebuilding the sample:
 One path builder serves both equations.  The structural equation's
 bootstrap generates x and y, so its WR rebuilds lagged x and lagged y.  The
 reduced-form pre-test bootstraps x alone, so its WR rebuilds only lagged x
-and holds lagged y at its sample values.  WR without lags is WF.
+and holds lagged y at its sample values.  WR without lags is WF.  So the
+B reduced-form samples of a test share every instrument column except the
+rebuilt lagged x (under WF, and WR without lags, they share all of them);
+their scans invert each candidate regime's shared block once (see
+:func:`breakboot.stats.scan_partitions_batch`).
 
 Replication b of Monte Carlo repetition j draws its multipliers from the
 stream seeded by derive_seed(master_seed, j, STREAM_NU, b); reduced-form
@@ -116,7 +120,7 @@ def _row_regimes(partition: Partition) -> np.ndarray:
 def _paths(design: Design, delta: list[np.ndarray], rf_partition: Partition,
            v_hat: np.ndarray, nu: np.ndarray, *, recursive: bool,
            est: RegimeEstimates | None = None):
-    """Bootstrap rows for all multiplier columns nu (n, B): (xb, Zb, yb).
+    """Bootstrap rows for all multiplier columns nu (n, B): (xb, Zb, yb, rebuilt).
 
     x (xb, (n, p1, B)) follows the RF over rf_partition with errors
     v_hat * nu.  y (yb, (n, B)) follows the SE with errors u_hat * nu, and
@@ -125,7 +129,8 @@ def _paths(design: Design, delta: list[np.ndarray], rf_partition: Partition,
     starts as the sample's, and its lagged x columns, plus its lagged y
     columns when y is generated, are overwritten from the bootstrap history
     that starts at the first max_lag original observations.  Under WF, and
-    WR without lags, every row stays the sample's.
+    WR without lags, every row stays the sample's.  rebuilt is the tuple of
+    z columns overwritten, read from the roles: () when none is.
     """
     spec, data = design.spec, design.data
     n, B = nu.shape
@@ -144,7 +149,7 @@ def _paths(design: Design, delta: list[np.ndarray], rf_partition: Partition,
         if est is not None:
             fixed = np.einsum("nq,nq->n", design.Z1, bz)
             yb = np.einsum("npb,np->nb", xb, bx) + fixed[:, None] + ub
-        return xb, np.broadcast_to(design.Z, (B,) + design.Z.shape), yb
+        return xb, np.broadcast_to(design.Z, (B,) + design.Z.shape), yb, ()
 
     live = [(c, role) for c, role in enumerate(spec.rf_instruments)
             if role.kind == "x" or (role.kind == "y" and est is not None)]
@@ -168,15 +173,16 @@ def _paths(design: Design, delta: list[np.ndarray], rf_partition: Partition,
         x_hist[lag + i] = x_t.T
         if est is not None:
             y_hist[lag + i] = x_t @ bx[i] + zrow[:, z1] @ bz[i] + ub[i]
-    return x_hist[lag:], Zb, None if est is None else y_hist[lag:]
+    rebuilt = tuple(c for c, _ in live)
+    return x_hist[lag:], Zb, None if est is None else y_hist[lag:], rebuilt
 
 
 def _generate(spec: ModelSpec, data: Dataset, est: RegimeEstimates, nu: np.ndarray,
               recursive: bool) -> Dataset:
     design = make_design(spec, data)
     nu = np.asarray(nu, dtype=np.float64)[:, None]
-    xb, _, yb = _paths(design, est.delta, est.rf_partition, est.v_hat, nu,
-                       recursive=recursive, est=est)
+    xb, _, yb, _ = _paths(design, est.delta, est.rf_partition, est.v_hat, nu,
+                          recursive=recursive, est=est)
     lag = spec.max_lag
     return Dataset(
         y=np.concatenate([data.y[:lag], yb[:, 0]]),
@@ -208,13 +214,22 @@ def wf_generate(
 def _first_stage_batch(Zb, xb, rf_partition: Partition):
     """Per-replication RF fits: w-block fitted values (B, n, p1).
 
-    Zb is (B, n, q), the bootstrap instrument rows or the sample's broadcast
-    over B; xb is (n, p1, B).  A replication whose regime Gram is singular
-    gets NaN there, so its draw fails.
+    Zb is (B, n, q), the bootstrap instrument rows, or (n, q), the sample's
+    rows shared by every replication, whose regime Grams are then solved
+    once against all B right-hand sides; xb is (n, p1, B).  A replication
+    whose regime Gram is singular gets NaN there, so its draw fails.
     """
-    B, n, q = Zb.shape
-    p1 = xb.shape[1]
+    n, p1, B = xb.shape
     xhat = np.empty((B, n, p1))
+    if Zb.ndim == 2:
+        for a, bnd in rf_partition.regimes():
+            sl = slice(a - 1, bnd)
+            Zr = Zb[sl]
+            h = Zr.T @ xb[sl].reshape(-1, p1 * B)
+            delta, ok = _batched_solve((Zr.T @ Zr)[None], h[None])
+            delta[~ok] = np.nan
+            xhat[:, sl, :] = np.einsum("tq,qpb->btp", Zr, delta[0].reshape(-1, p1, B))
+        return xhat
     xbt = xb.transpose(2, 0, 1)  # (B, n, p1)
     for a, bnd in rf_partition.regimes():
         sl = slice(a - 1, bnd)
@@ -229,13 +244,15 @@ def _first_stage_batch(Zb, xb, rf_partition: Partition):
 
 def _samples(design: Design, cfg: BootstrapConfig, nu: np.ndarray | None, *,
              est: RegimeEstimates | None = None, rf=None, stage: int = 0):
-    """The B bootstrap samples of one test as a batch: (Yb, Wb, v_hat_b).
+    """The B bootstrap samples of one test as a batch: (Yb, Wb, v_hat_b, resampled).
 
     Structural equation (est, a null-imposed fit): Yb (B, n) is y, Wb
     (B, n, d) holds the first stage re-estimated on each sample over
     est.rf_partition next to z1, and v_hat_b (B, n, p1) its residuals.
     Reduced form (rf = (delta, v_hat, rf_partition)): Yb (B, n, p1) is x,
-    Wb (B, n, q) is z and v_hat_b is None.  Multipliers come from the
+    Wb (B, n, q) is z, v_hat_b is None and resampled the z columns that
+    differ across the batch (the rebuilt lagged x); the SE gives None there,
+    so its scans stay on the LU path.  Multipliers come from the
     SE stream, or the RF stream of the given pre-test stage, unless nu
     (n, B) is passed.
     """
@@ -247,15 +264,15 @@ def _samples(design: Design, cfg: BootstrapConfig, nu: np.ndarray | None, *,
         )
         nu = stream.matrix(n, cfg.B)
     delta, v_hat, rf_partition = rf if est is None else (est.delta, est.v_hat, est.rf_partition)
-    xb, Zb, yb = _paths(design, delta, rf_partition, v_hat, nu,
-                        recursive=cfg.scheme == "wr", est=est)
+    xb, Zb, yb, rebuilt = _paths(design, delta, rf_partition, v_hat, nu,
+                                 recursive=cfg.scheme == "wr", est=est)
     if est is None:
-        return np.ascontiguousarray(xb.transpose(2, 0, 1)), Zb, None
-    what = _first_stage_batch(Zb, xb, rf_partition)
+        return np.ascontiguousarray(xb.transpose(2, 0, 1)), Zb, None, rebuilt
+    what = _first_stage_batch(Zb if rebuilt else design.Z, xb, rf_partition)
     Wb = np.empty((nu.shape[1], n, spec.d_beta))
     Wb[:, :, : spec.p1] = what
     Wb[:, :, spec.p1 :] = Zb[:, :, list(spec.z1_positions)]
-    return yb.T.copy(), Wb, xb.transpose(2, 0, 1) - what
+    return yb.T.copy(), Wb, xb.transpose(2, 0, 1) - what, None
 
 
 def _draws(stats: np.ndarray, cfg: BootstrapConfig) -> tuple[np.ndarray, int]:
@@ -288,7 +305,7 @@ def case_i_draws(
     first stage on the fixed RF regimes, second stage over the same grid,
     and the robust blocks built from the re-estimated residuals.
     """
-    Yb, Wb, vb = _samples(design, cfg, nu, est=est)
+    Yb, Wb, vb, _ = _samples(design, cfg, nu, est=est)
     _, vals, _ = _sup_case_i(
         Yb, Wb, k, eps, design.spec.q, statistic=statistic, v_rows=vb,
         beta_source=beta_source, p1=design.spec.p1,
@@ -310,7 +327,7 @@ def case_ii_draws(
     est must impose the l-break null: its se_partition is reused
     as the regime frame for every replication.
     """
-    Yb, Wb, vb = _samples(design, cfg, nu, est=est)
+    Yb, Wb, vb, _ = _samples(design, cfg, nu, est=est)
     min_len = min_regime_length(design.n, eps, design.spec.q)
     best, *_ = _sup_case_ii(
         Yb, Wb, est.se_partition, min_len, statistic=statistic, v_rows=vb,
@@ -330,9 +347,9 @@ def rf_case_i_draws(
     nu: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
     """Bootstrap sup-Wald draws for no RF breaks against one."""
-    rf = (delta, v_hat, no_breaks(design.n, eps))
-    Yb, Wb, _ = _samples(design, cfg, nu, rf=rf, stage=stage)
-    _, vals, _ = _sup_case_i(Yb, Wb, 1, eps, design.spec.q)
+    rf = (delta, v_hat, _rf_partition(design, eps, None))
+    Yb, Wb, _, resampled = _samples(design, cfg, nu, rf=rf, stage=stage)
+    _, vals, _ = _sup_case_i(Yb, Wb, 1, eps, design.spec.q, resampled=resampled)
     return _draws(np.max(vals, axis=1), cfg)
 
 
@@ -349,9 +366,9 @@ def rf_case_ii_draws(
 ) -> tuple[np.ndarray, int]:
     """Bootstrap draws for l RF breaks against l+1."""
     rf = (delta, v_hat, rf_partition)
-    Yb, Wb, _ = _samples(design, cfg, nu, rf=rf, stage=stage)
+    Yb, Wb, _, resampled = _samples(design, cfg, nu, rf=rf, stage=stage)
     min_len = min_regime_length(design.n, eps, design.spec.q)
-    best, *_ = _sup_case_ii(Yb, Wb, rf_partition, min_len)
+    best, *_ = _sup_case_ii(Yb, Wb, rf_partition, min_len, resampled=resampled)
     return _draws(best, cfg)
 
 

@@ -15,13 +15,25 @@ the score's coefficient source coincides with the regime fit, s_t reduces
 to the second-stage residual; the scan below exploits that identity.
 
 All candidate partitions of a scan are evaluated in one batched pass:
-regime Gram matrices come from prefix sums, coefficient solves and the
-final quadratic forms are stacked solves, and the outer-product terms are
-single matrix products against the row-wise regressor cross products.
-Each block of candidates forms its masked score rows in place, in one
-buffer that every regime reuses.  The kernel's rounding must not change
-while the benchmark compares its 2-worker cell bit for bit with a recorded
-reference; that also holds back an inverse or Cholesky form of the solves.
+regime Gram matrices come from prefix sums, the final quadratic forms are
+stacked solves, and the outer-product terms are single matrix products
+against the row-wise regressor cross products.  Each block of candidates
+forms its masked score rows in place, in one buffer that every regime
+reuses.
+
+The regime coefficients and sandwich blocks take one of two forms.  The
+reduced-form bootstrap batches of the pre-test declare which regressor
+columns they resample: only the lagged x that WR rebuilds, none under WF.
+Every other column is the sample's in every batch entry, so the scan
+inverts each candidate regime's shared block once and factors only the
+small per-entry Schur complement, and b and V come from G^{-1} by matrix
+products.  Every other batch, that is each sample statistic (a batch of
+one) and every structural-equation bootstrap batch, solves each (entry,
+candidate) Gram by LU, once for b and twice for V.  The two forms agree to
+about 1e-11 relative, but only the LU form reproduces the recorded
+outputs bit for bit, and the benchmark compares its 2-worker
+structural-equation cell bit for bit with a recorded reference; so that
+path keeps its rounding until the comparison goes through tolerances.
 
 Every statistic is computed over a batch of datasets that share one
 candidate grid.  The sample is a batch of one, whose argmax also gives the
@@ -148,6 +160,7 @@ def scan_partitions(
         p1,
         compute_wald,
         1,
+        None,
     )
     return ScanResult(parts=parts, wald=wald[0], ssr=ssr[0], n_skipped=int(np.sum(~ok)))
 
@@ -163,6 +176,7 @@ def scan_partitions_batch(
     p1: int = 0,
     compute_wald: bool = True,
     chunk_rows: int = 1_000_000,
+    resampled: tuple[int, ...] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Scan one candidate grid over a batch of datasets at once.
 
@@ -181,11 +195,20 @@ def scan_partitions_batch(
         residual and v_rows does not enter).
     p1 : width of the endogenous block at the front of Ws.
     chunk_rows : bound on batch x candidates x rows per batch chunk.
+    resampled : the columns of Ws that differ across the batch; every other
+        column must be bitwise equal in every batch entry.  When given, each
+        candidate regime's shared block is inverted once, from batch entry
+        0, and only the Schur complement of the resampled columns is
+        factored per entry; G^{-1} then gives b and V by matrix products.
+        A candidate is skipped where the shared block is singular or the
+        Schur complement is not positive definite.  None (the default)
+        solves every (entry, candidate) Gram by LU.
 
     Returns (wald, ssr, ok), each (B, m); wald is -inf and ssr +inf where
     a candidate failed.
     """
-    return _scan(Y, Ws, parts, n_global, v_rows, score_beta, p1, compute_wald, chunk_rows)
+    return _scan(Y, Ws, parts, n_global, v_rows, score_beta, p1, compute_wald, chunk_rows,
+                 resampled)
 
 
 def _prefix(a: np.ndarray) -> np.ndarray:
@@ -195,7 +218,8 @@ def _prefix(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _scan(Y, Ws, parts, n_global, v_rows, score_beta, p1, compute_wald, chunk_rows):
+def _scan(Y, Ws, parts, n_global, v_rows, score_beta, p1, compute_wald, chunk_rows,
+          resampled):
     """The one scan kernel: batch chunks of chunk_rows, candidate blocks of _CHUNK."""
     Y = Y if Y.ndim == 3 else Y[:, :, None]
     B, n, d = Ws.shape
@@ -220,12 +244,49 @@ def _scan(Y, Ws, parts, n_global, v_rows, score_beta, p1, compute_wald, chunk_ro
         for c0 in range(0, m, _CHUNK):
             sc = slice(c0, min(c0 + _CHUNK, m))
             wald[sb, sc], ssr[sb, sc], ok[sb, sc] = _scan_block(
-                Yc, Wc, sums, edges[sc], n_global, vc, betac, p1, compute_wald
+                Yc, Wc, sums, edges[sc], n_global, vc, betac, p1, compute_wald, resampled
             )
     return wald, ssr, ok
 
 
-def _scan_block(Y, Ws, sums, edges, n_global, v_rows, score_beta, p1, compute_wald):
+def _shared_inverse(cum_G, s_e, e_e, resampled, out):
+    """G^{-1} of every (entry, candidate) regime Gram by the block formula.
+
+    The columns outside resampled are shared by the batch, so their block A
+    is read from entry 0 and inverted once per candidate.  With C and D the
+    shared-by-resampled and resampled blocks, S = D - C'A^{-1}C the Schur
+    complement and U = [-A^{-1}C; I] (rows in column order),
+    G^{-1} = A^{-1} (zero-padded) + U S^{-1} U'.  Returns (G^{-1}, ok):
+    (Bc, m, d, d) written into out and (Bc, m), or (1, m, d, d) and (1, m)
+    when nothing is resampled.  ok is False where _batched_solve flags A
+    singular or S is not positive definite.
+    """
+    m, d = s_e.shape[0], out.shape[-1]
+    rs = np.asarray(resampled, dtype=np.int64)
+    sh = np.setdiff1d(np.arange(d), rs)
+    A = (cum_G[0, e_e] - cum_G[0, s_e]).reshape(m, d, d)[:, sh[:, None], sh]
+    A_inv, ok = _batched_solve(A, np.broadcast_to(np.eye(sh.size), A.shape))
+    A_pad = np.zeros((1, m, d, d))
+    A_pad[0][:, sh[:, None], sh] = A_inv
+    if rs.size == 0:
+        return A_pad, ok[None]
+    cols = (np.arange(d)[:, None] * d + rs).ravel()  # G[:, rs] in the flat d*d layout
+    Gr = (cum_G[:, e_e[:, None], cols] - cum_G[:, s_e[:, None], cols]).reshape(
+        -1, m, d, rs.size
+    )
+    U = np.eye(d)[:, rs] - A_pad @ Gr
+    S = Gr.transpose(0, 1, 3, 2) @ U
+    pd = S[:, :, 0, 0] > 0
+    for j in range(2, rs.size + 1):  # the other leading minors (Sylvester)
+        pd &= np.linalg.det(S[:, :, :j, :j]) > 0
+    S[~pd] = np.eye(rs.size)
+    np.matmul(U @ np.linalg.inv(S), U.transpose(0, 1, 3, 2), out=out)
+    out += A_pad
+    return out, ok & pd
+
+
+def _scan_block(Y, Ws, sums, edges, n_global, v_rows, score_beta, p1, compute_wald,
+                resampled):
     """One block of candidates on one batch chunk: (wald, ssr, ok), each (Bc, m)."""
     cross, cum_G, cum_h, cum_yy = sums
     Bc, n, d = Ws.shape
@@ -237,15 +298,27 @@ def _scan_block(Y, Ws, sums, edges, n_global, v_rows, score_beta, p1, compute_wa
     ssr = np.zeros((Bc, m))
     thetas: list[np.ndarray] = []
     Vs: list[np.ndarray] = []
+    inverse = resampled is not None
+    if inverse:  # work arrays of the inverse form, written in place by every regime
+        G_inv_buf = np.empty((Bc, m, d, d))
     if compute_wald:
         buf = np.empty((py, Bc, m, n))  # the score rows, reused by every regime
+        M = np.empty((Bc, m, py, d, py, d))
+        if inverse:
+            GM = np.empty((Bc, m, py, d, deff))
+            V_all = np.empty((k + 1, Bc, m, deff, deff))
     for i in range(k + 1):
         s_e, e_e = edges[:, i], edges[:, i + 1]
-        G = (cum_G[:, e_e] - cum_G[:, s_e]).reshape(Bc * m, d, d)
         h = cum_h[:, e_e] - cum_h[:, s_e]
-        b, ok_i = _batched_solve(G, h.reshape(Bc * m, d, py))
-        b = b.reshape(Bc, m, d, py)
-        ok &= ok_i.reshape(Bc, m)
+        if inverse:
+            G_inv, ok_i = _shared_inverse(cum_G, s_e, e_e, resampled, G_inv_buf)
+            b = G_inv @ h
+            ok &= ok_i
+        else:
+            G = (cum_G[:, e_e] - cum_G[:, s_e]).reshape(Bc * m, d, d)
+            b, ok_i = _batched_solve(G, h.reshape(Bc * m, d, py))
+            b = b.reshape(Bc, m, d, py)
+            ok &= ok_i.reshape(Bc, m)
         ssr += np.sum(cum_yy[:, e_e] - cum_yy[:, s_e], axis=2) - np.einsum(
             "bmdc,bmdc->bm", b, h
         )
@@ -260,7 +333,6 @@ def _scan_block(Y, Ws, sums, edges, n_global, v_rows, score_beta, p1, compute_wa
                 g = score_beta[:, None, :] - b[:, :, :p1, 0]
                 buf[c] += g @ v_rows.transpose(0, 2, 1)
             buf[c] *= mask
-        M = np.empty((Bc, m, py, d, py, d))
         for c in range(py):
             for cc in range(py - 1, c - 1, -1):  # (c, c) last: it squares buf[c] in place
                 sq = np.multiply(buf[c], buf[cc], out=buf[c] if cc == c else None)
@@ -268,11 +340,21 @@ def _scan_block(Y, Ws, sums, edges, n_global, v_rows, score_beta, p1, compute_wa
                 if cc != c:
                     M[:, :, cc, :, c] = blk.transpose(0, 1, 3, 2)
                 M[:, :, c, :, cc] = blk
-        M = M.reshape(Bc, m, deff, deff)
-        M /= n_global
+        Mf = M.reshape(Bc, m, deff, deff)
+        Mf /= n_global
+        if inverse:
+            # V = Q^{-1} M Q^{-1} with Q^{-1} = n G^{-1}, one d-row block at a time
+            np.matmul(G_inv[:, :, None], M.reshape(Bc, m, py, d, deff), out=GM)
+            V = V_all[i]
+            GMt = GM.reshape(Bc, m, deff, deff).transpose(0, 1, 3, 2)
+            np.matmul(G_inv[:, :, None], GMt.reshape(Bc, m, py, d, deff),
+                      out=V.reshape(Bc, m, py, d, deff))
+            V *= n_global * n_global
+            Vs.append(V)
+            continue
         # Q \ M and Q \ (Q \ M)' one d-row block of the stacked equations at a time
         Q = (G / n_global)[:, None]
-        QM, ok_q = _batched_solve(Q, M.reshape(Bc * m, py, d, deff))
+        QM, ok_q = _batched_solve(Q, Mf.reshape(Bc * m, py, d, deff))
         QMt = QM.reshape(Bc * m, deff, deff).transpose(0, 2, 1)
         V, ok_v = _batched_solve(Q, QMt.reshape(Bc * m, py, d, deff))
         ok &= ok_q.reshape(Bc, m)
@@ -322,20 +404,23 @@ def restricted_fit_batch(Y: np.ndarray, Ws: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def _sup_case_i(Y, Ws, k, eps, q, *, statistic="supwald", v_rows=None, beta_source="alt",
-                p1=0):
+                p1=0, resampled=None):
     """Case (i) values at every candidate of the full k-break grid.
 
     Y is (B, n) or (B, n, py) and Ws (B, n, d) over the whole effective
     sample; v_rows is (B, n, p1).  statistic is "supwald" or "supf".  With
     beta_source="null" the score's endogenous-block coefficients are held
-    at the no-break fit.  Returns (parts (m, k), values (B, m), ok (B, m));
-    a failed candidate holds -inf.
+    at the no-break fit.  resampled is passed to every scan (see
+    :func:`scan_partitions_batch`).  Returns (parts (m, k), values (B, m),
+    ok (B, m)); a failed candidate holds -inf.
     """
     _, n, d = Ws.shape
     parts = enumerate_partitions(n, k, eps, q).as_array()
     if statistic == "supf":
         _, ssr0 = restricted_fit_batch(Y, Ws)
-        _, ssr, ok = scan_partitions_batch(Y, Ws, parts, n, compute_wald=False)
+        _, ssr, ok = scan_partitions_batch(
+            Y, Ws, parts, n, compute_wald=False, resampled=resampled
+        )
         vals = np.where(
             np.isfinite(ssr) & (ssr > 0),
             ((n - (k + 1) * d) / (k * d)) * (ssr0[:, None] - ssr) / ssr,
@@ -346,17 +431,19 @@ def _sup_case_i(Y, Ws, k, eps, q, *, statistic="supwald", v_rows=None, beta_sour
     if beta_source == "null":
         score_beta = restricted_fit_batch(Y, Ws)[0][:, :p1]
     vals, _, ok = scan_partitions_batch(
-        Y, Ws, parts, n, v_rows=v_rows, score_beta=score_beta, p1=p1
+        Y, Ws, parts, n, v_rows=v_rows, score_beta=score_beta, p1=p1, resampled=resampled
     )
     return parts, vals, ok
 
 
-def _sup_case_ii(Y, Ws, null_partition, min_len, *, statistic="supwald", v_rows=None, p1=0):
+def _sup_case_ii(Y, Ws, null_partition, min_len, *, statistic="supwald", v_rows=None, p1=0,
+                 resampled=None):
     """Case (ii): the sup over one extra break within each null regime.
 
     Each regime's restricted single-regime fit supplies the score's
     endogenous-block coefficients (when v_rows is given) and, for
-    statistic="supf", the restricted SSR.  Returns (best, regime, row,
+    statistic="supf", the restricted SSR; resampled is as in
+    :func:`_sup_case_i`.  Returns (best, regime, row,
     skipped, flags): per batch entry the sup, its 1-based regime and its
     break row on the full sample (-inf, 0, 0 where every candidate
     failed), then the failed candidate count and notes on regimes that
@@ -384,7 +471,7 @@ def _sup_case_ii(Y, Ws, null_partition, min_len, *, statistic="supwald", v_rows=
             if np.any(ssr0 <= 0):
                 flags.append(f"regime {i} degenerate restricted SSR")
             _, ssr, ok = scan_partitions_batch(
-                Y_i, W_i, local[:, None], n, compute_wald=False
+                Y_i, W_i, local[:, None], n, compute_wald=False, resampled=resampled
             )
             vals = np.where(
                 np.isfinite(ssr) & (ssr0[:, None] > 0),
@@ -392,12 +479,15 @@ def _sup_case_ii(Y, Ws, null_partition, min_len, *, statistic="supwald", v_rows=
                 -np.inf,
             )
         elif v_rows is None:
-            vals, _, ok = scan_partitions_batch(Y_i, W_i, local[:, None], n)
+            vals, _, ok = scan_partitions_batch(
+                Y_i, W_i, local[:, None], n, resampled=resampled
+            )
         else:
             vals, _, ok = scan_partitions_batch(
                 Y_i, W_i, local[:, None], n,
                 v_rows=np.ascontiguousarray(v_rows[:, sl]),
                 score_beta=restricted_fit_batch(Y_i, W_i)[0][:, :p1], p1=p1,
+                resampled=resampled,
             )
         skipped += int(np.sum(~ok))
         j = np.argmax(vals, axis=1)

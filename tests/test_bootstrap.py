@@ -1,5 +1,7 @@
 """Wild bootstrap generation, replication draws, p-value rules."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from breakboot.bootstrap import (
     MultiplierStream,
     _first_stage_batch,
     _paths,
+    _samples,
     bootstrap_sup_test,
     case_i_draws,
     pvalue_and_quantile,
@@ -20,9 +23,14 @@ from breakboot.bootstrap import (
 from breakboot.estimation import first_stage, fit_regimes, make_design
 from breakboot.exceptions import EmptyDrawsError
 from breakboot.model import Dataset, ModelSpec, Partition, Role, no_breaks
-from breakboot.partition_search import min_regime_length, rf_break_grid_and_fit
+from breakboot.partition_search import (
+    enumerate_partitions,
+    min_regime_length,
+    rf_break_grid_and_fit,
+)
 from breakboot.rng import STREAM_NU_RF, derive_seed
 from breakboot.sequential import rf_sup_wald, rf_sup_wald_seq
+from breakboot.stats import _rf_partition, _sup_case_i, _sup_case_ii, scan_partitions_batch
 
 
 def null_estimates(spec, data, eps=0.15):
@@ -398,20 +406,118 @@ def test_recursion_rebuilds_only_lagged_x_and_y_columns():
     fixed = [c for c, role in enumerate(roles) if role.kind in ("const", "r")]
     Z = np.broadcast_to(design.Z, (B,) + design.Z.shape)
 
-    xb, Zb, yb = _paths(*args, recursive=True, est=est)
+    xb, Zb, yb, rebuilt = _paths(*args, recursive=True, est=est)
+    assert rebuilt == (cx, cy)
     assert np.array_equal(Zb[:, 1:, cx], xb[:-1, 0, :].T)
     assert np.array_equal(Zb[:, 1:, cy], yb[:-1].T)
     assert np.array_equal(Zb[:, 0], Z[:, 0])  # lags of row 1 are start-up values
     assert np.array_equal(Zb[:, :, fixed], Z[:, :, fixed])
     assert not np.array_equal(Zb[:, 1:, cy], Z[:, 1:, cy])
 
-    xb, Zb, yb = _paths(*args, recursive=True)
+    xb, Zb, yb, rebuilt = _paths(*args, recursive=True)
     assert yb is None
+    assert rebuilt == (cx,)
     assert np.array_equal(Zb[:, 1:, cx], xb[:-1, 0, :].T)
     assert not np.array_equal(Zb[:, 1:, cx], Z[:, 1:, cx])
     rest = [c for c in range(spec.q) if c != cx]
     assert np.array_equal(Zb[:, :, rest], Z[:, :, rest])
 
     for fit in (est, None):
-        _, Zb, _ = _paths(*args, recursive=False, est=fit)
+        _, Zb, _, rebuilt = _paths(*args, recursive=False, est=fit)
         assert np.array_equal(Zb, Z)
+        assert rebuilt == ()
+
+
+def test_shared_first_stage_equals_per_draw_fit():
+    # WF rebuilds no instrument column, so one solve of the sample's regime
+    # Gram against all B right-hand sides replaces the B identical fits
+    rng = np.random.default_rng(12)
+    B, n, q, p1 = 6, 60, 3, 2
+    Z = rng.normal(size=(n, q))
+    xb = rng.normal(size=(n, p1, B))
+    part = Partition((30,), n, 0.15, 9)
+    shared = _first_stage_batch(Z, xb, part)
+    per_draw = _first_stage_batch(np.broadcast_to(Z, (B, n, q)), xb, part)
+    np.testing.assert_allclose(shared, per_draw, rtol=1e-12, atol=1e-12)
+    Z[:, 1] = 0.0
+    assert np.all(np.isnan(_first_stage_batch(Z, xb, part)))
+
+
+def rf_samples(design, rf, scheme, B=7, seed=5):
+    """One RF stage's bootstrap batch: (Yb, Wb, resampled)."""
+    cfg = BootstrapConfig(scheme, B, seed, 1)
+    Yb, Wb, _, resampled = _samples(design, cfg, None, rf=rf)
+    return Yb, Wb, resampled
+
+
+def h1m1_design(T=120, seed=7):
+    data, _ = bb.generate(bb.ScenarioConfig("h1m1", "B", T=T, seed=seed))
+    return make_design(bb.scenario_model_spec(), data)
+
+
+def rf_stage_fits(design, eps=0.15):
+    """(delta, v_hat, partition) of the no-break and one-break RF fits."""
+    part0 = _rf_partition(design, eps, None)
+    delta0, _, v0 = first_stage(design, part0)
+    part1, delta1, v1 = rf_break_grid_and_fit(design, 1, eps)
+    return (delta0, v0, part0), (delta1, v1, part1)
+
+
+def assert_same_scan(new, lu):
+    np.testing.assert_array_equal(new[-1], lu[-1])  # ok masks
+    np.testing.assert_allclose(new[1], lu[1], rtol=1e-10)
+
+
+def test_rf_shared_block_scans_equal_lu_path():
+    # the block inverse of the shared instrument columns gives the LU
+    # path's sup values and ok masks, for WR (lagged x rebuilt) and WF
+    for design in (h1m1_design(), make_design(*two_endogenous_system())):  # p1 = 1, 2
+        rf0, rf1 = rf_stage_fits(design)
+        q = design.spec.q
+        min_len = min_regime_length(design.n, 0.15, q)
+        lagged_x = tuple(c for c, role in enumerate(design.spec.rf_instruments)
+                         if role.kind == "x")
+        for scheme in ("wr", "wf"):
+            Yb, Wb, resampled = rf_samples(design, rf0, scheme)
+            assert resampled == (lagged_x if scheme == "wr" else ())
+            for k in (1, 2):
+                assert_same_scan(
+                    _sup_case_i(Yb, Wb, k, 0.15, q, resampled=resampled),
+                    _sup_case_i(Yb, Wb, k, 0.15, q),
+                )
+            parts = enumerate_partitions(design.n, 1, 0.15, q).as_array()
+            ssr = [scan_partitions_batch(Yb, Wb, parts, design.n, compute_wald=False,
+                                         resampled=r)[1] for r in (resampled, None)]
+            np.testing.assert_allclose(*ssr, rtol=1e-10)  # the SSR-only path
+            Yb, Wb, resampled = rf_samples(design, rf1, scheme)
+            new = _sup_case_ii(Yb, Wb, rf1[2], min_len, resampled=resampled)
+            lu = _sup_case_ii(Yb, Wb, rf1[2], min_len)
+            np.testing.assert_allclose(new[0], lu[0], rtol=1e-10)
+            assert all(np.array_equal(a, b) for a, b in zip(new[1:3], lu[1:3]))
+            assert new[3] == lu[3] and new[4] == lu[4]
+
+
+def test_rf_shared_block_singular_policy():
+    # a shared instrument that is zero over rows 1-40 makes every regime
+    # inside those rows singular in every draw; a rebuilt column zeroed in
+    # one draw does so for that draw alone.  Both skip exactly the LU
+    # path's candidates and nothing raises.
+    design = h1m1_design(T=241)
+    rf0, _ = rf_stage_fits(design)
+    q = design.spec.q
+    Z = design.Z.copy()
+    Z[:40, 1] = 0.0
+    zeroed = replace(design, Z=Z)
+    Yb, Wb, resampled = rf_samples(zeroed, rf0, "wr")
+    parts, vals, ok = _sup_case_i(Yb, Wb, 1, 0.15, q, resampled=resampled)
+    assert_same_scan((parts, vals, ok), _sup_case_i(Yb, Wb, 1, 0.15, q))
+    inside = parts[:, 0] <= 40
+    assert inside.any() and not inside.all()
+    assert np.array_equal(ok, np.broadcast_to(~inside, ok.shape))
+
+    Yb, Wb, resampled = rf_samples(design, rf0, "wr")
+    Wb[2, :40, resampled[0]] = 0.0
+    parts, vals, ok = _sup_case_i(Yb, Wb, 1, 0.15, q, resampled=resampled)
+    assert_same_scan((parts, vals, ok), _sup_case_i(Yb, Wb, 1, 0.15, q))
+    assert np.array_equal(ok[2], parts[:, 0] > 40)
+    assert ok[[0, 1, 3, 4, 5, 6]].all()

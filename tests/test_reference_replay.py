@@ -6,7 +6,7 @@ recorded with the current LU rounding.  A kernel change that moves the
 last bit of any sample statistic therefore fails the benchmark although
 every output is within the tolerances of ``workloads.matches``.  These
 tests catch that here: one cell is replayed with ``threads=1`` and
-compared with ``==``, and three pool entries are compared through
+compared with ``==``, and four pool entries are compared through
 ``matches`` at the paper's B = 399.
 
 The bitwise assert is relaxed in the same change that relaxes the
@@ -42,7 +42,9 @@ def test_pooled_cell_replays_bit_for_bit():
 
 def test_pool_entries_match_their_reference():
     workloads = load_workloads()
-    for name, ks in (("mc_size_h0m0", (0, 1)), ("mc_pretest_h1m1", (0,))):
+    # mc_pretest_h1m1 entry 13 is the pool's only h_hat = 2 input: both RF
+    # pre-test stages run and reject
+    for name, ks in (("mc_size_h0m0", (0, 1)), ("mc_pretest_h1m1", (0, 13))):
         ref = reference(name)
         entries = {e["k"]: {key: v for key, v in e.items() if key != "k"}
                    for e in ref["entries"]}
