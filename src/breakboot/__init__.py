@@ -4,7 +4,7 @@ linear models estimated by two-stage least squares."""
 from .bootstrap import (
     BootstrapConfig,
     MultiplierStream,
-    bootstrap_sup_test,
+    bootstrap_sup_test_design,
     pvalue_and_quantile,
     wf_generate,
     wr_generate,
@@ -49,15 +49,15 @@ from .partition_search import (
     min_regime_length,
     rf_break_grid_and_fit,
 )
-from .sequential import SequentialResult, estimate_rf_breaks
+from .sequential import SequentialResult, estimate_rf_breaks_design
 from .stats import (
     ContrastMatrix,
     TestOutcome,
     f_at,
-    sup_f,
-    sup_f_seq,
-    sup_wald,
-    sup_wald_seq,
+    ssr_null_partition,
+    sup_f_design,
+    sup_wald_design,
+    sup_wald_seq_design,
     wald_at,
 )
 

@@ -51,10 +51,10 @@ from .rng import STREAM_NU, STREAM_NU_RF, generator, rademacher
 from .stats import (
     STATISTICS,
     TestOutcome,
-    _null_partition,
     _rf_partition,
     _sup_case_i,
     _sup_case_ii,
+    ssr_null_partition,
     sup_f_design,
     sup_wald_design,
     sup_wald_seq_design,
@@ -421,46 +421,6 @@ def pvalue_and_quantile(
 # ---------------------------------------------------------------------------
 
 
-def bootstrap_sup_test(
-    spec: ModelSpec,
-    data: Dataset,
-    *,
-    null_breaks: int = 0,
-    alt_breaks: int = 1,
-    statistic: str = "supwald",
-    scheme: str = "wr",
-    eps: float = 0.15,
-    B: int = 399,
-    master_seed: int = 0,
-    rep_index: int = 1,
-    rf_partition: Partition | None = None,
-    alphas: tuple[float, ...] = (0.10, 0.05, 0.01),
-    beta_source: str = "alt",
-) -> TestOutcome:
-    """Run one structural-change test end to end with bootstrap inference.
-
-    null_breaks=0 tests no change against alt_breaks changes; null_breaks
-    = l >= 1 tests l against l+1 (alt_breaks must then be l+1), with the
-    null partition at the SSR-minimising l breaks.  The first stage is
-    fixed at rf_partition; None means no RF breaks.
-    """
-    design = make_design(spec, data)
-    return bootstrap_sup_test_design(
-        design,
-        null_breaks=null_breaks,
-        alt_breaks=alt_breaks,
-        statistic=statistic,
-        scheme=scheme,
-        eps=eps,
-        B=B,
-        master_seed=master_seed,
-        rep_index=rep_index,
-        rf_partition=rf_partition,
-        alphas=alphas,
-        beta_source=beta_source,
-    )
-
-
 def bootstrap_sup_test_design(
     design: Design,
     *,
@@ -476,6 +436,14 @@ def bootstrap_sup_test_design(
     alphas: tuple[float, ...] = (0.10, 0.05, 0.01),
     beta_source: str = "alt",
 ) -> TestOutcome:
+    """Run one structural-change test end to end with bootstrap inference.
+
+    design is ``make_design(spec, data)``.  null_breaks=0 tests no change
+    against alt_breaks changes; null_breaks = l >= 1 tests l against l+1
+    (alt_breaks must then be l+1), with the null partition at the
+    SSR-minimising l breaks (:func:`breakboot.stats.ssr_null_partition`).
+    The first stage is fixed at rf_partition; None means no RF breaks.
+    """
     if statistic not in STATISTICS:
         raise ConfigError(f"statistic must be one of {STATISTICS}")
     if beta_source not in ("alt", "null"):
@@ -500,7 +468,7 @@ def bootstrap_sup_test_design(
             design, est, alt_breaks, eps, cfg, beta_source=beta_source, statistic=statistic
         )
     else:
-        null_partition = _null_partition(design, null_breaks, eps, rf_partition)
+        null_partition = ssr_null_partition(design, null_breaks, eps, rf_partition)
         outcome = sup_wald_seq_design(design, null_partition, eps, rf_partition, statistic)
         est = fit_regimes(design, rf_partition, null_partition)
         draws, failures = case_ii_draws(design, est, eps, cfg, statistic=statistic)

@@ -18,9 +18,11 @@ import json
 import sys
 
 from . import dgp
+from .bootstrap import SCHEMES
 from .exceptions import BootstrapFailureError, BreakbootError, ConfigError
 from .harness import McConfig, run_cell, run_table, test_dataset
 from .model import Dataset, ModelSpec
+from .stats import STATISTICS
 
 
 def _parse_alphas(text: str) -> tuple[float, ...]:
@@ -44,8 +46,8 @@ def _add_cell_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--N", type=int, default=1000)
     p.add_argument("--B", type=int, default=399)
     p.add_argument("--alpha", default="0.10,0.05,0.01")
-    p.add_argument("--test", choices=["supwald", "supf"], default="supwald")
-    p.add_argument("--scheme", choices=["wr", "wf"], default="wr")
+    p.add_argument("--test", choices=STATISTICS, default="supwald")
+    p.add_argument("--scheme", choices=SCHEMES, default="wr")
     p.add_argument("--eps", type=float, default=0.15)
     p.add_argument("--threads", type=int, default=1)
 
@@ -84,8 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
     tst.add_argument("--alt-breaks", type=int, default=1)
     tst.add_argument("--B", type=int, default=399)
     tst.add_argument("--alpha", default="0.10,0.05,0.01")
-    tst.add_argument("--test", choices=["supwald", "supf"], default="supwald")
-    tst.add_argument("--scheme", choices=["wr", "wf"], default="wr")
+    tst.add_argument("--test", choices=STATISTICS, default="supwald")
+    tst.add_argument("--scheme", choices=SCHEMES, default="wr")
     tst.add_argument("--eps", type=float, default=0.15)
     tst.add_argument(
         "--rf-breaks",

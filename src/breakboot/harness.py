@@ -20,14 +20,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import dgp
-from .bootstrap import BootstrapConfig, bootstrap_sup_test_design
+from .bootstrap import SCHEMES, BootstrapConfig, bootstrap_sup_test_design
 from .estimation import make_design
 from .exceptions import ConfigError
 from .model import Dataset, ModelSpec, no_breaks
 from .partition_search import min_regime_length, rf_break_grid_and_fit
 from .rng import derive_seed
 from .sequential import estimate_rf_breaks_design
-from .stats import TestOutcome
+from .stats import STATISTICS, TestOutcome
 
 TABLE_HEADER = [
     "scenario", "case", "T", "g", "test", "scheme",
@@ -58,9 +58,9 @@ class McConfig:
     def __post_init__(self):
         if self.N < 1 or self.B < 1:
             raise ConfigError("N and B must be >= 1")
-        if self.test not in ("supwald", "supf"):
+        if self.test not in STATISTICS:
             raise ConfigError("test must be 'supwald' or 'supf'")
-        if self.scheme not in ("wr", "wf"):
+        if self.scheme not in SCHEMES:
             raise ConfigError("scheme must be 'wr' or 'wf'")
         if list(self.alphas) != sorted(self.alphas, reverse=True) or not all(
             0 < a < 1 for a in self.alphas

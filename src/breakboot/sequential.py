@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bootstrap import BootstrapConfig, rf_case_i_draws, rf_case_ii_draws
-from .estimation import Design, first_stage, make_design
+from .estimation import Design, first_stage
 from .exceptions import ConfigError, SingularMiddleError
-from .model import Dataset, ModelSpec, Partition, no_breaks
+from .model import Partition, no_breaks
 from .partition_search import min_regime_length, rf_break_grid_and_fit
 from .stats import _sup_case_i, _sup_case_ii
 
@@ -29,11 +29,10 @@ class SequentialResult:
     trail: list[tuple[int, float, float]]  # (null breaks, statistic, p-value)
 
 
-def rf_sup_wald(design: Design, eps: float = 0.15) -> tuple[float, int]:
-    """Sample sup-Wald for no RF breaks against one; returns (stat, argmax)."""
-    parts, vals, _ = _sup_case_i(design.x[None], design.Z[None], 1, eps, design.spec.q)
-    idx = int(np.argmax(vals[0]))
-    return float(vals[0, idx]), int(parts[idx, 0])
+def rf_sup_wald(design: Design, eps: float = 0.15) -> float:
+    """Sample sup-Wald for no RF breaks against one."""
+    _, vals, _ = _sup_case_i(design.x[None], design.Z[None], 1, eps, design.spec.q)
+    return float(np.max(vals[0]))
 
 
 def rf_sup_wald_seq(
@@ -47,19 +46,6 @@ def rf_sup_wald_seq(
     return float(best[0])
 
 
-def estimate_rf_breaks(
-    spec: ModelSpec,
-    data: Dataset,
-    max_breaks: int = 2,
-    alpha_seq: float = 0.05,
-    boot: BootstrapConfig | None = None,
-    eps: float = 0.15,
-) -> SequentialResult:
-    """Select the RF break count by sequential bootstrap testing."""
-    design = make_design(spec, data)
-    return estimate_rf_breaks_design(design, max_breaks, alpha_seq, boot, eps)
-
-
 def estimate_rf_breaks_design(
     design: Design,
     max_breaks: int = 2,
@@ -67,6 +53,10 @@ def estimate_rf_breaks_design(
     boot: BootstrapConfig | None = None,
     eps: float = 0.15,
 ) -> SequentialResult:
+    """Select the RF break count by sequential bootstrap testing.
+
+    design is ``make_design(spec, data)``; boot defaults to WR with B = 399.
+    """
     if max_breaks < 1:
         raise ConfigError("max_breaks must be >= 1")
     if boot is None:
@@ -77,7 +67,7 @@ def estimate_rf_breaks_design(
         if level == 0:
             partition = no_breaks(n, eps, min_regime_length(n, eps, design.spec.q))
             delta, _, v_hat = first_stage(design, partition)
-            stat, _ = rf_sup_wald(design, eps)
+            stat = rf_sup_wald(design, eps)
             draws, _ = rf_case_i_draws(
                 design, delta, v_hat, eps, boot, stage=0
             )

@@ -48,14 +48,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimation import Design, RobustBlocks, _batched_solve, first_stage, make_design
+from .estimation import Design, RobustBlocks, _batched_solve, first_stage
 from .exceptions import (
     ConfigError,
     DegenerateSSRError,
     InfeasiblePartitionError,
     SingularMiddleError,
 )
-from .model import Dataset, ModelSpec, Partition, no_breaks
+from .model import Partition, no_breaks
 from .partition_search import enumerate_partitions, global_ssr_breaks, min_regime_length
 
 _CHUNK = 2048  # candidates per block of a scan
@@ -389,13 +389,23 @@ def _scan_block(Y, Ws, sums, edges, n_global, v_rows, score_beta, p1, compute_wa
 
 
 def restricted_fit_batch(Y: np.ndarray, Ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Single-regime OLS per batch entry: coefficients (B, d), SSR (B,); NaN if singular."""
+    """Single-regime OLS per batch entry; NaN coefficients where the Gram is singular.
+
+    Y (B, n) gives coefficients (B, d) and SSR (B,).  Y (B, n, py) fits each
+    column on the same Ws: coefficients (B, d, py), and the SSR summed over
+    the columns, as the scan pools them.
+    """
+    Y3 = Y if Y.ndim == 3 else Y[:, :, None]
     G = np.einsum("bni,bnj->bij", Ws, Ws)
-    h = np.einsum("bni,bn->bi", Ws, Y)
-    b, ok = _batched_solve(G, h[:, :, None])
-    b = np.where(ok[:, None], b[:, :, 0], np.nan)
-    resid = Y - np.einsum("bnd,bd->bn", Ws, b)
-    return b, np.einsum("bn,bn->b", resid, resid)
+    b = np.empty((Ws.shape[0], Ws.shape[2], Y3.shape[2]))
+    ssr = np.zeros(Y.shape[0])
+    for c in range(Y3.shape[2]):
+        h = np.einsum("bni,bn->bi", Ws, Y3[:, :, c])
+        bc, ok = _batched_solve(G, h[:, :, None])
+        b[:, :, c] = np.where(ok[:, None], bc[:, :, 0], np.nan)
+        resid = Y3[:, :, c] - np.einsum("bnd,bd->bn", Ws, b[:, :, c])
+        ssr += np.einsum("bn,bn->b", resid, resid)
+    return (b if Y.ndim == 3 else b[:, :, 0]), ssr
 
 
 # ---------------------------------------------------------------------------
@@ -478,15 +488,13 @@ def _sup_case_ii(Y, Ws, null_partition, min_len, *, statistic="supwald", v_rows=
                 (length - d) / d * (ssr0[:, None] - ssr) / ssr0[:, None],
                 -np.inf,
             )
-        elif v_rows is None:
-            vals, _, ok = scan_partitions_batch(
-                Y_i, W_i, local[:, None], n, resampled=resampled
-            )
         else:
+            v_i = score_beta = None
+            if v_rows is not None:
+                v_i = np.ascontiguousarray(v_rows[:, sl])
+                score_beta = restricted_fit_batch(Y_i, W_i)[0][:, :p1]
             vals, _, ok = scan_partitions_batch(
-                Y_i, W_i, local[:, None], n,
-                v_rows=np.ascontiguousarray(v_rows[:, sl]),
-                score_beta=restricted_fit_batch(Y_i, W_i)[0][:, :p1], p1=p1,
+                Y_i, W_i, local[:, None], n, v_rows=v_i, score_beta=score_beta, p1=p1,
                 resampled=resampled,
             )
         skipped += int(np.sum(~ok))
@@ -516,11 +524,13 @@ def _rf_partition(design: Design, eps: float, rf_partition: Partition | None) ->
     return no_breaks(n, eps, min_regime_length(n, eps, design.spec.q))
 
 
-def _null_partition(design: Design, n_breaks: int, eps: float,
-                    rf_partition: Partition | None) -> Partition:
+def ssr_null_partition(design: Design, n_breaks: int, eps: float = 0.15,
+                       rf_partition: Partition | None = None) -> Partition:
     """The n_breaks SE partition minimising the second-stage SSR.
 
-    The first stage is fixed at rf_partition (None: no RF breaks).
+    This is the null partition of an l-against-l+1 test (see
+    :func:`sup_wald_seq_design`).  The first stage is fixed at rf_partition
+    (None: no RF breaks).
     """
     if n_breaks < 1:
         raise InfeasiblePartitionError("the null must impose at least one break")
@@ -556,23 +566,6 @@ def _case_i_outcome(design, k, eps, rf_partition, statistic, beta_source="alt"):
     )
 
 
-def sup_wald(
-    spec: ModelSpec,
-    data: Dataset,
-    k: int = 1,
-    eps: float = 0.15,
-    rf_partition: Partition | None = None,
-    beta_source: str = "alt",
-) -> TestOutcome:
-    """Sup-Wald test of no SE breaks against k breaks.
-
-    The first stage is fixed once, at rf_partition; None means no RF
-    breaks.
-    """
-    design = make_design(spec, data)
-    return sup_wald_design(design, k, eps, rf_partition, beta_source)
-
-
 def sup_wald_design(
     design: Design,
     k: int = 1,
@@ -580,6 +573,12 @@ def sup_wald_design(
     rf_partition: Partition | None = None,
     beta_source: str = "alt",
 ) -> TestOutcome:
+    """Sup-Wald test of no SE breaks against k breaks.
+
+    design is ``make_design(spec, data)``.  The first stage is fixed once,
+    at rf_partition; None means no RF breaks.  beta_source="null" holds the
+    score's endogenous-block coefficients at the no-break fit.
+    """
     if beta_source not in ("alt", "null"):
         raise ConfigError("beta_source must be 'alt' or 'null'")
     return _case_i_outcome(design, k, eps, rf_partition, "supwald", beta_source)
@@ -594,24 +593,13 @@ def f_at(ssr0: float, ssrk: float, T_eff: int, k: int, d_beta: int) -> float:
     return ((T_eff - (k + 1) * d_beta) / (k * d_beta)) * ((ssr0 - ssrk) / ssrk)
 
 
-def sup_f(
-    spec: ModelSpec,
-    data: Dataset,
-    k: int = 1,
-    eps: float = 0.15,
-    rf_partition: Partition | None = None,
-) -> TestOutcome:
-    """Sup-F test of no SE breaks against k breaks (rf_partition as in sup_wald)."""
-    design = make_design(spec, data)
-    return sup_f_design(design, k, eps, rf_partition)
-
-
 def sup_f_design(
     design: Design,
     k: int = 1,
     eps: float = 0.15,
     rf_partition: Partition | None = None,
 ) -> TestOutcome:
+    """Sup-F test of no SE breaks against k breaks (as sup_wald_design)."""
     return _case_i_outcome(design, k, eps, rf_partition, "supf")
 
 
@@ -629,23 +617,6 @@ def _seq_outcome(null_partition: Partition, best, regime, row, skipped, flags) -
     )
 
 
-def sup_wald_seq(
-    spec: ModelSpec,
-    data: Dataset,
-    n_breaks: int,
-    eps: float = 0.15,
-    rf_partition: Partition | None = None,
-) -> TestOutcome:
-    """Sup-Wald test of n_breaks SE breaks against one more.
-
-    The null partition is the SSR-minimising n_breaks partition;
-    rf_partition is as in sup_wald.
-    """
-    design = make_design(spec, data)
-    null_partition = _null_partition(design, n_breaks, eps, rf_partition)
-    return sup_wald_seq_design(design, null_partition, eps, rf_partition)
-
-
 def sup_wald_seq_design(
     design: Design,
     null_partition: Partition,
@@ -653,7 +624,12 @@ def sup_wald_seq_design(
     rf_partition: Partition | None = None,
     statistic: str = "supwald",
 ) -> TestOutcome:
-    """Sup-Wald or sup-F test of the SE breaks of null_partition against one more."""
+    """Sup-Wald or sup-F test of the SE breaks of null_partition against one more.
+
+    The paper's null partition is the SSR-minimising one,
+    ``ssr_null_partition(design, l, eps, rf_partition)``; rf_partition is as
+    in sup_wald_design.
+    """
     if statistic not in STATISTICS:
         raise ConfigError(f"statistic must be one of {STATISTICS}")
     if null_partition.k < 1:
@@ -664,16 +640,3 @@ def sup_wald_seq_design(
         Y, W, null_partition, min_len, statistic=statistic, v_rows=v_hat, p1=design.spec.p1
     )
     return _seq_outcome(null_partition, *found)
-
-
-def sup_f_seq(
-    spec: ModelSpec,
-    data: Dataset,
-    n_breaks: int,
-    eps: float = 0.15,
-    rf_partition: Partition | None = None,
-) -> TestOutcome:
-    """Sup-F test of n_breaks SE breaks against one more (as sup_wald_seq)."""
-    design = make_design(spec, data)
-    null_partition = _null_partition(design, n_breaks, eps, rf_partition)
-    return sup_wald_seq_design(design, null_partition, eps, rf_partition, "supf")

@@ -21,7 +21,7 @@ import pytest
 
 import breakboot as bb
 from breakboot.bootstrap import (
-    bootstrap_sup_test,
+    bootstrap_sup_test_design,
     pvalue_and_quantile,
     wf_generate,
     wr_generate,
@@ -262,11 +262,12 @@ def test_criterion_7c_wr_equals_wf_lag_free():
     x = (r @ [1.0, 0.7, -0.4])[:, None] + rng.normal(size=(T, 1))
     y = 0.5 * x[:, 0] + 0.3 * r[:, 0] + rng.normal(size=T)
     data = Dataset(y=y, x=x, r=r)
-    out_wr = bootstrap_sup_test(
-        spec, data, null_breaks=0, alt_breaks=1, scheme="wr", B=49, master_seed=17
+    design = make_design(spec, data)
+    out_wr = bootstrap_sup_test_design(
+        design, null_breaks=0, alt_breaks=1, scheme="wr", B=49, master_seed=17
     )
-    out_wf = bootstrap_sup_test(
-        spec, data, null_breaks=0, alt_breaks=1, scheme="wf", B=49, master_seed=17
+    out_wf = bootstrap_sup_test_design(
+        design, null_breaks=0, alt_breaks=1, scheme="wf", B=49, master_seed=17
     )
     exact = (
         np.array_equal(out_wr.boot_draws, out_wf.boot_draws)
@@ -312,7 +313,7 @@ def test_criterion_7e_instrument_invariance():
     spec = bb.scenario_model_spec()
     design = make_design(spec, data)
     n = design.n
-    base = bb.sup_wald(spec, data, k=1).statistic
+    base = bb.sup_wald_design(design, k=1).statistic
     rng = np.random.default_rng(23)
     parts = enumerate_partitions(n, 1, 0.15, spec.q).as_array()
     worst = 0.0

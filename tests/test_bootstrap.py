@@ -12,7 +12,7 @@ from breakboot.bootstrap import (
     _first_stage_batch,
     _paths,
     _samples,
-    bootstrap_sup_test,
+    bootstrap_sup_test_design,
     case_i_draws,
     pvalue_and_quantile,
     rf_case_i_draws,
@@ -108,11 +108,11 @@ def test_wr_equals_wf_bit_for_bit_without_lags():
     np.testing.assert_array_equal(b_wr.y, b_wf.y)
     np.testing.assert_array_equal(b_wr.x, b_wf.x)
     # and the bootstrap statistics agree bit for bit
-    out_wr = bootstrap_sup_test(
-        spec, data, null_breaks=0, alt_breaks=1, scheme="wr", B=19, master_seed=5
+    out_wr = bootstrap_sup_test_design(
+        design, null_breaks=0, alt_breaks=1, scheme="wr", B=19, master_seed=5
     )
-    out_wf = bootstrap_sup_test(
-        spec, data, null_breaks=0, alt_breaks=1, scheme="wf", B=19, master_seed=5
+    out_wf = bootstrap_sup_test_design(
+        design, null_breaks=0, alt_breaks=1, scheme="wf", B=19, master_seed=5
     )
     np.testing.assert_array_equal(out_wr.boot_draws, out_wf.boot_draws)
     assert out_wr.statistic == out_wf.statistic
@@ -159,18 +159,18 @@ def test_b1_identity_bootstrap_equals_sample_statistic():
             BootstrapConfig(scheme, 1, 0, 1), nu=nu1,
         )
         assert fails == 0
-        sample = bb.sup_wald(spec, data, k=1)
+        sample = bb.sup_wald_design(design, k=1)
         assert draws[0] == pytest.approx(sample.statistic, rel=1e-9)
 
 
 def test_bootstrap_draws_nonnegative_and_deterministic():
     data, _ = bb.generate(bb.ScenarioConfig("h0m0", "B", T=80, seed=29))
-    spec = bb.scenario_model_spec()
-    out1 = bootstrap_sup_test(
-        spec, data, null_breaks=0, alt_breaks=1, scheme="wr", B=25, master_seed=3
+    design = make_design(bb.scenario_model_spec(), data)
+    out1 = bootstrap_sup_test_design(
+        design, null_breaks=0, alt_breaks=1, scheme="wr", B=25, master_seed=3
     )
-    out2 = bootstrap_sup_test(
-        spec, data, null_breaks=0, alt_breaks=1, scheme="wr", B=25, master_seed=3
+    out2 = bootstrap_sup_test_design(
+        design, null_breaks=0, alt_breaks=1, scheme="wr", B=25, master_seed=3
     )
     assert np.all(out1.boot_draws >= 0)
     np.testing.assert_array_equal(out1.boot_draws, out2.boot_draws)
@@ -258,9 +258,9 @@ def test_p_rule_and_order_rule_agree_when_exact():
 
 def test_rejection_flags_attached_to_outcome():
     data, _ = bb.generate(bb.ScenarioConfig("h0m0", "A", T=80, seed=41))
-    spec = bb.scenario_model_spec()
-    out = bootstrap_sup_test(
-        spec, data, null_breaks=0, alt_breaks=1, scheme="wf", B=39, master_seed=2,
+    design = make_design(bb.scenario_model_spec(), data)
+    out = bootstrap_sup_test_design(
+        design, null_breaks=0, alt_breaks=1, scheme="wf", B=39, master_seed=2,
         alphas=(0.10, 0.05),
     )
     assert set(out.levels_rejected) == {0.10, 0.05}
@@ -270,12 +270,12 @@ def test_rejection_flags_attached_to_outcome():
 
 def test_seq_bootstrap_runs_and_is_deterministic():
     data, _ = bb.generate(bb.ScenarioConfig("h0m1", "A", T=120, seed=43))
-    spec = bb.scenario_model_spec()
-    out1 = bootstrap_sup_test(
-        spec, data, null_breaks=1, alt_breaks=2, scheme="wr", B=19, master_seed=9
+    design = make_design(bb.scenario_model_spec(), data)
+    out1 = bootstrap_sup_test_design(
+        design, null_breaks=1, alt_breaks=2, scheme="wr", B=19, master_seed=9
     )
-    out2 = bootstrap_sup_test(
-        spec, data, null_breaks=1, alt_breaks=2, scheme="wr", B=19, master_seed=9
+    out2 = bootstrap_sup_test_design(
+        design, null_breaks=1, alt_breaks=2, scheme="wr", B=19, master_seed=9
     )
     np.testing.assert_array_equal(out1.boot_draws, out2.boot_draws)
     assert out1.argmax_regime in (1, 2)
@@ -283,9 +283,9 @@ def test_seq_bootstrap_runs_and_is_deterministic():
 
 def test_supf_bootstrap_variant():
     data, _ = bb.generate(bb.ScenarioConfig("h0m0", "A", T=80, seed=47))
-    spec = bb.scenario_model_spec()
-    out = bootstrap_sup_test(
-        spec, data, null_breaks=0, alt_breaks=1, statistic="supf",
+    design = make_design(bb.scenario_model_spec(), data)
+    out = bootstrap_sup_test_design(
+        design, null_breaks=0, alt_breaks=1, statistic="supf",
         scheme="wr", B=39, master_seed=4,
     )
     assert out.statistic >= 0
@@ -330,7 +330,7 @@ def two_endogenous_rf_stages(eps=0.15):
 def test_rf_identity_multipliers_reproduce_sample_statistics_p1_two():
     # nu = +1 rebuilds x, so each RF bootstrap statistic equals the sample one
     design, part1, stages = two_endogenous_rf_stages()
-    samples = (rf_sup_wald(design)[0], rf_sup_wald_seq(design, part1))
+    samples = (rf_sup_wald(design), rf_sup_wald_seq(design, part1))
     ones = np.ones((design.n, 1))
     for scheme in ("wr", "wf"):
         for (fn, args), sample in zip(stages, samples):
@@ -365,8 +365,8 @@ def test_bootstrap_distribution_covers_sample_statistic():
         data, _ = bb.generate(
             bb.ScenarioConfig("h0m0", "A", T=120, seed=derive_seed(71, j))
         )
-        out = bootstrap_sup_test(
-            spec, data, null_breaks=0, alt_breaks=1, scheme="wr",
+        out = bootstrap_sup_test_design(
+            make_design(spec, data), null_breaks=0, alt_breaks=1, scheme="wr",
             B=199, master_seed=71, rep_index=j,
         )
         lo, hi = np.quantile(out.boot_draws, [0.005, 0.995])

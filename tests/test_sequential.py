@@ -6,14 +6,14 @@ import breakboot as bb
 from breakboot.bootstrap import BootstrapConfig
 from breakboot.exceptions import ConfigError
 from breakboot.rng import derive_seed
-from breakboot.sequential import estimate_rf_breaks
+from breakboot.sequential import estimate_rf_breaks_design
 
 
 def test_max_breaks_zero_rejected():
     data, _ = bb.generate(bb.ScenarioConfig("h1m0", "A", T=80, seed=1))
     spec = bb.scenario_model_spec()
     with pytest.raises(ConfigError):
-        estimate_rf_breaks(spec, data, max_breaks=0)
+        estimate_rf_breaks_design(bb.make_design(spec, data), max_breaks=0)
 
 
 def test_detects_planted_rf_break(monkeypatch):
@@ -29,8 +29,9 @@ def test_detects_planted_rf_break(monkeypatch):
     monkeypatch.setattr(seq, "rf_break_grid_and_fit", counted)
     data, _ = bb.generate(bb.ScenarioConfig("h1m0", "A", T=240, seed=5))
     spec = bb.scenario_model_spec()
-    res = estimate_rf_breaks(
-        spec, data, max_breaks=2, boot=BootstrapConfig("wr", 99, 5, 1)
+    design = bb.make_design(spec, data)
+    res = estimate_rf_breaks_design(
+        design, max_breaks=2, boot=BootstrapConfig("wr", 99, 5, 1)
     )
     assert res.chosen_breaks == 1
     # break fraction near 1/4
@@ -40,15 +41,15 @@ def test_detects_planted_rf_break(monkeypatch):
     assert res.trail[0][2] <= 0.05 < res.trail[1][2]
     # the stopping stage's partition is kept, not searched for again
     assert calls == [1]
-    assert res.partition == grid_and_fit(bb.make_design(spec, data), 1, 0.15)[0]
+    assert res.partition == grid_and_fit(design, 1, 0.15)[0]
 
 
 def test_trail_reproducible_and_partition_consistent():
     data, _ = bb.generate(bb.ScenarioConfig("h1m0", "B", T=120, seed=7))
-    spec = bb.scenario_model_spec()
+    design = bb.make_design(bb.scenario_model_spec(), data)
     boot = BootstrapConfig("wf", 49, 11, 3)
-    r1 = estimate_rf_breaks(spec, data, max_breaks=2, boot=boot)
-    r2 = estimate_rf_breaks(spec, data, max_breaks=2, boot=boot)
+    r1 = estimate_rf_breaks_design(design, max_breaks=2, boot=boot)
+    r2 = estimate_rf_breaks_design(design, max_breaks=2, boot=boot)
     assert r1.trail == r2.trail
     assert r1.chosen_breaks == r2.chosen_breaks
     assert len(r1.partition.breaks) == r1.chosen_breaks
@@ -65,8 +66,8 @@ def test_break_free_rf_usually_stops_at_zero():
         data, _ = bb.generate(
             bb.ScenarioConfig("h0m0", "A", T=120, seed=derive_seed(31, j))
         )
-        res = estimate_rf_breaks(
-            spec, data, max_breaks=2, boot=BootstrapConfig("wr", 99, 31, j)
+        res = estimate_rf_breaks_design(
+            bb.make_design(spec, data), max_breaks=2, boot=BootstrapConfig("wr", 99, 31, j)
         )
         stops += int(res.chosen_breaks == 0)
     assert stops >= 0.80 * reps

@@ -16,11 +16,12 @@ from breakboot.model import Dataset, Partition, no_breaks
 from breakboot.partition_search import enumerate_partitions, min_regime_length
 from breakboot.stats import (
     ContrastMatrix,
+    _sup_case_i,
     f_at,
+    restricted_fit_batch,
     scan_partitions,
-    sup_f,
-    sup_f_seq,
-    sup_wald_seq,
+    ssr_null_partition,
+    sup_f_design,
     sup_wald_seq_design,
     wald_at,
 )
@@ -99,7 +100,7 @@ def test_sup_wald_singleton_grid_equals_wald_at():
     grid = enumerate_partitions(n, 1, 0.47, spec.q)
     assert grid.count == 1
     (c,) = list(grid.candidates())[0]
-    out = bb.sup_wald(spec, data, k=1, eps=0.47)
+    out = bb.sup_wald_design(design, k=1, eps=0.47)
     part = Partition((c,), n, 0.47, grid.min_len)
     part0 = no_breaks(n, 0.47, 1)
     est = fit_regimes(design, part0, part)
@@ -117,7 +118,7 @@ def test_sup_wald_matches_bruteforce_recomputation():
     part0 = no_breaks(n, 0.15, 1)
     # k = 2 puts a middle regime, with both mask edges inside the sample
     for k in (1, 2):
-        out = bb.sup_wald(spec, data, k=k, eps=0.15)
+        out = bb.sup_wald_design(design, k=k, eps=0.15)
         grid = enumerate_partitions(n, k, 0.15, spec.q)
         best, best_c = -np.inf, None
         for c in grid.candidates():
@@ -134,9 +135,9 @@ def test_sup_wald_matches_bruteforce_recomputation():
 def test_sup_wald_scale_equivariance():
     data, _ = bb.generate(bb.ScenarioConfig("h0m0", "B", T=81, seed=29))
     spec = bb.scenario_model_spec()
-    out1 = bb.sup_wald(spec, data, k=1)
+    out1 = bb.sup_wald_design(make_design(spec, data), k=1)
     data_scaled = Dataset(y=7.5 * data.y, x=data.x, r=data.r)
-    out2 = bb.sup_wald(spec, data_scaled, k=1)
+    out2 = bb.sup_wald_design(make_design(spec, data_scaled), k=1)
     assert out2.statistic == pytest.approx(out1.statistic, rel=1e-8)
 
 
@@ -145,7 +146,7 @@ def test_sup_wald_instrument_transformation_invariance():
     spec = bb.scenario_model_spec()
     design = make_design(spec, data)
     n = design.n
-    base = bb.sup_wald(spec, data, k=1)
+    base = bb.sup_wald_design(design, k=1)
     rng = np.random.default_rng(7)
     parts = enumerate_partitions(n, 1, 0.15, spec.q).as_array()
     for _ in range(3):
@@ -168,7 +169,7 @@ def test_sup_wald_seq_matches_independent_loop():
     n = design.n
     eps = 0.15
     ml = min_regime_length(n, eps, spec.q)
-    out = sup_wald_seq(spec, data, 1, eps)
+    out = sup_wald_seq_design(design, ssr_null_partition(design, 1, eps), eps)
 
     # oracle: recompute everything from scratch
     Z = design.Z
@@ -211,11 +212,11 @@ def test_sup_wald_seq_matches_independent_loop():
 
 def test_sup_wald_seq_infeasible_everywhere():
     data, _ = bb.generate(bb.ScenarioConfig("h0m0", "A", T=41, seed=39))
-    spec = bb.scenario_model_spec()
+    design = make_design(bb.scenario_model_spec(), data)
     # trimming so wide that no regime of the 1-break fit admits an
     # interior candidate
     with pytest.raises(InfeasiblePartitionError):
-        sup_wald_seq(spec, data, 1, eps=0.35)
+        sup_wald_seq_design(design, ssr_null_partition(design, 1, 0.35), 0.35)
 
 
 def test_f_at_arithmetic():
@@ -264,7 +265,7 @@ def test_sup_f_agrees_with_per_candidate_ssr_form():
     spec = bb.scenario_model_spec()
     design = make_design(spec, data)
     n = design.n
-    out = sup_f(spec, data, k=1)
+    out = sup_f_design(design, k=1)
     part0 = no_breaks(n, 0.15, 1)
     _, x_hat, _ = first_stage(design, part0)
     fit0 = second_stage(design, x_hat, part0)
@@ -285,7 +286,7 @@ def test_sup_f_seq_scaling():
     n = design.n
     eps = 0.15
     ml = min_regime_length(n, eps, spec.q)
-    out = sup_f_seq(spec, data, 1, eps)
+    out = sup_wald_seq_design(design, ssr_null_partition(design, 1, eps), eps, statistic="supf")
     Z = design.Z
     delta = np.linalg.solve(Z.T @ Z, Z.T @ design.x)
     x_hat = Z @ delta
@@ -315,32 +316,60 @@ def test_sup_f_seq_scaling():
 def test_statistic_nonnegative_and_beta_source_option():
     data, _ = bb.generate(bb.ScenarioConfig("h0m0", "C", T=81, seed=59))
     spec = bb.scenario_model_spec()
-    out_alt = bb.sup_wald(spec, data, k=1, beta_source="alt")
-    out_null = bb.sup_wald(spec, data, k=1, beta_source="null")
+    design = make_design(spec, data)
+    out_alt = bb.sup_wald_design(design, k=1, beta_source="alt")
+    out_null = bb.sup_wald_design(design, k=1, beta_source="null")
     assert out_alt.statistic >= 0
     assert out_null.statistic >= 0
     # the two score conventions differ in general
     assert out_alt.statistic != pytest.approx(out_null.statistic, rel=1e-12)
     # any other value is rejected, by the sample test and the bootstrap test
     with pytest.raises(ConfigError):
-        bb.sup_wald(spec, data, k=1, beta_source="nul")
+        bb.sup_wald_design(design, k=1, beta_source="nul")
     with pytest.raises(ConfigError):
-        bb.bootstrap_sup_test(spec, data, B=9, beta_source="nul")
-    design = make_design(spec, data)
+        bb.bootstrap_sup_test_design(design, B=9, beta_source="nul")
     part0 = no_breaks(design.n, 0.15, min_regime_length(design.n, 0.15, spec.q))
     with pytest.raises(ConfigError):
         eicker_white(design, fit_regimes(design, part0, part0), part0, beta_source="nul")
 
 
 def test_sup_wald_sees_in_place_edits_of_the_data():
-    # the (spec, data) wrappers build the design from the arrays on every
-    # call, so an in-place edit is never answered from the old values
+    # make_design reads the arrays on every call and nothing caches on the
+    # dataset, so a design built after an in-place edit never sees the old values
     data, _ = bb.generate(bb.ScenarioConfig("h0m0", "A", T=120, seed=23))
     spec = bb.scenario_model_spec()
-    bb.sup_wald(spec, data, k=1)
+    bb.sup_wald_design(make_design(spec, data), k=1)
     data.y[60:] += 3.0
     fresh = Dataset(y=data.y.copy(), x=data.x.copy(), r=data.r.copy())
-    assert bb.sup_wald(spec, data, k=1).statistic == bb.sup_wald(spec, fresh, k=1).statistic
+    edited = bb.sup_wald_design(make_design(spec, data), k=1)
+    assert edited.statistic == bb.sup_wald_design(make_design(spec, fresh), k=1).statistic
+
+
+def test_restricted_fit_takes_stacked_targets():
+    # Y (B, n, py) fits every column on the same rows and sums the SSR over
+    # the columns, as the scan pools them; py = 1 is the (B, n) call bit for bit
+    rng = np.random.default_rng(67)
+    W = rng.normal(size=(5, 60, 4))
+    Y = rng.normal(size=(5, 60, 2))
+    y = np.ascontiguousarray(Y[:, :, 0])
+    b1, ssr1 = restricted_fit_batch(y, W)
+    b3, ssr3 = restricted_fit_batch(y[:, :, None], W)
+    assert b3.shape == (5, 4, 1)
+    assert np.array_equal(b3[:, :, 0], b1) and np.array_equal(ssr3, ssr1)
+    b, ssr = restricted_fit_batch(Y, W)
+    cols = [restricted_fit_batch(np.ascontiguousarray(Y[:, :, c]), W) for c in range(2)]
+    np.testing.assert_allclose(b, np.stack([bc for bc, _ in cols], axis=2), rtol=1e-12)
+    np.testing.assert_allclose(ssr, cols[0][1] + cols[1][1], rtol=1e-12)
+    # so the case (i) reductions take the (B, n, p1) batches the reduced form
+    # comes in, for sup-F and for the null-fit score alike
+    data, _ = bb.generate(bb.ScenarioConfig("h1m0", "A", T=120, seed=5))
+    design = make_design(bb.scenario_model_spec(), data)
+    X3, Z, q = design.x[None], design.Z[None], design.spec.q
+    f3 = _sup_case_i(X3, Z, 1, 0.15, q, statistic="supf")[1]
+    assert np.array_equal(f3, _sup_case_i(X3[:, :, 0], Z, 1, 0.15, q, statistic="supf")[1])
+    assert np.all(np.isfinite(f3))
+    wald = _sup_case_i(X3, Z, 1, 0.15, q)[1]
+    assert np.array_equal(_sup_case_i(X3, Z, 1, 0.15, q, beta_source="null")[1], wald)
 
 
 def test_singular_null_regime_is_skipped_not_raised():
@@ -367,16 +396,17 @@ def test_default_first_stage_is_no_rf_breaks_without_a_search(monkeypatch):
 
     data, _ = bb.generate(bb.ScenarioConfig("h0m0", "A", T=240, seed=7))
     spec = bb.scenario_model_spec()
-    n = make_design(spec, data).n
-    given = bb.sup_wald(
-        spec, data, rf_partition=no_breaks(n, 0.15, min_regime_length(n, 0.15, spec.q))
+    design = make_design(spec, data)
+    n = design.n
+    given = bb.sup_wald_design(
+        design, rf_partition=no_breaks(n, 0.15, min_regime_length(n, 0.15, spec.q))
     )
 
     def no_table(*args, **kwargs):
         raise AssertionError("segment_ssr_table called")
 
     monkeypatch.setattr(ps, "segment_ssr_table", no_table)
-    default = bb.sup_wald(spec, data)
+    default = bb.sup_wald_design(design)
     assert default.statistic == given.statistic
     assert default.argmax_partition == given.argmax_partition
-    bb.bootstrap_sup_test(spec, data, B=9)
+    bb.bootstrap_sup_test_design(design, B=9)
