@@ -80,6 +80,9 @@ class BootstrapConfig:
             raise ConfigError("B must be >= 1")
 
 
+DEFAULT_BOOT = BootstrapConfig("wr", 399, 0)  # WR, B = 399, master seed 0, rep_index 1
+
+
 @dataclass(frozen=True)
 class MultiplierStream:
     """Rademacher multipliers keyed by (master_seed, rep_index, b)."""
@@ -423,26 +426,25 @@ def pvalue_and_quantile(
 
 def bootstrap_sup_test_design(
     design: Design,
+    boot: BootstrapConfig = DEFAULT_BOOT,
     *,
     null_breaks: int = 0,
     alt_breaks: int = 1,
     statistic: str = "supwald",
-    scheme: str = "wr",
     eps: float = 0.15,
-    B: int = 399,
-    master_seed: int = 0,
-    rep_index: int = 1,
     rf_partition: Partition | None = None,
     alphas: tuple[float, ...] = (0.10, 0.05, 0.01),
     beta_source: str = "alt",
 ) -> TestOutcome:
     """Run one structural-change test end to end with bootstrap inference.
 
-    design is ``make_design(spec, data)``.  null_breaks=0 tests no change
-    against alt_breaks changes; null_breaks = l >= 1 tests l against l+1
-    (alt_breaks must then be l+1), with the null partition at the
-    SSR-minimising l breaks (:func:`breakboot.stats.ssr_null_partition`).
-    The first stage is fixed at rf_partition; None means no RF breaks.
+    design is ``make_design(spec, data)`` and boot the bootstrap's scheme,
+    B and seed path.  null_breaks=0 tests no change against alt_breaks
+    changes; null_breaks = l >= 1 tests l against l+1 (alt_breaks must then
+    be l+1), with the null partition at the SSR-minimising l breaks
+    (:func:`breakboot.stats.ssr_null_partition`).  The first stage is fixed
+    at rf_partition; None means no RF breaks.  The outcome records the RF
+    partition used in its rf_partition field.
     """
     if statistic not in STATISTICS:
         raise ConfigError(f"statistic must be one of {STATISTICS}")
@@ -454,7 +456,6 @@ def bootstrap_sup_test_design(
         raise ConfigError("with a breaking null, alt_breaks must equal null_breaks + 1")
     n = design.n
     rf_partition = _rf_partition(design, eps, rf_partition)
-    cfg = BootstrapConfig(scheme=scheme, B=B, master_seed=master_seed, rep_index=rep_index)
 
     if null_breaks == 0:
         if statistic == "supwald":
@@ -465,15 +466,16 @@ def bootstrap_sup_test_design(
             outcome = sup_f_design(design, alt_breaks, eps, rf_partition)
         est = fit_regimes(design, rf_partition, no_breaks(n, eps))
         draws, failures = case_i_draws(
-            design, est, alt_breaks, eps, cfg, beta_source=beta_source, statistic=statistic
+            design, est, alt_breaks, eps, boot, beta_source=beta_source, statistic=statistic
         )
     else:
         null_partition = ssr_null_partition(design, null_breaks, eps, rf_partition)
         outcome = sup_wald_seq_design(design, null_partition, eps, rf_partition, statistic)
         est = fit_regimes(design, rf_partition, null_partition)
-        draws, failures = case_ii_draws(design, est, eps, cfg, statistic=statistic)
+        draws, failures = case_ii_draws(design, est, eps, boot, statistic=statistic)
 
     p, crits, rejects, flags = pvalue_and_quantile(outcome.statistic, draws, alphas)
+    outcome.rf_partition = rf_partition
     outcome.boot_draws = draws
     outcome.p_value = p
     outcome.critical_values = crits

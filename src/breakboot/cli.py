@@ -18,7 +18,8 @@ import json
 import sys
 
 from . import dgp
-from .bootstrap import SCHEMES
+from .bootstrap import SCHEMES, BootstrapConfig
+from .estimation import make_design
 from .exceptions import BootstrapFailureError, BreakbootError, ConfigError
 from .harness import McConfig, run_cell, run_table, test_dataset
 from .model import Dataset, ModelSpec
@@ -196,15 +197,12 @@ def _cmd_test(args) -> int:
         except ValueError:
             raise ConfigError("--rf-breaks must be 'auto' or an integer") from None
     _, report = test_dataset(
-        spec,
-        data,
+        make_design(spec, data),
+        BootstrapConfig(args.scheme, args.B, args.seed),
         null_breaks=args.null_breaks,
         alt_breaks=args.alt_breaks,
-        test=args.test,
-        scheme=args.scheme,
+        statistic=args.test,
         eps=args.eps,
-        B=args.B,
-        seed=args.seed,
         alphas=_parse_alphas(args.alpha),
         rf_breaks=rf,
     )

@@ -15,16 +15,15 @@ import io
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import dgp
-from .bootstrap import SCHEMES, BootstrapConfig, bootstrap_sup_test_design
-from .estimation import make_design
+from .bootstrap import DEFAULT_BOOT, SCHEMES, BootstrapConfig, bootstrap_sup_test_design
+from .estimation import Design, make_design
 from .exceptions import ConfigError
-from .model import Dataset, ModelSpec, no_breaks
-from .partition_search import min_regime_length, rf_break_grid_and_fit
+from .partition_search import rf_break_grid_and_fit
 from .rng import derive_seed
 from .sequential import estimate_rf_breaks_design
 from .stats import STATISTICS, TestOutcome
@@ -49,10 +48,8 @@ class McConfig:
     test: str = "supwald"
     scheme: str = "wr"
     eps: float = 0.15
-    burn_in: int = 200
     master_seed: int = 0
     threads: int = 1
-    rf_max_breaks: int = 2
     keep_reps: bool = False
 
     def __post_init__(self):
@@ -89,46 +86,23 @@ class CellResult:
 
 
 def _replication(args: tuple[int, McConfig]) -> dict:
-    """Run one Monte Carlo replication; self-contained for worker processes."""
+    """Run one Monte Carlo replication, test_dataset on replication j's data;
+    self-contained for worker processes."""
     j, cfg = args
-    scen_cfg = dgp.ScenarioConfig(
-        scenario=cfg.scenario,
-        error_case=cfg.error_case,
-        T=cfg.T,
-        g=cfg.g,
-        burn_in=cfg.burn_in,
+    data, _ = dgp.generate(dgp.ScenarioConfig(
+        scenario=cfg.scenario, error_case=cfg.error_case, T=cfg.T, g=cfg.g,
         seed=derive_seed(cfg.master_seed, j),
-    )
-    data, _ = dgp.generate(scen_cfg)
-    spec = dgp.scenario_model_spec()
-    design = make_design(spec, data)
-    h_true = int(cfg.scenario[1])
-    m_true = int(cfg.scenario[3])
-
-    h_hat, rf_partition = 0, None  # None: no RF breaks
-    if h_true > 0:
-        boot = BootstrapConfig(
-            scheme=cfg.scheme, B=cfg.B, master_seed=cfg.master_seed, rep_index=j
-        )
-        seq = estimate_rf_breaks_design(
-            design, max_breaks=cfg.rf_max_breaks, alpha_seq=0.05,
-            boot=boot, eps=cfg.eps,
-        )
-        rf_partition = seq.partition
-        h_hat = seq.chosen_breaks
-
-    outcome = bootstrap_sup_test_design(
-        design,
+    ))
+    h_true, m_true = int(cfg.scenario[1]), int(cfg.scenario[3])
+    outcome, _ = test_dataset(
+        make_design(dgp.scenario_model_spec(), data),
+        BootstrapConfig(cfg.scheme, cfg.B, cfg.master_seed, j),
         null_breaks=m_true,
         alt_breaks=m_true + 1,
         statistic=cfg.test,
-        scheme=cfg.scheme,
         eps=cfg.eps,
-        B=cfg.B,
-        master_seed=cfg.master_seed,
-        rep_index=j,
-        rf_partition=rf_partition,
         alphas=cfg.alphas,
+        rf_breaks="auto" if h_true else 0,
     )
     return {
         "j": j,
@@ -136,7 +110,7 @@ def _replication(args: tuple[int, McConfig]) -> dict:
         "p": outcome.p_value,
         "reject": {a: bool(outcome.levels_rejected[a]) for a in cfg.alphas},
         "failures": outcome.failed_replications,
-        "h_hat": h_hat,
+        "h_hat": outcome.rf_partition.k,
     }
 
 
@@ -200,13 +174,22 @@ def run_table(
     out_path: str,
     progress: io.TextIOBase | None = None,
 ) -> list[tuple[McConfig, CellResult]]:
-    """Run a grid of cells and write one CSV row per (cell, alpha)."""
+    """Run a grid of cells and write one CSV row per (cell, alpha).
+
+    Each grid entry overrides McConfig fields of base; every entry is
+    checked before the output file is opened.
+    """
+    names = {f.name for f in fields(McConfig)}
+    for overrides in grid:
+        unknown = sorted(set(overrides) - names)
+        if unknown:
+            raise ConfigError(f"unknown grid key(s) {unknown}; the fields are {sorted(names)}")
+    cfgs = [replace(base, **overrides) for overrides in grid]
     results = []
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TABLE_HEADER)
-        for overrides in grid:
-            cfg = replace(base, **overrides)
+        for cfg in cfgs:
             cell = run_cell(cfg, progress=progress)
             results.append((cfg, cell))
             for a in cfg.alphas:
@@ -216,61 +199,51 @@ def run_table(
 
 
 def test_dataset(
-    spec: ModelSpec,
-    data: Dataset,
+    design: Design,
+    boot: BootstrapConfig = DEFAULT_BOOT,
     *,
     null_breaks: int = 0,
     alt_breaks: int = 1,
-    test: str = "supwald",
-    scheme: str = "wr",
+    statistic: str = "supwald",
     eps: float = 0.15,
-    B: int = 399,
-    seed: int = 0,
     alphas: tuple[float, ...] = (0.10, 0.05, 0.01),
     rf_breaks: str | int = "auto",
-    rf_max_breaks: int = 2,
 ) -> tuple[TestOutcome, str]:
-    """Run one structural-change test on user data; returns the outcome and
-    a printable report.
+    """Run one structural-change test on one dataset; returns the outcome
+    and a printable report.
 
-    rf_breaks="auto" runs the sequential RF pre-test first; an integer
-    imposes that many RF breaks at their SSR-estimated locations.
+    design is ``make_design(spec, data)``.  rf_breaks="auto" runs the
+    sequential RF pre-test first, with the same bootstrap settings and up
+    to two breaks; an integer imposes that many RF breaks at their
+    SSR-estimated locations.
     """
-    design = make_design(spec, data)
-    n = design.n
-    min_len = min_regime_length(n, eps, spec.q)
+    rf_partition = None  # no RF breaks
     if rf_breaks == "auto":
-        boot = BootstrapConfig(scheme=scheme, B=B, master_seed=seed, rep_index=1)
-        seq = estimate_rf_breaks_design(
-            design, max_breaks=rf_max_breaks, alpha_seq=0.05, boot=boot, eps=eps
-        )
+        seq = estimate_rf_breaks_design(design, boot=boot, eps=eps)
         rf_partition = seq.partition
         rf_note = f"sequential pre-test selected {seq.chosen_breaks} RF break(s)"
+    elif isinstance(rf_breaks, int) and rf_breaks >= 0:
+        if rf_breaks > 0:
+            rf_partition, _, _ = rf_break_grid_and_fit(design, rf_breaks, eps)
+        rf_note = f"{rf_breaks} RF break(s) imposed"
     else:
-        h = int(rf_breaks)
-        if h == 0:
-            rf_partition = no_breaks(n, eps, min_len)
-        else:
-            rf_partition, _, _ = rf_break_grid_and_fit(design, h, eps)
-        rf_note = f"{h} RF break(s) imposed"
+        raise ConfigError(f"rf_breaks must be 'auto' or an integer >= 0, got {rf_breaks!r}")
 
     outcome = bootstrap_sup_test_design(
         design,
+        boot,
         null_breaks=null_breaks,
         alt_breaks=alt_breaks,
-        statistic=test,
-        scheme=scheme,
+        statistic=statistic,
         eps=eps,
-        B=B,
-        master_seed=seed,
-        rep_index=1,
         rf_partition=rf_partition,
         alphas=alphas,
     )
     lines = [
-        f"test: {test} ({scheme.upper()} bootstrap), H0: m={null_breaks} vs H1: m={alt_breaks}",
-        f"effective sample: n={n} (of T={data.T}), trimming eps={eps}",
-        f"reduced form: {rf_note}, breaks at {list(rf_partition.breaks)}",
+        f"test: {statistic} ({boot.scheme.upper()} bootstrap), "
+        f"H0: m={null_breaks} vs H1: m={alt_breaks}",
+        f"effective sample: n={design.n} (of T={design.data.T}), trimming eps={eps}",
+        f"reduced form: {rf_note}, breaks at {list(outcome.rf_partition.breaks)}",
         f"statistic: {outcome.statistic:.6f}",
         f"break estimate(s): {list(outcome.argmax_partition.breaks)}",
         f"bootstrap p-value: {outcome.p_value:.4f}  (B={len(outcome.boot_draws)})",

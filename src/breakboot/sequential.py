@@ -4,8 +4,8 @@ The RF is a linear model estimated by OLS, so the structural-change
 machinery applies with x as the dependent block and no second stage.
 Stage l tests l breaks against l+1 with the bootstrap sup-Wald, with the
 first stage fitted once on the stage's l-break partition; testing stops
-at the first p-value above the significance level, keeping that stage's
-partition, or at the break cap, whose partition is estimated then.
+at the first p-value above ALPHA_SEQ, keeping that stage's partition, or
+at the break cap, whose partition is estimated then.
 """
 
 from __future__ import annotations
@@ -14,12 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bootstrap import BootstrapConfig, rf_case_i_draws, rf_case_ii_draws
+from .bootstrap import DEFAULT_BOOT, BootstrapConfig, rf_case_i_draws, rf_case_ii_draws
 from .estimation import Design, first_stage
 from .exceptions import ConfigError, SingularMiddleError
 from .model import Partition, no_breaks
 from .partition_search import min_regime_length, rf_break_grid_and_fit
 from .stats import _sup_case_i, _sup_case_ii
+
+ALPHA_SEQ = 0.05  # level of every stage's test
 
 
 @dataclass(frozen=True)
@@ -32,6 +34,8 @@ class SequentialResult:
 def rf_sup_wald(design: Design, eps: float = 0.15) -> float:
     """Sample sup-Wald for no RF breaks against one."""
     _, vals, _ = _sup_case_i(design.x[None], design.Z[None], 1, eps, design.spec.q)
+    if not np.any(np.isfinite(vals)):
+        raise SingularMiddleError("every candidate partition failed")
     return float(np.max(vals[0]))
 
 
@@ -49,18 +53,15 @@ def rf_sup_wald_seq(
 def estimate_rf_breaks_design(
     design: Design,
     max_breaks: int = 2,
-    alpha_seq: float = 0.05,
-    boot: BootstrapConfig | None = None,
+    boot: BootstrapConfig = DEFAULT_BOOT,
     eps: float = 0.15,
 ) -> SequentialResult:
     """Select the RF break count by sequential bootstrap testing.
 
-    design is ``make_design(spec, data)``; boot defaults to WR with B = 399.
+    design is ``make_design(spec, data)``.
     """
     if max_breaks < 1:
         raise ConfigError("max_breaks must be >= 1")
-    if boot is None:
-        boot = BootstrapConfig(scheme="wr", B=399, master_seed=0)
     n = design.n
     trail: list[tuple[int, float, float]] = []
     for level in range(max_breaks):
@@ -79,7 +80,7 @@ def estimate_rf_breaks_design(
             )
         p = float(np.mean(draws >= stat))
         trail.append((level, stat, p))
-        if p > alpha_seq:
+        if p > ALPHA_SEQ:
             return SequentialResult(chosen_breaks=level, partition=partition, trail=trail)
     final, _, _ = rf_break_grid_and_fit(design, max_breaks, eps)
     return SequentialResult(chosen_breaks=max_breaks, partition=final, trail=trail)

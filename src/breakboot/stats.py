@@ -85,6 +85,7 @@ class TestOutcome:
     statistic: float
     argmax_partition: Partition | None = None
     argmax_regime: int | None = None
+    rf_partition: Partition | None = None  # the first stage's, set by the bootstrap test
     boot_draws: np.ndarray = field(default_factory=lambda: np.empty(0))
     p_value: float | None = None
     levels_rejected: dict[float, bool] | None = None
@@ -549,6 +550,8 @@ def _sample_batch(design: Design, eps: float, rf_partition: Partition | None):
 
 
 def _case_i_outcome(design, k, eps, rf_partition, statistic, beta_source="alt"):
+    if k < 1:
+        raise ConfigError(f"the alternative needs at least one break, got {k}")
     n, q = design.n, design.spec.q
     Y, W, v_hat = _sample_batch(design, eps, rf_partition)
     parts, vals, ok = _sup_case_i(

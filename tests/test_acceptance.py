@@ -21,6 +21,7 @@ import pytest
 
 import breakboot as bb
 from breakboot.bootstrap import (
+    BootstrapConfig,
     bootstrap_sup_test_design,
     pvalue_and_quantile,
     wf_generate,
@@ -264,10 +265,10 @@ def test_criterion_7c_wr_equals_wf_lag_free():
     data = Dataset(y=y, x=x, r=r)
     design = make_design(spec, data)
     out_wr = bootstrap_sup_test_design(
-        design, null_breaks=0, alt_breaks=1, scheme="wr", B=49, master_seed=17
+        design, BootstrapConfig("wr", 49, 17), null_breaks=0, alt_breaks=1
     )
     out_wf = bootstrap_sup_test_design(
-        design, null_breaks=0, alt_breaks=1, scheme="wf", B=49, master_seed=17
+        design, BootstrapConfig("wf", 49, 17), null_breaks=0, alt_breaks=1
     )
     exact = (
         np.array_equal(out_wr.boot_draws, out_wf.boot_draws)

@@ -11,6 +11,7 @@ Anything else is code that only the tests reach.
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -77,3 +78,15 @@ def test_every_definition_is_reached():
         and not any(node.name in uses for _, other, uses in top if other is not node)
     ]
     assert dead == []
+
+
+def test_bootstrap_settings_come_as_one_config():
+    # an exported function takes a BootstrapConfig, never its fields
+    loose = {"scheme", "B", "master_seed", "rep_index"}
+    bb = importlib.import_module("breakboot")
+    takers = {
+        name: sorted(loose & set(inspect.signature(obj).parameters))
+        for _, name in init_imports()
+        if inspect.isfunction(obj := getattr(bb, name))
+    }
+    assert {name: params for name, params in takers.items() if params} == {}

@@ -109,10 +109,10 @@ def test_wr_equals_wf_bit_for_bit_without_lags():
     np.testing.assert_array_equal(b_wr.x, b_wf.x)
     # and the bootstrap statistics agree bit for bit
     out_wr = bootstrap_sup_test_design(
-        design, null_breaks=0, alt_breaks=1, scheme="wr", B=19, master_seed=5
+        design, BootstrapConfig("wr", 19, 5), null_breaks=0, alt_breaks=1
     )
     out_wf = bootstrap_sup_test_design(
-        design, null_breaks=0, alt_breaks=1, scheme="wf", B=19, master_seed=5
+        design, BootstrapConfig("wf", 19, 5), null_breaks=0, alt_breaks=1
     )
     np.testing.assert_array_equal(out_wr.boot_draws, out_wf.boot_draws)
     assert out_wr.statistic == out_wf.statistic
@@ -167,10 +167,10 @@ def test_bootstrap_draws_nonnegative_and_deterministic():
     data, _ = bb.generate(bb.ScenarioConfig("h0m0", "B", T=80, seed=29))
     design = make_design(bb.scenario_model_spec(), data)
     out1 = bootstrap_sup_test_design(
-        design, null_breaks=0, alt_breaks=1, scheme="wr", B=25, master_seed=3
+        design, BootstrapConfig("wr", 25, 3), null_breaks=0, alt_breaks=1
     )
     out2 = bootstrap_sup_test_design(
-        design, null_breaks=0, alt_breaks=1, scheme="wr", B=25, master_seed=3
+        design, BootstrapConfig("wr", 25, 3), null_breaks=0, alt_breaks=1
     )
     assert np.all(out1.boot_draws >= 0)
     np.testing.assert_array_equal(out1.boot_draws, out2.boot_draws)
@@ -260,7 +260,7 @@ def test_rejection_flags_attached_to_outcome():
     data, _ = bb.generate(bb.ScenarioConfig("h0m0", "A", T=80, seed=41))
     design = make_design(bb.scenario_model_spec(), data)
     out = bootstrap_sup_test_design(
-        design, null_breaks=0, alt_breaks=1, scheme="wf", B=39, master_seed=2,
+        design, BootstrapConfig("wf", 39, 2), null_breaks=0, alt_breaks=1,
         alphas=(0.10, 0.05),
     )
     assert set(out.levels_rejected) == {0.10, 0.05}
@@ -272,10 +272,10 @@ def test_seq_bootstrap_runs_and_is_deterministic():
     data, _ = bb.generate(bb.ScenarioConfig("h0m1", "A", T=120, seed=43))
     design = make_design(bb.scenario_model_spec(), data)
     out1 = bootstrap_sup_test_design(
-        design, null_breaks=1, alt_breaks=2, scheme="wr", B=19, master_seed=9
+        design, BootstrapConfig("wr", 19, 9), null_breaks=1, alt_breaks=2
     )
     out2 = bootstrap_sup_test_design(
-        design, null_breaks=1, alt_breaks=2, scheme="wr", B=19, master_seed=9
+        design, BootstrapConfig("wr", 19, 9), null_breaks=1, alt_breaks=2
     )
     np.testing.assert_array_equal(out1.boot_draws, out2.boot_draws)
     assert out1.argmax_regime in (1, 2)
@@ -285,8 +285,8 @@ def test_supf_bootstrap_variant():
     data, _ = bb.generate(bb.ScenarioConfig("h0m0", "A", T=80, seed=47))
     design = make_design(bb.scenario_model_spec(), data)
     out = bootstrap_sup_test_design(
-        design, null_breaks=0, alt_breaks=1, statistic="supf",
-        scheme="wr", B=39, master_seed=4,
+        design, BootstrapConfig("wr", 39, 4), null_breaks=0, alt_breaks=1,
+        statistic="supf",
     )
     assert out.statistic >= 0
     assert len(out.boot_draws) == 39
@@ -366,8 +366,8 @@ def test_bootstrap_distribution_covers_sample_statistic():
             bb.ScenarioConfig("h0m0", "A", T=120, seed=derive_seed(71, j))
         )
         out = bootstrap_sup_test_design(
-            make_design(spec, data), null_breaks=0, alt_breaks=1, scheme="wr",
-            B=199, master_seed=71, rep_index=j,
+            make_design(spec, data), BootstrapConfig("wr", 199, 71, j),
+            null_breaks=0, alt_breaks=1,
         )
         lo, hi = np.quantile(out.boot_draws, [0.005, 0.995])
         inside += int(lo <= out.statistic <= hi)

@@ -90,11 +90,13 @@ def test_test_dataset_report(tmp_path):
     data, _ = bb.generate(bb.ScenarioConfig("h0m0", "A", T=100, seed=9))
     spec = bb.scenario_model_spec()
     outcome, report = run_dataset_test(
-        spec, data, null_breaks=0, alt_breaks=1, B=39, seed=1, rf_breaks=0
+        bb.make_design(spec, data), bb.BootstrapConfig("wr", 39, 1),
+        null_breaks=0, alt_breaks=1, rf_breaks=0,
     )
     assert "statistic:" in report and "p-value" in report
     assert "skipped candidates" in report
     assert 0.0 <= outcome.p_value <= 1.0
+    assert outcome.rf_partition.k == 0
 
 
 def test_test_dataset_power_smoke():
@@ -102,7 +104,8 @@ def test_test_dataset_power_smoke():
     data, _ = bb.generate(bb.ScenarioConfig("h0m1", "A", T=480, g=0.4, seed=4))
     spec = bb.scenario_model_spec()
     outcome, _ = run_dataset_test(
-        spec, data, null_breaks=1, alt_breaks=2, B=99, seed=4, rf_breaks=0
+        bb.make_design(spec, data), bb.BootstrapConfig("wr", 99, 4),
+        null_breaks=1, alt_breaks=2, rf_breaks=0,
     )
     assert outcome.levels_rejected[0.05]
 
@@ -125,6 +128,29 @@ def test_cli_gen_and_test(tmp_path):
         "--rf-breaks", "0", "--seed", "1",
     ])
     assert rc == 0
+
+
+def test_cli_bad_break_counts_exit_2(tmp_path):
+    data, _ = bb.generate(bb.ScenarioConfig("h0m0", "A", T=80, seed=7))
+    data_path, spec_path = tmp_path / "d.csv", tmp_path / "spec.json"
+    data.to_csv(str(data_path))
+    bb.scenario_model_spec().to_json(str(spec_path))
+    base = ["test", "--data", str(data_path), "--spec", str(spec_path), "--B", "9"]
+    assert cli_main(base + ["--alt-breaks", "0", "--rf-breaks", "0"]) == 2
+    assert cli_main(base + ["--alt-breaks", "-1", "--rf-breaks", "0"]) == 2
+    assert cli_main(base + ["--rf-breaks", "-1"]) == 2
+
+
+def test_cli_table_unknown_grid_key_exit_2(tmp_path):
+    out = tmp_path / "table.csv"
+    for bad in ([{"tset": "supf"}], [{"g": 0.0}, {"burn_in": 100}], [{"rf_max_breaks": 1}]):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(bad))
+        rc = cli_main([
+            "table", "--grid", str(grid), "--N", "1", "--B", "9", "--out", str(out),
+        ])
+        assert rc == 2
+        assert not out.exists()
 
 
 def test_cli_simulate_writes_rows(tmp_path):

@@ -4,9 +4,10 @@ import pytest
 
 import breakboot as bb
 from breakboot.bootstrap import BootstrapConfig
-from breakboot.exceptions import ConfigError
+from breakboot.exceptions import ConfigError, SingularMiddleError
+from breakboot.partition_search import min_regime_length
 from breakboot.rng import derive_seed
-from breakboot.sequential import estimate_rf_breaks_design
+from breakboot.sequential import estimate_rf_breaks_design, rf_sup_wald
 
 
 def test_max_breaks_zero_rejected():
@@ -14,6 +15,21 @@ def test_max_breaks_zero_rejected():
     spec = bb.scenario_model_spec()
     with pytest.raises(ConfigError):
         estimate_rf_breaks_design(bb.make_design(spec, data), max_breaks=0)
+
+
+def test_every_failed_candidate_raises_like_the_sample_statistics():
+    # r2 is zero in every candidate's first regime, so each one-break
+    # candidate's RF Gram is singular, while the no-break fit is not
+    data, _ = bb.generate(bb.ScenarioConfig("h1m0", "A", T=80, seed=1))
+    spec = bb.scenario_model_spec()
+    n = bb.make_design(spec, data).n
+    r = data.r.copy()
+    r[spec.max_lag : spec.max_lag + n - min_regime_length(n, 0.15, spec.q), 1] = 0.0
+    design = bb.make_design(spec, bb.Dataset(y=data.y, x=data.x, r=r))
+    with pytest.raises(SingularMiddleError):
+        rf_sup_wald(design)
+    with pytest.raises(SingularMiddleError):
+        estimate_rf_breaks_design(design, boot=BootstrapConfig("wr", 19, 0))
 
 
 def test_detects_planted_rf_break(monkeypatch):

@@ -219,6 +219,17 @@ def test_sup_wald_seq_infeasible_everywhere():
         sup_wald_seq_design(design, ssr_null_partition(design, 1, 0.35), 0.35)
 
 
+def test_alternative_without_breaks_is_a_config_error():
+    data, _ = bb.generate(bb.ScenarioConfig("h0m0", "A", T=60, seed=39))
+    design = make_design(bb.scenario_model_spec(), data)
+    with pytest.raises(ConfigError):
+        bb.sup_wald_design(design, k=0)
+    with pytest.raises(ConfigError):
+        sup_f_design(design, k=0)
+    with pytest.raises(ConfigError):
+        bb.bootstrap_sup_test_design(design, bb.BootstrapConfig("wr", 9, 0), alt_breaks=0)
+
+
 def test_f_at_arithmetic():
     assert f_at(10.0, 10.0, 100, 1, 4) == pytest.approx(0.0)
     assert f_at(10.0, 8.0, 100, 1, 4) == pytest.approx(5.75)
@@ -327,7 +338,7 @@ def test_statistic_nonnegative_and_beta_source_option():
     with pytest.raises(ConfigError):
         bb.sup_wald_design(design, k=1, beta_source="nul")
     with pytest.raises(ConfigError):
-        bb.bootstrap_sup_test_design(design, B=9, beta_source="nul")
+        bb.bootstrap_sup_test_design(design, bb.BootstrapConfig("wr", 9, 0), beta_source="nul")
     part0 = no_breaks(design.n, 0.15, min_regime_length(design.n, 0.15, spec.q))
     with pytest.raises(ConfigError):
         eicker_white(design, fit_regimes(design, part0, part0), part0, beta_source="nul")
@@ -409,4 +420,4 @@ def test_default_first_stage_is_no_rf_breaks_without_a_search(monkeypatch):
     default = bb.sup_wald_design(design)
     assert default.statistic == given.statistic
     assert default.argmax_partition == given.argmax_partition
-    bb.bootstrap_sup_test_design(design, B=9)
+    bb.bootstrap_sup_test_design(design, bb.BootstrapConfig("wr", 9, 0))
