@@ -15,10 +15,12 @@ One path builder serves both equations.  The structural equation's
 bootstrap generates x and y, so its WR rebuilds lagged x and lagged y.  The
 reduced-form pre-test bootstraps x alone, so its WR rebuilds only lagged x
 and holds lagged y at its sample values.  WR without lags is WF.  So the
-B reduced-form samples of a test share every instrument column except the
-rebuilt lagged x (under WF, and WR without lags, they share all of them);
-their scans invert each candidate regime's shared block once (see
-:func:`breakboot.stats.scan_partitions_batch`).
+B samples of a test share every regressor column except the ones they
+resample: the reduced form's rebuilt lagged x (none under WF, and WR
+without lags), and the structural equation's x_hat, refitted on every
+draw, plus lagged y where WR rebuilds it and z1 holds it.  Every bootstrap
+scan inverts each candidate regime's shared block once and borders the
+resampled columns in (see :func:`breakboot.stats.scan_partitions_batch`).
 
 Replication b of Monte Carlo repetition j draws its multipliers from the
 stream seeded by derive_seed(master_seed, j, STREAM_NU, b); reduced-form
@@ -253,11 +255,11 @@ def _samples(design: Design, cfg: BootstrapConfig, nu: np.ndarray | None, *,
     (B, n, d) holds the first stage re-estimated on each sample over
     est.rf_partition next to z1, and v_hat_b (B, n, p1) its residuals.
     Reduced form (rf = (delta, v_hat, rf_partition)): Yb (B, n, p1) is x,
-    Wb (B, n, q) is z, v_hat_b is None and resampled the z columns that
-    differ across the batch (the rebuilt lagged x); the SE gives None there,
-    so its scans stay on the LU path.  Multipliers come from the
-    SE stream, or the RF stream of the given pre-test stage, unless nu
-    (n, B) is passed.
+    Wb (B, n, q) is z and v_hat_b is None.  resampled holds the Wb columns
+    that differ across the batch: the z columns _paths rebuilds for the RF;
+    x_hat and the z1 positions of the rebuilt z columns for the SE.
+    Multipliers come from the SE stream, or the RF stream of the given
+    pre-test stage, unless nu (n, B) is passed.
     """
     n, spec = design.n, design.spec
     if nu is None:
@@ -275,7 +277,10 @@ def _samples(design: Design, cfg: BootstrapConfig, nu: np.ndarray | None, *,
     Wb = np.empty((nu.shape[1], n, spec.d_beta))
     Wb[:, :, : spec.p1] = what
     Wb[:, :, spec.p1 :] = Zb[:, :, list(spec.z1_positions)]
-    return yb.T.copy(), Wb, xb.transpose(2, 0, 1) - what, None
+    resampled = tuple(range(spec.p1)) + tuple(
+        spec.p1 + j for j, c in enumerate(spec.z1_positions) if c in rebuilt
+    )
+    return yb.T.copy(), Wb, xb.transpose(2, 0, 1) - what, resampled
 
 
 def _draws(stats: np.ndarray, cfg: BootstrapConfig) -> tuple[np.ndarray, int]:
@@ -308,10 +313,10 @@ def case_i_draws(
     first stage on the fixed RF regimes, second stage over the same grid,
     and the robust blocks built from the re-estimated residuals.
     """
-    Yb, Wb, vb, _ = _samples(design, cfg, nu, est=est)
+    Yb, Wb, vb, resampled = _samples(design, cfg, nu, est=est)
     _, vals, _ = _sup_case_i(
         Yb, Wb, k, eps, design.spec.q, statistic=statistic, v_rows=vb,
-        beta_source=beta_source, p1=design.spec.p1,
+        beta_source=beta_source, p1=design.spec.p1, resampled=resampled,
     )
     return _draws(np.max(vals, axis=1), cfg)
 
@@ -330,11 +335,11 @@ def case_ii_draws(
     est must impose the l-break null: its se_partition is reused
     as the regime frame for every replication.
     """
-    Yb, Wb, vb, _ = _samples(design, cfg, nu, est=est)
+    Yb, Wb, vb, resampled = _samples(design, cfg, nu, est=est)
     min_len = min_regime_length(design.n, eps, design.spec.q)
     best, *_ = _sup_case_ii(
         Yb, Wb, est.se_partition, min_len, statistic=statistic, v_rows=vb,
-        p1=design.spec.p1,
+        p1=design.spec.p1, resampled=resampled,
     )
     return _draws(best, cfg)
 

@@ -21,19 +21,19 @@ against the row-wise regressor cross products.  Each block of candidates
 forms its masked score rows in place, in one buffer that every regime
 reuses.
 
-The regime coefficients and sandwich blocks take one of two forms.  The
-reduced-form bootstrap batches of the pre-test declare which regressor
-columns they resample: only the lagged x that WR rebuilds, none under WF.
-Every other column is the sample's in every batch entry, so the scan
-inverts each candidate regime's shared block once and factors only the
-small per-entry Schur complement, and b and V come from G^{-1} by matrix
-products.  Every other batch, that is each sample statistic (a batch of
-one) and every structural-equation bootstrap batch, solves each (entry,
-candidate) Gram by LU, once for b and twice for V.  The two forms agree to
-about 1e-11 relative, but only the LU form reproduces the recorded
-outputs bit for bit, and the benchmark compares its 2-worker
-structural-equation cell bit for bit with a recorded reference; so that
-path keeps its rounding until the comparison goes through tolerances.
+The regime coefficients and sandwich blocks take one of two forms.  A
+sample statistic, a batch of one, solves each candidate's Gram by LU, once
+for b and twice for V.  Every bootstrap batch declares the regressor
+columns it resamples: the structural equation's x_hat, refitted on every
+draw, plus lagged y where WR rebuilds it; the reduced form's lagged x
+under WR, none under WF.  Every other column is the sample's in every
+batch entry, so the scan inverts each candidate regime's shared block
+once, borders the resampled columns in one at a time, and takes b and V
+from G^{-1} by vector operations and matrix products.  Bootstrap draws
+reach the outputs only through the p-value count and the order-statistic
+critical values, so their rounding may move; the sample statistic keeps
+the LU sequence until the benchmark's 2-worker cell, compared bit for bit
+with a recorded reference, is compared through tolerances.
 
 Every statistic is computed over a batch of datasets that share one
 candidate grid.  The sample is a batch of one, whose argmax also gives the
@@ -199,11 +199,12 @@ def scan_partitions_batch(
     resampled : the columns of Ws that differ across the batch; every other
         column must be bitwise equal in every batch entry.  When given, each
         candidate regime's shared block is inverted once, from batch entry
-        0, and only the Schur complement of the resampled columns is
-        factored per entry; G^{-1} then gives b and V by matrix products.
-        A candidate is skipped where the shared block is singular or the
-        Schur complement is not positive definite.  None (the default)
-        solves every (entry, candidate) Gram by LU.
+        0, and the resampled columns are bordered in one at a time (see
+        :func:`_shared_inverse`); G^{-1} then gives b and V, and only entry
+        0's prefix sums cover the whole Gram.  A candidate is skipped where
+        the shared block is singular or a bordering pivot is not positive.
+        Every bootstrap batch passes it; None (the default), for the
+        sample's batch of one, solves every (entry, candidate) Gram by LU.
 
     Returns (wald, ssr, ok), each (B, m); wald is -inf and ssr +inf where
     a candidate failed.
@@ -238,7 +239,13 @@ def _scan(Y, Ws, parts, n_global, v_rows, score_beta, p1, compute_wald, chunk_ro
         sb = slice(b0, min(b0 + bc, B))
         Yc, Wc = Y[sb], Ws[sb]
         cross = (Wc[:, :, :, None] * Wc[:, :, None, :]).reshape(-1, n, d * d)
-        sums = (cross, _prefix(cross), _prefix(Wc[:, :, :, None] * Yc[:, :, None, :]),
+        if resampled is None:
+            cum_G = _prefix(cross)
+        else:  # entry 0 in full, and the resampled rows of the Gram for every entry
+            rs = np.asarray(resampled, dtype=np.int64)
+            cum_G = (_prefix(cross[:1])[0],
+                     _prefix(cross[:, :, (rs[:, None] * d + np.arange(d)).ravel()]))
+        sums = (cross, cum_G, _prefix(Wc[:, :, :, None] * Yc[:, :, None, :]),
                 _prefix(Yc * Yc))
         vc = None if v_rows is None else v_rows[sb]
         betac = None if score_beta is None else score_beta[sb]
@@ -250,40 +257,67 @@ def _scan(Y, Ws, parts, n_global, v_rows, score_beta, p1, compute_wald, chunk_ro
     return wald, ssr, ok
 
 
-def _shared_inverse(cum_G, s_e, e_e, resampled, out):
-    """G^{-1} of every (entry, candidate) regime Gram by the block formula.
+def _shared_inverse(cum_G, h, s_e, e_e, resampled, bufs):
+    """G^{-1} and b = G^{-1} h of every (entry, candidate) regime, by bordering.
 
-    The columns outside resampled are shared by the batch, so their block A
-    is read from entry 0 and inverted once per candidate.  With C and D the
-    shared-by-resampled and resampled blocks, S = D - C'A^{-1}C the Schur
-    complement and U = [-A^{-1}C; I] (rows in column order),
-    G^{-1} = A^{-1} (zero-padded) + U S^{-1} U'.  Returns (G^{-1}, ok):
-    (Bc, m, d, d) written into out and (Bc, m), or (1, m, d, d) and (1, m)
-    when nothing is resampled.  ok is False where _batched_solve flags A
-    singular or S is not positive definite.
+    cum_G is (entry 0's prefix of the whole Gram, (n+1, d*d); every entry's
+    prefix of the resampled rows, (Bc, n+1, len(resampled)*d)).  The block
+    of the shared columns is read from entry 0 and inverted once per
+    candidate; the resampled columns are then bordered in one at a time.
+    With G^{-1} the zero-padded inverse so far, g column r of the Gram,
+    u = G^{-1} g and the pivot s = g_rr - g'u, G^{-1} += w w'/s with
+    w = u - e_r.  A Gram of condition 1e8 (a constant next to a lagged y of
+    mean 280 and sd 50) makes G^{-1} h ten times less accurate than an LU
+    solve, so b takes one step of iterative refinement against G.
+    Returns (G^{-1} (Bc, m, d, d), in bufs[0]; b (Bc, m, d, py); ok
+    (Bc, m)), with a leading axis of 1 for G^{-1} and ok when nothing is
+    resampled.  ok is False where _batched_solve flags the shared block
+    singular or a pivot is not positive, that is where the Schur complement
+    of the resampled columns is not positive definite.  The work keeps the
+    (entry, candidate) axes last, in bufs (3, Bc, m, d, d), so every step
+    is a long vector operation.
     """
-    m, d = s_e.shape[0], out.shape[-1]
+    cum_A, cum_R = cum_G
+    m, d = s_e.shape[0], bufs.shape[-1]
     rs = np.asarray(resampled, dtype=np.int64)
     sh = np.setdiff1d(np.arange(d), rs)
-    A = (cum_G[0, e_e] - cum_G[0, s_e]).reshape(m, d, d)[:, sh[:, None], sh]
-    A_inv, ok = _batched_solve(A, np.broadcast_to(np.eye(sh.size), A.shape))
-    A_pad = np.zeros((1, m, d, d))
-    A_pad[0][:, sh[:, None], sh] = A_inv
-    if rs.size == 0:
-        return A_pad, ok[None]
-    cols = (np.arange(d)[:, None] * d + rs).ravel()  # G[:, rs] in the flat d*d layout
-    Gr = (cum_G[:, e_e[:, None], cols] - cum_G[:, s_e[:, None], cols]).reshape(
-        -1, m, d, rs.size
-    )
-    U = np.eye(d)[:, rs] - A_pad @ Gr
-    S = Gr.transpose(0, 1, 3, 2) @ U
-    pd = S[:, :, 0, 0] > 0
-    for j in range(2, rs.size + 1):  # the other leading minors (Sylvester)
-        pd &= np.linalg.det(S[:, :, :j, :j]) > 0
-    S[~pd] = np.eye(rs.size)
-    np.matmul(U @ np.linalg.inv(S), U.transpose(0, 1, 3, 2), out=out)
-    out += A_pad
-    return out, ok & pd
+    G = (cum_A[e_e] - cum_A[s_e]).reshape(m, d, d).transpose(1, 2, 0)[:, :, None]
+    G_inv = np.zeros((d, d, 1, m))
+    ok = np.ones((1, m), dtype=bool)
+    if sh.size:
+        A = G[sh[:, None], sh, 0].transpose(2, 0, 1)
+        A_inv, ok[0] = _batched_solve(A, np.broadcast_to(np.eye(sh.size), A.shape))
+        G_inv[sh[:, None], sh, 0] = A_inv.transpose(1, 2, 0)
+    R = np.ascontiguousarray((cum_R[:, e_e] - cum_R[:, s_e]).transpose(2, 0, 1))
+    R = R.reshape(rs.size, d, *R.shape[1:])  # the resampled rows, equal to the columns
+    work, G_all = bufs[1].reshape(d, d, -1, m), bufs[2].reshape(d, d, -1, m)
+    if rs.size:
+        np.copyto(G_all, G)
+        G_all[rs], G_all[:, rs] = R, R.transpose(1, 0, 2, 3)
+        G = G_all
+    for g, r in zip(R, rs):
+        w = _mv(G_inv, g)
+        s = g[r] - np.einsum("d...,d...->...", g, w)
+        pd = s > 0
+        ok = ok & pd
+        s[~pd] = 1.0
+        w[r] = -1.0
+        update = np.multiply(w[:, None], w / s, out=None if G_inv is work else work)
+        G_inv = np.add(G_inv, update, out=work)
+    b = np.empty(h.shape)
+    for c, hc in enumerate(h.transpose(3, 2, 0, 1)):
+        bc = _mv(G_inv, hc)
+        bc += _mv(G_inv, hc - _mv(G, bc))
+        b[..., c] = bc.transpose(1, 2, 0)
+    if rs.size:
+        bufs[0] = G_inv.transpose(2, 3, 0, 1)
+        return bufs[0], b, ok
+    return G_inv.transpose(2, 3, 0, 1), b, ok
+
+
+def _mv(A, x):
+    """A @ x for (d, d, ...) matrices and (d, ...) vectors, stacked on the last axes."""
+    return np.einsum("ij...,j...->i...", A, x)
 
 
 def _scan_block(Y, Ws, sums, edges, n_global, v_rows, score_beta, p1, compute_wald,
@@ -301,7 +335,7 @@ def _scan_block(Y, Ws, sums, edges, n_global, v_rows, score_beta, p1, compute_wa
     Vs: list[np.ndarray] = []
     inverse = resampled is not None
     if inverse:  # work arrays of the inverse form, written in place by every regime
-        G_inv_buf = np.empty((Bc, m, d, d))
+        inv_bufs = np.empty((3, Bc, m, d, d))
     if compute_wald:
         buf = np.empty((py, Bc, m, n))  # the score rows, reused by every regime
         M = np.empty((Bc, m, py, d, py, d))
@@ -312,8 +346,7 @@ def _scan_block(Y, Ws, sums, edges, n_global, v_rows, score_beta, p1, compute_wa
         s_e, e_e = edges[:, i], edges[:, i + 1]
         h = cum_h[:, e_e] - cum_h[:, s_e]
         if inverse:
-            G_inv, ok_i = _shared_inverse(cum_G, s_e, e_e, resampled, G_inv_buf)
-            b = G_inv @ h
+            G_inv, b, ok_i = _shared_inverse(cum_G, h, s_e, e_e, resampled, inv_bufs)
             ok &= ok_i
         else:
             G = (cum_G[:, e_e] - cum_G[:, s_e]).reshape(Bc * m, d, d)

@@ -30,7 +30,14 @@ from breakboot.partition_search import (
 )
 from breakboot.rng import STREAM_NU_RF, derive_seed
 from breakboot.sequential import rf_sup_wald, rf_sup_wald_seq
-from breakboot.stats import _rf_partition, _sup_case_i, _sup_case_ii, scan_partitions_batch
+from breakboot.stats import (
+    STATISTICS,
+    _rf_partition,
+    _sup_case_i,
+    _sup_case_ii,
+    scan_partitions_batch,
+    ssr_null_partition,
+)
 
 
 def null_estimates(spec, data, eps=0.15):
@@ -521,3 +528,101 @@ def test_rf_shared_block_singular_policy():
     assert_same_scan((parts, vals, ok), _sup_case_i(Yb, Wb, 1, 0.15, q))
     assert np.array_equal(ok[2], parts[:, 0] > 40)
     assert ok[[0, 1, 3, 4, 5, 6]].all()
+
+
+def scenario_design(T=120, seed=53):
+    data, _ = bb.generate(bb.ScenarioConfig("h0m0", "A", T=T, seed=seed))
+    return make_design(bb.scenario_model_spec(), data)
+
+
+def se_samples(design, scheme, null_partition=None, B=7, seed=5):
+    """One SE bootstrap batch, no RF breaks: (Yb, Wb, v_hat_b, resampled)."""
+    n = design.n
+    part0 = no_breaks(n, 0.15, min_regime_length(n, 0.15, design.spec.q))
+    est = fit_regimes(design, part0, null_partition or part0)
+    return _samples(design, BootstrapConfig(scheme, B, seed, 1), None, est=est)
+
+
+def test_se_samples_declare_their_resampled_columns():
+    # W = (x_hat, z1): every draw refits the first stage, and WR rebuilds
+    # lagged y, the scenario's fourth column of W.  Every other column is
+    # the sample's, bit for bit, in every batch entry.
+    for design, wr, wf in ((scenario_design(), (0, 3), (0,)),  # p1 = 1
+                           (make_design(*two_endogenous_system()), (0, 1), (0, 1))):
+        for scheme, expected in (("wr", wr), ("wf", wf)):
+            _, Wb, _, resampled = se_samples(design, scheme)
+            assert resampled == expected
+            shared = Wb[:, :, [c for c in range(design.spec.d_beta) if c not in resampled]]
+            assert np.array_equal(shared, np.broadcast_to(shared[:1], shared.shape))
+            for c in resampled:
+                assert not np.array_equal(Wb[1, :, c], Wb[0, :, c])
+
+
+def assert_close_to_lu(new, lu, sup_tol):
+    """Scan values against the LU path's: rtol 1e-10, or within sup_tol of
+    each batch entry's sup when sup_tol is given."""
+    assert np.array_equal(np.isfinite(new), np.isfinite(lu))
+    if sup_tol is None:
+        np.testing.assert_allclose(new, lu, rtol=1e-10)
+        return
+    finite = np.isfinite(lu)
+    scale = np.abs(np.where(finite, lu, 0.0))
+    if lu.ndim == 2:
+        scale = scale.max(axis=1, keepdims=True)
+    assert np.all(np.abs(np.where(finite, new - lu, 0.0)) <= sup_tol * scale)
+
+
+def test_se_shared_block_scans_equal_lu_path():
+    # the bordered inverse of the SE bootstrap batches gives the LU path's
+    # ok masks and argmax exactly.  On the p1 = 2 system its values agree
+    # within rtol 1e-10.  The scenario's regime Grams reach a condition
+    # number of 1e8 (a constant next to x_hat and lagged y of means about
+    # 110 and 280), where the LU values themselves carry errors near 1e-9,
+    # so there they agree within 1e-8 of each draw's sup; without the
+    # refinement step of b, sup-F misses that by a factor of ten.
+    for design, sup_tol in ((scenario_design(), 1e-8),
+                            (make_design(*two_endogenous_system()), None)):
+        n, q, p1 = design.n, design.spec.q, design.spec.p1
+        min_len = min_regime_length(n, 0.15, q)
+        null = ssr_null_partition(design, 1, 0.15)
+        for scheme in ("wr", "wf"):
+            Yb, Wb, vb, resampled = se_samples(design, scheme)
+            for k in (1, 2):
+                for statistic, beta_source in (("supwald", "alt"), ("supwald", "null"),
+                                               ("supf", "alt")):
+                    new, lu = (_sup_case_i(Yb, Wb, k, 0.15, q, statistic=statistic,
+                                           v_rows=vb, beta_source=beta_source, p1=p1,
+                                           resampled=r) for r in (resampled, None))
+                    np.testing.assert_array_equal(new[2], lu[2])
+                    np.testing.assert_array_equal(np.argmax(new[1], axis=1),
+                                                  np.argmax(lu[1], axis=1))
+                    assert_close_to_lu(new[1], lu[1], sup_tol)
+            Yb, Wb, vb, resampled = se_samples(design, scheme, null)
+            for statistic in STATISTICS:
+                new, lu = (_sup_case_ii(Yb, Wb, null, min_len, statistic=statistic,
+                                        v_rows=vb, p1=p1, resampled=r)
+                           for r in (resampled, None))
+                assert_close_to_lu(new[0], lu[0], sup_tol)
+                assert all(np.array_equal(a, b) for a, b in zip(new[1:3], lu[1:3]))
+                assert new[3] == lu[3] and new[4] == lu[4]
+
+
+def test_se_shared_block_singular_policy():
+    # lagged y, the second column bordered in, zeroed over rows 1-40 of one
+    # draw makes every first regime inside those rows singular in that draw
+    # alone.  Its pivot is then zero, so exactly the LU path's candidates
+    # are skipped, on the Wald and the SSR-only path, and nothing raises.
+    design = scenario_design(T=241)
+    q = design.spec.q
+    Yb, Wb, vb, resampled = se_samples(design, "wr")
+    Wb[2, :40, resampled[1]] = 0.0
+    for statistic in STATISTICS:
+        parts, vals, ok = _sup_case_i(Yb, Wb, 1, 0.15, q, statistic=statistic, v_rows=vb,
+                                      p1=1, resampled=resampled)
+        lu = _sup_case_i(Yb, Wb, 1, 0.15, q, statistic=statistic, v_rows=vb, p1=1)
+        np.testing.assert_array_equal(ok, lu[2])
+        np.testing.assert_array_equal(np.isfinite(vals), np.isfinite(lu[1]))
+        inside = parts[:, 0] <= 40
+        assert inside.any() and not inside.all()
+        assert np.array_equal(ok[2], ~inside)
+        assert ok[[0, 1, 3, 4, 5, 6]].all()

@@ -5,9 +5,10 @@ for bit with ``perfbench/reference/mc_size_h0m0_2w.json``, which was
 recorded with the current LU rounding.  A kernel change that moves the
 last bit of any sample statistic therefore fails the benchmark although
 every output is within the tolerances of ``workloads.matches``.  These
-tests catch that here: one cell is replayed with ``threads=1`` and
-compared with ``==``, and four pool entries are compared through
-``matches`` at the paper's B = 399.
+tests catch that here: each of the four recorded cells (the traced run
+picks cell ``seed % 4``) is replayed with ``threads=1`` and compared with
+``==``, and four pool entries are compared through ``matches`` at the
+paper's B = 399.
 
 The bitwise assert is relaxed in the same change that relaxes the
 benchmark's own 2-worker check; until then the two must agree.
@@ -36,8 +37,9 @@ def reference(name: str) -> dict:
 def test_pooled_cell_replays_bit_for_bit():
     workloads = load_workloads()
     ref = reference("mc_size_h0m0_2w")
-    cell = next(c for c in ref["cells"] if c["c"] == 0)
-    assert workloads.run_pooled(0, ref["B"], threads=1) == cell["reps"]
+    assert sorted(c["c"] for c in ref["cells"]) == list(range(workloads.POOLED_CELLS))
+    for cell in ref["cells"]:
+        assert workloads.run_pooled(cell["c"], ref["B"], threads=1) == cell["reps"], cell["c"]
 
 
 def test_pool_entries_match_their_reference():
