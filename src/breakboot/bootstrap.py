@@ -303,7 +303,6 @@ def case_i_draws(
     eps: float,
     cfg: BootstrapConfig,
     *,
-    beta_source: str = "alt",
     statistic: str = "supwald",
     nu: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
@@ -315,8 +314,8 @@ def case_i_draws(
     """
     Yb, Wb, vb, resampled = _samples(design, cfg, nu, est=est)
     _, vals, _ = _sup_case_i(
-        Yb, Wb, k, eps, design.spec.q, statistic=statistic, v_rows=vb,
-        beta_source=beta_source, p1=design.spec.p1, resampled=resampled,
+        Yb, Wb, k, eps, design.spec.q, statistic=statistic, v_rows=vb, p1=design.spec.p1,
+        resampled=resampled,
     )
     return _draws(np.max(vals, axis=1), cfg)
 
@@ -439,7 +438,6 @@ def bootstrap_sup_test_design(
     eps: float = 0.15,
     rf_partition: Partition | None = None,
     alphas: tuple[float, ...] = (0.10, 0.05, 0.01),
-    beta_source: str = "alt",
 ) -> TestOutcome:
     """Run one structural-change test end to end with bootstrap inference.
 
@@ -453,8 +451,6 @@ def bootstrap_sup_test_design(
     """
     if statistic not in STATISTICS:
         raise ConfigError(f"statistic must be one of {STATISTICS}")
-    if beta_source not in ("alt", "null"):
-        raise ConfigError("beta_source must be 'alt' or 'null'")
     if null_breaks < 0:
         raise ConfigError("null_breaks must be >= 0")
     if null_breaks > 0 and alt_breaks != null_breaks + 1:
@@ -464,15 +460,11 @@ def bootstrap_sup_test_design(
 
     if null_breaks == 0:
         if statistic == "supwald":
-            outcome = sup_wald_design(
-                design, alt_breaks, eps, rf_partition, beta_source=beta_source
-            )
+            outcome = sup_wald_design(design, alt_breaks, eps, rf_partition)
         else:
             outcome = sup_f_design(design, alt_breaks, eps, rf_partition)
         est = fit_regimes(design, rf_partition, no_breaks(n, eps))
-        draws, failures = case_i_draws(
-            design, est, alt_breaks, eps, boot, beta_source=beta_source, statistic=statistic
-        )
+        draws, failures = case_i_draws(design, est, alt_breaks, eps, boot, statistic=statistic)
     else:
         null_partition = ssr_null_partition(design, null_breaks, eps, rf_partition)
         outcome = sup_wald_seq_design(design, null_partition, eps, rf_partition, statistic)

@@ -1,9 +1,39 @@
-"""Least-squares kernels: OLS, regime-wise 2SLS pipeline, robust covariance.
+"""Least-squares kernels: OLS, regime-wise 2SLS pipeline, robust covariance,
+and the segment scan.
 
 All estimation runs on the effective sample (see :mod:`breakboot.model`).
 Moment matrices are normalised by the full effective length n, not by
 regime length; the choice cancels in the sandwich but is fixed for
 comparability with hand computations.
+
+:func:`_scan` is the package's one segment least-squares kernel.  It fits
+every regime of a batch of candidates, each given by its regime edges, and
+optionally forms the robust Wald statistic of :mod:`breakboot.stats` at
+each candidate.  The sup statistics' break scans and the break search's
+segment SSR table (a scan of one-regime candidates) both run on it.
+
+All candidates of a scan are evaluated in one batched pass: regime Gram
+matrices and cross moments come from prefix sums, the SSR is
+sum(y^2) - b'h with sum(y^2) summed over the target columns before its
+prefix sum, the final quadratic forms are stacked solves, and the
+outer-product terms are single matrix products against the row-wise
+regressor cross products.  Each block of candidates forms its masked score
+rows in place, in one buffer that every regime reuses.
+
+The regime coefficients and sandwich blocks take one of two forms.  A
+sample statistic or a segment table, a batch of one, solves each
+candidate's Gram by LU, once for b and, with the Wald form, twice for V.
+Every bootstrap batch declares the regressor columns it resamples: the
+structural equation's x_hat, refitted on every draw, plus lagged y where
+WR rebuilds it; the reduced form's lagged x under WR, none under WF.
+Every other column is the sample's in every batch entry, so the scan
+inverts each candidate regime's shared block once, borders the resampled
+columns in one at a time, and takes b and V from G^{-1} by vector
+operations and matrix products.  Bootstrap draws reach the outputs only
+through the p-value count and the order-statistic critical values, so
+their rounding may move; the sample statistic keeps the LU sequence until
+the benchmark's 2-worker cell, compared bit for bit with a recorded
+reference, is compared through tolerances.
 """
 
 from __future__ import annotations
@@ -12,12 +42,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import ConfigError, RankDeficientError, SingularQError
+from .exceptions import RankDeficientError, SingularQError
 from .model import Dataset, ModelSpec, Partition, build_instrument_rows
 
 # Gram matrices with condition number above this cap are treated as rank
 # deficient; there is no silent pseudo-inverse fallback.
 COND_CAP = 1e10
+_CHUNK = 2048  # candidates per block of a scan
 
 
 @dataclass(frozen=True)
@@ -164,6 +195,217 @@ def _batched_solve(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return X, ok
 
 
+def _prefix(a: np.ndarray) -> np.ndarray:
+    """Cumulative sums over the row axis, with a leading zero row."""
+    out = np.zeros((a.shape[0], a.shape[1] + 1) + a.shape[2:])
+    np.cumsum(a, axis=1, out=out[:, 1:])
+    return out
+
+
+def _scan(Y, Ws, edges, n_global, v_rows, score_beta, p1, compute_wald, chunk_rows,
+          resampled):
+    """The one segment least-squares kernel, over candidates given by their regime edges.
+
+    Y is (B, n) or (B, n, py) and Ws (B, n, d); edges (m, k+2) holds each
+    candidate's regime bounds, regime i covering rows edges[:, i] + 1 to
+    edges[:, i + 1].  The other arguments are those of
+    :func:`breakboot.stats.scan_partitions_batch`.  Works in batch chunks
+    of chunk_rows and candidate blocks of _CHUNK; returns (wald, ssr, ok),
+    each (B, m).
+    """
+    Y = Y if Y.ndim == 3 else Y[:, :, None]
+    B, n, d = Ws.shape
+    m = edges.shape[0]
+    wald = np.empty((B, m))
+    ssr = np.empty((B, m))
+    ok = np.empty((B, m), dtype=bool)
+    # keep the (batch, candidates, rows) work arrays around L2/L3 size
+    bc = max(1, min(B, chunk_rows // max(1, m * n)))
+    for b0 in range(0, B, bc):
+        sb = slice(b0, min(b0 + bc, B))
+        Yc, Wc = Y[sb], Ws[sb]
+        cross = (Wc[:, :, :, None] * Wc[:, :, None, :]).reshape(-1, n, d * d)
+        if resampled is None:
+            cum_G = _prefix(cross)
+        else:  # entry 0 in full, and the resampled rows of the Gram for every entry
+            rs = np.asarray(resampled, dtype=np.int64)
+            cum_G = (_prefix(cross[:1])[0],
+                     _prefix(cross[:, :, (rs[:, None] * d + np.arange(d)).ravel()]))
+        sums = (cross, cum_G, _prefix(Wc[:, :, :, None] * Yc[:, :, None, :]),
+                _prefix(np.sum(Yc * Yc, axis=2)))
+        vc = None if v_rows is None else v_rows[sb]
+        betac = None if score_beta is None else score_beta[sb]
+        for c0 in range(0, m, _CHUNK):
+            sc = slice(c0, min(c0 + _CHUNK, m))
+            wald[sb, sc], ssr[sb, sc], ok[sb, sc] = _scan_block(
+                Yc, Wc, sums, edges[sc], n_global, vc, betac, p1, compute_wald, resampled
+            )
+    return wald, ssr, ok
+
+
+def _shared_inverse(cum_G, h, s_e, e_e, resampled, bufs):
+    """G^{-1} and b = G^{-1} h of every (entry, candidate) regime, by bordering.
+
+    cum_G is (entry 0's prefix of the whole Gram, (n+1, d*d); every entry's
+    prefix of the resampled rows, (Bc, n+1, len(resampled)*d)).  The block
+    of the shared columns is read from entry 0 and inverted once per
+    candidate; the resampled columns are then bordered in one at a time.
+    With G^{-1} the zero-padded inverse so far, g column r of the Gram,
+    u = G^{-1} g and the pivot s = g_rr - g'u, G^{-1} += w w'/s with
+    w = u - e_r.  A Gram of condition 1e8 (a constant next to a lagged y of
+    mean 280 and sd 50) makes G^{-1} h ten times less accurate than an LU
+    solve, so b takes one step of iterative refinement against G.
+    Returns (G^{-1} (Bc, m, d, d), in bufs[0]; b (Bc, m, d, py); ok
+    (Bc, m)), with a leading axis of 1 for G^{-1} and ok when nothing is
+    resampled.  ok is False where _batched_solve flags the shared block
+    singular or a pivot is not positive, that is where the Schur complement
+    of the resampled columns is not positive definite.  The work keeps the
+    (entry, candidate) axes last, in bufs (3, Bc, m, d, d), so every step
+    is a long vector operation.
+    """
+    cum_A, cum_R = cum_G
+    m, d = s_e.shape[0], bufs.shape[-1]
+    rs = np.asarray(resampled, dtype=np.int64)
+    sh = np.setdiff1d(np.arange(d), rs)
+    G = (cum_A[e_e] - cum_A[s_e]).reshape(m, d, d).transpose(1, 2, 0)[:, :, None]
+    G_inv = np.zeros((d, d, 1, m))
+    ok = np.ones((1, m), dtype=bool)
+    if sh.size:
+        A = G[sh[:, None], sh, 0].transpose(2, 0, 1)
+        A_inv, ok[0] = _batched_solve(A, np.broadcast_to(np.eye(sh.size), A.shape))
+        G_inv[sh[:, None], sh, 0] = A_inv.transpose(1, 2, 0)
+    R = np.ascontiguousarray((cum_R[:, e_e] - cum_R[:, s_e]).transpose(2, 0, 1))
+    R = R.reshape(rs.size, d, *R.shape[1:])  # the resampled rows, equal to the columns
+    work, G_all = bufs[1].reshape(d, d, -1, m), bufs[2].reshape(d, d, -1, m)
+    if rs.size:
+        np.copyto(G_all, G)
+        G_all[rs], G_all[:, rs] = R, R.transpose(1, 0, 2, 3)
+        G = G_all
+    for g, r in zip(R, rs):
+        w = _mv(G_inv, g)
+        s = g[r] - np.einsum("d...,d...->...", g, w)
+        pd = s > 0
+        ok = ok & pd
+        s[~pd] = 1.0
+        w[r] = -1.0
+        update = np.multiply(w[:, None], w / s, out=None if G_inv is work else work)
+        G_inv = np.add(G_inv, update, out=work)
+    b = np.empty(h.shape)
+    for c, hc in enumerate(h.transpose(3, 2, 0, 1)):
+        bc = _mv(G_inv, hc)
+        bc += _mv(G_inv, hc - _mv(G, bc))
+        b[..., c] = bc.transpose(1, 2, 0)
+    if rs.size:
+        bufs[0] = G_inv.transpose(2, 3, 0, 1)
+        return bufs[0], b, ok
+    return G_inv.transpose(2, 3, 0, 1), b, ok
+
+
+def _mv(A, x):
+    """A @ x for (d, d, ...) matrices and (d, ...) vectors, stacked on the last axes."""
+    return np.einsum("ij...,j...->i...", A, x)
+
+
+def _scan_block(Y, Ws, sums, edges, n_global, v_rows, score_beta, p1, compute_wald,
+                resampled):
+    """One block of candidates on one batch chunk: (wald, ssr, ok), each (Bc, m)."""
+    cross, cum_G, cum_h, cum_yy = sums
+    Bc, n, d = Ws.shape
+    py = Y.shape[2]
+    m, deff = edges.shape[0], d * py
+    k = edges.shape[1] - 2
+    rows = np.arange(1, n + 1)
+    ok = np.ones((Bc, m), dtype=bool)
+    ssr = np.zeros((Bc, m))
+    thetas: list[np.ndarray] = []
+    Vs: list[np.ndarray] = []
+    inverse = resampled is not None
+    if inverse:  # work arrays of the inverse form, written in place by every regime
+        inv_bufs = np.empty((3, Bc, m, d, d))
+    if compute_wald:
+        buf = np.empty((py, Bc, m, n))  # the score rows, reused by every regime
+        M = np.empty((Bc, m, py, d, py, d))
+        if inverse:
+            GM = np.empty((Bc, m, py, d, deff))
+            V_all = np.empty((k + 1, Bc, m, deff, deff))
+    for i in range(k + 1):
+        s_e, e_e = edges[:, i], edges[:, i + 1]
+        h = cum_h[:, e_e] - cum_h[:, s_e]
+        if inverse:
+            G_inv, b, ok_i = _shared_inverse(cum_G, h, s_e, e_e, resampled, inv_bufs)
+            ok &= ok_i
+        else:
+            G = (cum_G[:, e_e] - cum_G[:, s_e]).reshape(Bc * m, d, d)
+            b, ok_i = _batched_solve(G, h.reshape(Bc * m, d, py))
+            b = b.reshape(Bc, m, d, py)
+            ok &= ok_i.reshape(Bc, m)
+        ssr += cum_yy[:, e_e] - cum_yy[:, s_e] - np.einsum("bmdc,bmdc->bm", b, h)
+        thetas.append(b.transpose(0, 1, 3, 2).reshape(Bc, m, deff))
+        if not compute_wald:
+            continue
+        mask = ((rows > s_e[:, None]) & (rows <= e_e[:, None])).astype(np.float64)
+        for c in range(py):  # masked scores; a 0/1 mask before the product is exact
+            np.matmul(b[..., c], Ws.transpose(0, 2, 1), out=buf[c])
+            np.subtract(Y[:, None, :, c], buf[c], out=buf[c])
+            if v_rows is not None and score_beta is not None:
+                g = score_beta[:, None, :] - b[:, :, :p1, 0]
+                buf[c] += g @ v_rows.transpose(0, 2, 1)
+            buf[c] *= mask
+        for c in range(py):
+            for cc in range(py - 1, c - 1, -1):  # (c, c) last: it squares buf[c] in place
+                sq = np.multiply(buf[c], buf[cc], out=buf[c] if cc == c else None)
+                blk = (sq @ cross).reshape(Bc, m, d, d)
+                if cc != c:
+                    M[:, :, cc, :, c] = blk.transpose(0, 1, 3, 2)
+                M[:, :, c, :, cc] = blk
+        Mf = M.reshape(Bc, m, deff, deff)
+        Mf /= n_global
+        if inverse:
+            # V = Q^{-1} M Q^{-1} with Q^{-1} = n G^{-1}, one d-row block at a time
+            np.matmul(G_inv[:, :, None], M.reshape(Bc, m, py, d, deff), out=GM)
+            V = V_all[i]
+            GMt = GM.reshape(Bc, m, deff, deff).transpose(0, 1, 3, 2)
+            np.matmul(G_inv[:, :, None], GMt.reshape(Bc, m, py, d, deff),
+                      out=V.reshape(Bc, m, py, d, deff))
+            V *= n_global * n_global
+            Vs.append(V)
+            continue
+        # Q \ M and Q \ (Q \ M)' one d-row block of the stacked equations at a time
+        Q = (G / n_global)[:, None]
+        QM, ok_q = _batched_solve(Q, Mf.reshape(Bc * m, py, d, deff))
+        QMt = QM.reshape(Bc * m, deff, deff).transpose(0, 2, 1)
+        V, ok_v = _batched_solve(Q, QMt.reshape(Bc * m, py, d, deff))
+        ok &= ok_q.reshape(Bc, m)
+        ok &= ok_v.reshape(Bc, m)
+        Vs.append(V.reshape(Bc, m, deff, deff))
+    if compute_wald:
+        delta = np.concatenate([thetas[i] - thetas[i + 1] for i in range(k)], axis=2)
+        mid = np.zeros((Bc, m, k * deff, k * deff))
+        for a in range(k):
+            sa = slice(a * deff, (a + 1) * deff)
+            mid[:, :, sa, sa] = Vs[a] + Vs[a + 1]
+            if a + 1 < k:
+                sb = slice((a + 1) * deff, (a + 2) * deff)
+                mid[:, :, sa, sb] = -Vs[a + 1]
+                mid[:, :, sb, sa] = -Vs[a + 1].transpose(0, 1, 3, 2)
+        sol, ok_m = _batched_solve(
+            mid.reshape(Bc * m, k * deff, k * deff),
+            delta.reshape(Bc * m, k * deff, 1),
+        )
+        ok &= ok_m.reshape(Bc, m)
+        wald = n_global * np.einsum(
+            "bmi,bmi->bm", delta, sol[:, :, 0].reshape(Bc, m, k * deff)
+        )
+        ok &= np.isfinite(wald) & (wald > -1e-6)
+        wald = np.maximum(wald, 0.0)
+    else:
+        wald = np.zeros((Bc, m))
+    wald[~ok] = -np.inf
+    ssr = np.maximum(ssr, 0.0)
+    ssr[~ok] = np.inf
+    return wald, ssr, ok
+
+
 def _regime_slices(partition: Partition) -> list[slice]:
     return [slice(a - 1, b) for a, b in partition.regimes()]
 
@@ -234,8 +476,6 @@ def eicker_white(
     design: Design,
     estimates: RegimeEstimates,
     se_partition: Partition,
-    *,
-    beta_source: str = "alt",
 ) -> RobustBlocks:
     """Per-regime heteroskedasticity-robust blocks for the Wald form.
 
@@ -245,25 +485,15 @@ def eicker_white(
         a_t = Ups_t' z_t (u_t + v_t' beta_x),
 
     where Ups_t = (Delta_t, Pi) with Pi selecting z1 out of z, so that
-    Ups_t' z_t equals w_hat_t.  beta_x comes from estimates (the H1
-    regime-wise fit) when beta_source="alt", or from a fresh fit imposing
-    no SE breaks when beta_source="null".
+    Ups_t' z_t equals w_hat_t.  beta_x is regime i's coefficient on x in
+    estimates (the H1 regime-wise fit).
 
     Q_i = n^{-1} sum_{t in I_i} w_hat_t w_hat_t'; V_i = Q_i^{-1} M_i Q_i^{-1}.
     """
-    if beta_source not in ("alt", "null"):
-        raise ConfigError("beta_source must be 'alt' or 'null'")
     n = design.n
     p1 = design.spec.p1
     W = np.column_stack([estimates.x_hat, design.Z1])
     v_hat = estimates.v_hat
-    if beta_source == "null":
-        null_fit = second_stage(
-            design,
-            estimates.x_hat,
-            Partition((), n, se_partition.trim, min_len=1),
-        )
-        beta_x_fixed = null_fit.beta[0][:p1]
     Q: list[np.ndarray] = []
     M: list[np.ndarray] = []
     V: list[np.ndarray] = []
@@ -276,9 +506,7 @@ def eicker_white(
         eig = np.linalg.eigvalsh(Qi)
         if eig[0] <= 0:
             raise SingularQError(f"Q block {i + 1} is not positive definite")
-        beta_x = estimates.beta[i][:p1] if beta_source == "alt" else beta_x_fixed
-        u = estimates.u_hat[sl]
-        score = u + v_hat[sl] @ beta_x
+        score = estimates.u_hat[sl] + v_hat[sl] @ estimates.beta[i][:p1]
         a = Wr * score[:, None]
         Mi = (a.T @ a) / n
         Qinv = np.linalg.inv(Qi)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import multiprocessing as mp
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -120,8 +121,6 @@ def _run_many(cfg: McConfig, indices: list[int]) -> list[dict]:
         return [_replication(t) for t in tasks]
     # spawned workers re-import numpy under a single BLAS thread, keeping
     # results identical for any worker count
-    import multiprocessing as mp
-
     saved = {k: os.environ.get(k) for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")}
     os.environ["OMP_NUM_THREADS"] = "1"
     os.environ["OPENBLAS_NUM_THREADS"] = "1"

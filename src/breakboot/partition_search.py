@@ -11,7 +11,9 @@ which is the stricter of the two at any sample size.
 
 The global minimiser of the second-stage SSR over all admissible l-break
 partitions is found by dynamic programming over a table of segment SSRs,
-with ties broken toward the lexicographically smallest break tuple.
+with ties broken toward the lexicographically smallest break tuple.  The
+table is a scan of one-regime candidates (k = 0) on the segment
+least-squares kernel of :mod:`breakboot.estimation`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .estimation import Design, _batched_solve, first_stage
+from .estimation import Design, _scan, first_stage
 from .exceptions import InfeasiblePartitionError, RankDeficientError
 from .model import Partition
 
@@ -92,31 +94,17 @@ def segment_ssr_table(y: np.ndarray, X: np.ndarray, min_len: int) -> np.ndarray:
     Returns an (n+1, n+1) array with table[a, b] the SSR of regressing
     y[a..b] on X[a..b] (1-based inclusive); inadmissible or rank-deficient
     segments hold +inf.  y may have several columns, in which case SSRs
-    are summed across columns.
+    are summed across columns.  Every segment is a one-regime candidate of
+    the scan kernel, with regime edges (a - 1, b).
     """
-    y2 = y if y.ndim == 2 else y[:, None]
-    n, d = X.shape
+    n = X.shape[0]
+    edges = np.arange(n + 1)
+    s, e = np.nonzero(edges[None, :] - edges[:, None] >= min_len)
+    # SSR only, on a batch of one: no score inputs, no Wald, no resampled columns
+    _, ssr, _ = _scan(y[None], X[None], np.column_stack([s, e]), n, None, None, 0, False, 1,
+                      None)
     table = np.full((n + 1, n + 1), np.inf)
-    cross = X[:, :, None] * X[:, None, :]
-    cum_G = np.concatenate([np.zeros((1, d, d)), np.cumsum(cross, axis=0)])
-    cum_h = np.concatenate([np.zeros((1, d, y2.shape[1])), np.cumsum(X[:, :, None] * y2[:, None, :], axis=0)])
-    cum_yy = np.concatenate([[0.0], np.cumsum(np.sum(y2 * y2, axis=1))])
-
-    starts, ends = [], []
-    for a in range(1, n - min_len + 2):
-        bs = np.arange(a + min_len - 1, n + 1)
-        starts.append(np.full(bs.shape, a))
-        ends.append(bs)
-    A = np.concatenate(starts)
-    B = np.concatenate(ends)
-    G = cum_G[B] - cum_G[A - 1]
-    h = cum_h[B] - cum_h[A - 1]
-    yy = cum_yy[B] - cum_yy[A - 1]
-    sol, ok = _batched_solve(G, h)
-    ssr = yy - np.einsum("pdc,pdc->p", sol, h)
-    ssr[~(ok & np.isfinite(ssr))] = np.inf
-    np.maximum(ssr, 0.0, out=ssr)
-    table[A, B] = ssr
+    table[s + 1, e] = ssr[0]
     return table
 
 

@@ -588,11 +588,10 @@ def test_se_shared_block_scans_equal_lu_path():
         for scheme in ("wr", "wf"):
             Yb, Wb, vb, resampled = se_samples(design, scheme)
             for k in (1, 2):
-                for statistic, beta_source in (("supwald", "alt"), ("supwald", "null"),
-                                               ("supf", "alt")):
+                for statistic in STATISTICS:
                     new, lu = (_sup_case_i(Yb, Wb, k, 0.15, q, statistic=statistic,
-                                           v_rows=vb, beta_source=beta_source, p1=p1,
-                                           resampled=r) for r in (resampled, None))
+                                           v_rows=vb, p1=p1, resampled=r)
+                               for r in (resampled, None))
                     np.testing.assert_array_equal(new[2], lu[2])
                     np.testing.assert_array_equal(np.argmax(new[1], axis=1),
                                                   np.argmax(lu[1], axis=1))

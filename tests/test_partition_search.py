@@ -158,21 +158,23 @@ def test_dp_finds_planted_break():
 
 
 def test_segment_table_matches_fresh_ols():
+    # one target column, and two, whose SSRs the table sums (the reduced
+    # form with p1 = 2)
     rng = np.random.default_rng(4)
     n, d = 60, 3
     W = rng.normal(size=(n, d))
-    y = rng.normal(size=n)
-    table = segment_ssr_table(y, W, min_len=5)
-    for _ in range(100):
-        a = int(rng.integers(1, n - 5))
-        b = int(rng.integers(a + 4, n)) + 1
-        b = min(b, n)
-        if b - a + 1 < 5:
-            continue
-        beta = np.linalg.lstsq(W[a - 1 : b], y[a - 1 : b], rcond=None)[0]
-        resid = y[a - 1 : b] - W[a - 1 : b] @ beta
-        want = float(resid @ resid)
-        assert abs(table[a, b] - want) < 1e-10 * max(1.0, want)
+    for y in (rng.normal(size=n), rng.normal(size=(n, 2))):
+        table = segment_ssr_table(y, W, min_len=5)
+        for _ in range(100):
+            a = int(rng.integers(1, n - 5))
+            b = int(rng.integers(a + 4, n)) + 1
+            b = min(b, n)
+            if b - a + 1 < 5:
+                continue
+            beta = np.linalg.lstsq(W[a - 1 : b], y[a - 1 : b], rcond=None)[0]
+            resid = y[a - 1 : b] - W[a - 1 : b] @ beta
+            want = float(np.sum(resid * resid))
+            assert abs(table[a, b] - want) < 1e-10 * max(1.0, want)
 
 
 def test_segment_table_marks_singular_segments_inf():

@@ -324,24 +324,10 @@ def test_sup_f_seq_scaling():
     assert out.statistic == pytest.approx(best, rel=1e-8)
 
 
-def test_statistic_nonnegative_and_beta_source_option():
+def test_statistic_nonnegative():
     data, _ = bb.generate(bb.ScenarioConfig("h0m0", "C", T=81, seed=59))
-    spec = bb.scenario_model_spec()
-    design = make_design(spec, data)
-    out_alt = bb.sup_wald_design(design, k=1, beta_source="alt")
-    out_null = bb.sup_wald_design(design, k=1, beta_source="null")
-    assert out_alt.statistic >= 0
-    assert out_null.statistic >= 0
-    # the two score conventions differ in general
-    assert out_alt.statistic != pytest.approx(out_null.statistic, rel=1e-12)
-    # any other value is rejected, by the sample test and the bootstrap test
-    with pytest.raises(ConfigError):
-        bb.sup_wald_design(design, k=1, beta_source="nul")
-    with pytest.raises(ConfigError):
-        bb.bootstrap_sup_test_design(design, bb.BootstrapConfig("wr", 9, 0), beta_source="nul")
-    part0 = no_breaks(design.n, 0.15, min_regime_length(design.n, 0.15, spec.q))
-    with pytest.raises(ConfigError):
-        eicker_white(design, fit_regimes(design, part0, part0), part0, beta_source="nul")
+    design = make_design(bb.scenario_model_spec(), data)
+    assert bb.sup_wald_design(design, k=1).statistic >= 0
 
 
 def test_sup_wald_sees_in_place_edits_of_the_data():
@@ -371,16 +357,14 @@ def test_restricted_fit_takes_stacked_targets():
     cols = [restricted_fit_batch(np.ascontiguousarray(Y[:, :, c]), W) for c in range(2)]
     np.testing.assert_allclose(b, np.stack([bc for bc, _ in cols], axis=2), rtol=1e-12)
     np.testing.assert_allclose(ssr, cols[0][1] + cols[1][1], rtol=1e-12)
-    # so the case (i) reductions take the (B, n, p1) batches the reduced form
-    # comes in, for sup-F and for the null-fit score alike
+    # so the case (i) sup-F reduction takes the (B, n, p1) batches the
+    # reduced form comes in
     data, _ = bb.generate(bb.ScenarioConfig("h1m0", "A", T=120, seed=5))
     design = make_design(bb.scenario_model_spec(), data)
     X3, Z, q = design.x[None], design.Z[None], design.spec.q
     f3 = _sup_case_i(X3, Z, 1, 0.15, q, statistic="supf")[1]
     assert np.array_equal(f3, _sup_case_i(X3[:, :, 0], Z, 1, 0.15, q, statistic="supf")[1])
     assert np.all(np.isfinite(f3))
-    wald = _sup_case_i(X3, Z, 1, 0.15, q)[1]
-    assert np.array_equal(_sup_case_i(X3, Z, 1, 0.15, q, beta_source="null")[1], wald)
 
 
 def test_singular_null_regime_is_skipped_not_raised():
