@@ -9,18 +9,15 @@ treated when rebuilding the sample:
       replaced by their bootstrap values, so the sample is regenerated
       through the estimated recursion from the original start-up values;
   WF  (wild fixed)      every regressor row is kept at its sample value
-      and only the errors are resampled.
+      and only the errors are redrawn.
 
 One path builder serves both equations.  The structural equation's
 bootstrap generates x and y, so its WR rebuilds lagged x and lagged y.  The
 reduced-form pre-test bootstraps x alone, so its WR rebuilds only lagged x
-and holds lagged y at its sample values.  WR without lags is WF.  So the
-B samples of a test share every regressor column except the ones they
-resample: the reduced form's rebuilt lagged x (none under WF, and WR
-without lags), and the structural equation's x_hat, refitted on every
-draw, plus lagged y where WR rebuilds it and z1 holds it.  Every bootstrap
-scan inverts each candidate regime's shared block once and borders the
-resampled columns in (see :func:`breakboot.stats.scan_partitions_batch`).
+and holds lagged y at its sample values.  WR without lags is WF.  Where a
+scheme rebuilds no instrument column, the B samples share the sample's
+instrument rows, and every draw's first stage solves the same regime
+Grams.
 
 Replication b of Monte Carlo repetition j draws its multipliers from the
 stream seeded by derive_seed(master_seed, j, STREAM_NU, b); reduced-form
@@ -125,7 +122,7 @@ def _row_regimes(partition: Partition) -> np.ndarray:
 def _paths(design: Design, delta: list[np.ndarray], rf_partition: Partition,
            v_hat: np.ndarray, nu: np.ndarray, *, recursive: bool,
            est: RegimeEstimates | None = None):
-    """Bootstrap rows for all multiplier columns nu (n, B): (xb, Zb, yb, rebuilt).
+    """Bootstrap rows for all multiplier columns nu (n, B): (xb, Zb, yb).
 
     x (xb, (n, p1, B)) follows the RF over rf_partition with errors
     v_hat * nu.  y (yb, (n, B)) follows the SE with errors u_hat * nu, and
@@ -133,9 +130,9 @@ def _paths(design: Design, delta: list[np.ndarray], rf_partition: Partition,
     is None.  Zb (B, n, q) holds the instrument rows.  Under WR each row
     starts as the sample's, and its lagged x columns, plus its lagged y
     columns when y is generated, are overwritten from the bootstrap history
-    that starts at the first max_lag original observations.  Under WF, and
-    WR without lags, every row stays the sample's.  rebuilt is the tuple of
-    z columns overwritten, read from the roles: () when none is.
+    that starts at the first max_lag original observations.  Where no
+    column is overwritten (WF, WR without lags, and WR with no live lag
+    role), every row stays the sample's and Zb is the sample's Z, (n, q).
     """
     spec, data = design.spec, design.data
     n, B = nu.shape
@@ -154,7 +151,7 @@ def _paths(design: Design, delta: list[np.ndarray], rf_partition: Partition,
         if est is not None:
             fixed = np.einsum("nq,nq->n", design.Z1, bz)
             yb = np.einsum("npb,np->nb", xb, bx) + fixed[:, None] + ub
-        return xb, np.broadcast_to(design.Z, (B,) + design.Z.shape), yb, ()
+        return xb, design.Z, yb
 
     live = [(c, role) for c, role in enumerate(spec.rf_instruments)
             if role.kind == "x" or (role.kind == "y" and est is not None)]
@@ -178,16 +175,15 @@ def _paths(design: Design, delta: list[np.ndarray], rf_partition: Partition,
         x_hist[lag + i] = x_t.T
         if est is not None:
             y_hist[lag + i] = x_t @ bx[i] + zrow[:, z1] @ bz[i] + ub[i]
-    rebuilt = tuple(c for c, _ in live)
-    return x_hist[lag:], Zb, None if est is None else y_hist[lag:], rebuilt
+    return x_hist[lag:], Zb if live else design.Z, None if est is None else y_hist[lag:]
 
 
 def _generate(spec: ModelSpec, data: Dataset, est: RegimeEstimates, nu: np.ndarray,
               recursive: bool) -> Dataset:
     design = make_design(spec, data)
     nu = np.asarray(nu, dtype=np.float64)[:, None]
-    xb, _, yb, _ = _paths(design, est.delta, est.rf_partition, est.v_hat, nu,
-                          recursive=recursive, est=est)
+    xb, _, yb = _paths(design, est.delta, est.rf_partition, est.v_hat, nu,
+                       recursive=recursive, est=est)
     lag = spec.max_lag
     return Dataset(
         y=np.concatenate([data.y[:lag], yb[:, 0]]),
@@ -249,17 +245,15 @@ def _first_stage_batch(Zb, xb, rf_partition: Partition):
 
 def _samples(design: Design, cfg: BootstrapConfig, nu: np.ndarray | None, *,
              est: RegimeEstimates | None = None, rf=None, stage: int = 0):
-    """The B bootstrap samples of one test as a batch: (Yb, Wb, v_hat_b, resampled).
+    """The B bootstrap samples of one test as a batch: (Yb, Wb, v_hat_b).
 
     Structural equation (est, a null-imposed fit): Yb (B, n) is y, Wb
     (B, n, d) holds the first stage re-estimated on each sample over
     est.rf_partition next to z1, and v_hat_b (B, n, p1) its residuals.
     Reduced form (rf = (delta, v_hat, rf_partition)): Yb (B, n, p1) is x,
-    Wb (B, n, q) is z and v_hat_b is None.  resampled holds the Wb columns
-    that differ across the batch: the z columns _paths rebuilds for the RF;
-    x_hat and the z1 positions of the rebuilt z columns for the SE.
-    Multipliers come from the SE stream, or the RF stream of the given
-    pre-test stage, unless nu (n, B) is passed.
+    Wb (B, n, q) is z, a read-only view, and v_hat_b is None.  Multipliers
+    come from the SE stream, or the RF stream of the given pre-test stage,
+    unless nu (n, B) is passed.
     """
     n, spec = design.n, design.spec
     if nu is None:
@@ -269,18 +263,17 @@ def _samples(design: Design, cfg: BootstrapConfig, nu: np.ndarray | None, *,
         )
         nu = stream.matrix(n, cfg.B)
     delta, v_hat, rf_partition = rf if est is None else (est.delta, est.v_hat, est.rf_partition)
-    xb, Zb, yb, rebuilt = _paths(design, delta, rf_partition, v_hat, nu,
-                                 recursive=cfg.scheme == "wr", est=est)
+    xb, Zb, yb = _paths(design, delta, rf_partition, v_hat, nu,
+                        recursive=cfg.scheme == "wr", est=est)
+    B = nu.shape[1]
     if est is None:
-        return np.ascontiguousarray(xb.transpose(2, 0, 1)), Zb, None, rebuilt
-    what = _first_stage_batch(Zb if rebuilt else design.Z, xb, rf_partition)
-    Wb = np.empty((nu.shape[1], n, spec.d_beta))
+        return (np.ascontiguousarray(xb.transpose(2, 0, 1)),
+                np.broadcast_to(Zb, (B,) + design.Z.shape), None)
+    what = _first_stage_batch(Zb, xb, rf_partition)
+    Wb = np.empty((B, n, spec.d_beta))
     Wb[:, :, : spec.p1] = what
-    Wb[:, :, spec.p1 :] = Zb[:, :, list(spec.z1_positions)]
-    resampled = tuple(range(spec.p1)) + tuple(
-        spec.p1 + j for j, c in enumerate(spec.z1_positions) if c in rebuilt
-    )
-    return yb.T.copy(), Wb, xb.transpose(2, 0, 1) - what, resampled
+    Wb[:, :, spec.p1 :] = Zb[..., list(spec.z1_positions)]
+    return yb.T.copy(), Wb, xb.transpose(2, 0, 1) - what
 
 
 def _draws(stats: np.ndarray, cfg: BootstrapConfig) -> tuple[np.ndarray, int]:
@@ -312,11 +305,8 @@ def case_i_draws(
     first stage on the fixed RF regimes, second stage over the same grid,
     and the robust blocks built from the re-estimated residuals.
     """
-    Yb, Wb, vb, resampled = _samples(design, cfg, nu, est=est)
-    _, vals, _ = _sup_case_i(
-        Yb, Wb, k, eps, design.spec.q, statistic=statistic, v_rows=vb, p1=design.spec.p1,
-        resampled=resampled,
-    )
+    Yb, Wb, _ = _samples(design, cfg, nu, est=est)
+    _, vals, _ = _sup_case_i(Yb, Wb, k, eps, design.spec.q, statistic=statistic)
     return _draws(np.max(vals, axis=1), cfg)
 
 
@@ -334,12 +324,10 @@ def case_ii_draws(
     est must impose the l-break null: its se_partition is reused
     as the regime frame for every replication.
     """
-    Yb, Wb, vb, resampled = _samples(design, cfg, nu, est=est)
+    Yb, Wb, vb = _samples(design, cfg, nu, est=est)
     min_len = min_regime_length(design.n, eps, design.spec.q)
-    best, *_ = _sup_case_ii(
-        Yb, Wb, est.se_partition, min_len, statistic=statistic, v_rows=vb,
-        p1=design.spec.p1, resampled=resampled,
-    )
+    best, *_ = _sup_case_ii(Yb, Wb, est.se_partition, min_len, statistic=statistic,
+                            v_rows=vb)
     return _draws(best, cfg)
 
 
@@ -355,8 +343,8 @@ def rf_case_i_draws(
 ) -> tuple[np.ndarray, int]:
     """Bootstrap sup-Wald draws for no RF breaks against one."""
     rf = (delta, v_hat, _rf_partition(design, eps, None))
-    Yb, Wb, _, resampled = _samples(design, cfg, nu, rf=rf, stage=stage)
-    _, vals, _ = _sup_case_i(Yb, Wb, 1, eps, design.spec.q, resampled=resampled)
+    Yb, Wb, _ = _samples(design, cfg, nu, rf=rf, stage=stage)
+    _, vals, _ = _sup_case_i(Yb, Wb, 1, eps, design.spec.q)
     return _draws(np.max(vals, axis=1), cfg)
 
 
@@ -373,9 +361,9 @@ def rf_case_ii_draws(
 ) -> tuple[np.ndarray, int]:
     """Bootstrap draws for l RF breaks against l+1."""
     rf = (delta, v_hat, rf_partition)
-    Yb, Wb, _, resampled = _samples(design, cfg, nu, rf=rf, stage=stage)
+    Yb, Wb, _ = _samples(design, cfg, nu, rf=rf, stage=stage)
     min_len = min_regime_length(design.n, eps, design.spec.q)
-    best, *_ = _sup_case_ii(Yb, Wb, rf_partition, min_len, resampled=resampled)
+    best, *_ = _sup_case_ii(Yb, Wb, rf_partition, min_len)
     return _draws(best, cfg)
 
 

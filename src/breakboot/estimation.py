@@ -20,19 +20,21 @@ outer-product terms are single matrix products against the row-wise
 regressor cross products.  Each block of candidates forms its masked score
 rows in place, in one buffer that every regime reuses.
 
-The regime coefficients and sandwich blocks take one of two forms.  A
-sample statistic or a segment table, a batch of one, solves each
-candidate's Gram by LU, once for b and, with the Wald form, twice for V.
-Every bootstrap batch declares the regressor columns it resamples: the
-structural equation's x_hat, refitted on every draw, plus lagged y where
-WR rebuilds it; the reduced form's lagged x under WR, none under WF.
-Every other column is the sample's in every batch entry, so the scan
-inverts each candidate regime's shared block once, borders the resampled
-columns in one at a time, and takes b and V from G^{-1} by vector
-operations and matrix products.  Bootstrap draws reach the outputs only
-through the p-value count and the order-statistic critical values, so
-their rounding may move; the sample statistic keeps the LU sequence until
-the benchmark's 2-worker cell, compared bit for bit with a recorded
+The regime coefficients and sandwich blocks take one of two forms, picked
+by the batch size.  A batch of one, the sample statistic or a segment
+table, has nothing to share across entries: it solves each candidate's
+Gram by LU, once for b and, with the Wald form, twice for V.  A larger
+batch, the bootstrap's B samples, shares every regressor column that its
+scheme keeps: WR rebuilds lagged y and lagged x inside z on every draw,
+WF keeps every regressor row, and the structural equation refits x_hat on
+every draw.  The scan reads that set from the batch, a column counting as
+resampled where it is not equal in every entry, then inverts each
+candidate regime's shared block once, borders the resampled columns in
+one at a time, and takes b and V from G^{-1} by vector operations and
+matrix products.  Bootstrap draws reach the outputs only through the
+p-value count and the order-statistic critical values, so their rounding
+may move; the sample statistic keeps the LU sequence until the
+benchmark's 2-worker cell, compared bit for bit with a recorded
 reference, is compared through tolerances.
 """
 
@@ -202,8 +204,7 @@ def _prefix(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _scan(Y, Ws, edges, n_global, v_rows, score_beta, p1, compute_wald, chunk_rows,
-          resampled):
+def _scan(Y, Ws, edges, n_global, v_rows, score_beta, compute_wald, chunk_rows):
     """The one segment least-squares kernel, over candidates given by their regime edges.
 
     Y is (B, n) or (B, n, py) and Ws (B, n, d); edges (m, k+2) holds each
@@ -212,9 +213,18 @@ def _scan(Y, Ws, edges, n_global, v_rows, score_beta, p1, compute_wald, chunk_ro
     :func:`breakboot.stats.scan_partitions_batch`.  Works in batch chunks
     of chunk_rows and candidate blocks of _CHUNK; returns (wald, ssr, ok),
     each (B, m).
+
+    The batch size picks the form (see the module docstring).  A batch of
+    one keeps the LU form, whose rounding the benchmark's 2-worker cell
+    compares bit for bit.  A larger batch takes the shared-inverse form
+    (:func:`_shared_inverse`) over the columns of Ws that are not equal in
+    every entry; a column equal in every entry is read from entry 0.
     """
+    if (v_rows is None) != (score_beta is None):
+        raise ValueError("v_rows and score_beta enter the score together")
     Y = Y if Y.ndim == 3 else Y[:, :, None]
     B, n, d = Ws.shape
+    resampled = None if B == 1 else np.flatnonzero(np.ptp(Ws, axis=0).any(axis=0))
     m = edges.shape[0]
     wald = np.empty((B, m))
     ssr = np.empty((B, m))
@@ -228,9 +238,8 @@ def _scan(Y, Ws, edges, n_global, v_rows, score_beta, p1, compute_wald, chunk_ro
         if resampled is None:
             cum_G = _prefix(cross)
         else:  # entry 0 in full, and the resampled rows of the Gram for every entry
-            rs = np.asarray(resampled, dtype=np.int64)
             cum_G = (_prefix(cross[:1])[0],
-                     _prefix(cross[:, :, (rs[:, None] * d + np.arange(d)).ravel()]))
+                     _prefix(cross[:, :, (resampled[:, None] * d + np.arange(d)).ravel()]))
         sums = (cross, cum_G, _prefix(Wc[:, :, :, None] * Yc[:, :, None, :]),
                 _prefix(np.sum(Yc * Yc, axis=2)))
         vc = None if v_rows is None else v_rows[sb]
@@ -238,18 +247,19 @@ def _scan(Y, Ws, edges, n_global, v_rows, score_beta, p1, compute_wald, chunk_ro
         for c0 in range(0, m, _CHUNK):
             sc = slice(c0, min(c0 + _CHUNK, m))
             wald[sb, sc], ssr[sb, sc], ok[sb, sc] = _scan_block(
-                Yc, Wc, sums, edges[sc], n_global, vc, betac, p1, compute_wald, resampled
+                Yc, Wc, sums, edges[sc], n_global, vc, betac, compute_wald, resampled
             )
     return wald, ssr, ok
 
 
-def _shared_inverse(cum_G, h, s_e, e_e, resampled, bufs):
+def _shared_inverse(cum_G, h, s_e, e_e, rs, bufs):
     """G^{-1} and b = G^{-1} h of every (entry, candidate) regime, by bordering.
 
-    cum_G is (entry 0's prefix of the whole Gram, (n+1, d*d); every entry's
-    prefix of the resampled rows, (Bc, n+1, len(resampled)*d)).  The block
-    of the shared columns is read from entry 0 and inverted once per
-    candidate; the resampled columns are then bordered in one at a time.
+    rs holds the resampled columns, and cum_G is (entry 0's prefix of the
+    whole Gram, (n+1, d*d); every entry's prefix of the resampled rows,
+    (Bc, n+1, len(rs)*d)).  The block of the shared columns is read from
+    entry 0 and inverted once per candidate; the resampled columns are then
+    bordered in one at a time.
     With G^{-1} the zero-padded inverse so far, g column r of the Gram,
     u = G^{-1} g and the pivot s = g_rr - g'u, G^{-1} += w w'/s with
     w = u - e_r.  A Gram of condition 1e8 (a constant next to a lagged y of
@@ -265,7 +275,6 @@ def _shared_inverse(cum_G, h, s_e, e_e, resampled, bufs):
     """
     cum_A, cum_R = cum_G
     m, d = s_e.shape[0], bufs.shape[-1]
-    rs = np.asarray(resampled, dtype=np.int64)
     sh = np.setdiff1d(np.arange(d), rs)
     G = (cum_A[e_e] - cum_A[s_e]).reshape(m, d, d).transpose(1, 2, 0)[:, :, None]
     G_inv = np.zeros((d, d, 1, m))
@@ -306,8 +315,7 @@ def _mv(A, x):
     return np.einsum("ij...,j...->i...", A, x)
 
 
-def _scan_block(Y, Ws, sums, edges, n_global, v_rows, score_beta, p1, compute_wald,
-                resampled):
+def _scan_block(Y, Ws, sums, edges, n_global, v_rows, score_beta, compute_wald, resampled):
     """One block of candidates on one batch chunk: (wald, ssr, ok), each (Bc, m)."""
     cross, cum_G, cum_h, cum_yy = sums
     Bc, n, d = Ws.shape
@@ -347,8 +355,8 @@ def _scan_block(Y, Ws, sums, edges, n_global, v_rows, score_beta, p1, compute_wa
         for c in range(py):  # masked scores; a 0/1 mask before the product is exact
             np.matmul(b[..., c], Ws.transpose(0, 2, 1), out=buf[c])
             np.subtract(Y[:, None, :, c], buf[c], out=buf[c])
-            if v_rows is not None and score_beta is not None:
-                g = score_beta[:, None, :] - b[:, :, :p1, 0]
+            if score_beta is not None:
+                g = score_beta[:, None, :] - b[:, :, :score_beta.shape[1], 0]
                 buf[c] += g @ v_rows.transpose(0, 2, 1)
             buf[c] *= mask
         for c in range(py):

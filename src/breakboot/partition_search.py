@@ -100,9 +100,8 @@ def segment_ssr_table(y: np.ndarray, X: np.ndarray, min_len: int) -> np.ndarray:
     n = X.shape[0]
     edges = np.arange(n + 1)
     s, e = np.nonzero(edges[None, :] - edges[:, None] >= min_len)
-    # SSR only, on a batch of one: no score inputs, no Wald, no resampled columns
-    _, ssr, _ = _scan(y[None], X[None], np.column_stack([s, e]), n, None, None, 0, False, 1,
-                      None)
+    # SSR only, on a batch of one (the LU form): no score inputs, no Wald
+    _, ssr, _ = _scan(y[None], X[None], np.column_stack([s, e]), n, None, None, False, 1)
     table = np.full((n + 1, n + 1), np.inf)
     table[s + 1, e] = ssr[0]
     return table

@@ -14,7 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bootstrap import DEFAULT_BOOT, BootstrapConfig, rf_case_i_draws, rf_case_ii_draws
+from .bootstrap import (
+    DEFAULT_BOOT,
+    BootstrapConfig,
+    pvalue_and_quantile,
+    rf_case_i_draws,
+    rf_case_ii_draws,
+)
 from .estimation import Design, first_stage
 from .exceptions import ConfigError, SingularMiddleError
 from .model import Partition, no_breaks
@@ -78,7 +84,7 @@ def estimate_rf_breaks_design(
             draws, _ = rf_case_ii_draws(
                 design, delta, v_hat, partition, eps, boot, stage=level
             )
-        p = float(np.mean(draws >= stat))
+        p = pvalue_and_quantile(stat, draws, ())[0]
         trail.append((level, stat, p))
         if p > ALPHA_SEQ:
             return SequentialResult(chosen_breaks=level, partition=partition, trail=trail)

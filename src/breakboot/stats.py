@@ -125,7 +125,6 @@ def scan_partitions(
     *,
     v_rows: np.ndarray | None = None,
     score_beta: np.ndarray | None = None,
-    p1: int = 0,
     compute_wald: bool = True,
 ) -> ScanResult:
     """Evaluate the Wald statistic (and SSR) at every candidate partition.
@@ -141,10 +140,8 @@ def scan_partitions(
         n_global,
         None if v_rows is None else v_rows[None],
         None if score_beta is None else np.asarray(score_beta)[None],
-        p1,
         compute_wald,
         1,
-        None,
     )
     return ScanResult(parts=parts, wald=wald[0], ssr=ssr[0], n_skipped=int(np.sum(~ok)))
 
@@ -157,10 +154,8 @@ def scan_partitions_batch(
     *,
     v_rows: np.ndarray | None = None,
     score_beta: np.ndarray | None = None,
-    p1: int = 0,
     compute_wald: bool = True,
     chunk_rows: int = 1_000_000,
-    resampled: tuple[int, ...] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Scan one candidate grid over a batch of datasets at once.
 
@@ -172,29 +167,25 @@ def scan_partitions_batch(
     parts : (m, k) int array of candidate break tuples (1-based local rows).
     n_global : normalisation length (the full effective sample, even when
         Y/Ws are a regime slice of it).
-    v_rows : (B, n, p1) first-stage residual rows entering the score
-        together with score_beta.
-    score_beta : (B, p1) fixed endogenous-block coefficients for the score;
-        None means the candidate fit's own (the score is then the fit
-        residual and v_rows does not enter).
-    p1 : width of the endogenous block at the front of Ws.
+    v_rows, score_beta : (B, n, p1) first-stage residual rows and (B, p1)
+        fixed endogenous-block coefficients, which enter the score together
+        (the endogenous block is the first p1 columns of Ws); passing only
+        one of them raises ValueError.  Neither (the default) scores with
+        the candidate fit's own coefficients, so the score is the fit
+        residual.
     chunk_rows : bound on batch x candidates x rows per batch chunk.
-    resampled : the columns of Ws that differ across the batch; every other
-        column must be bitwise equal in every batch entry.  When given, each
-        candidate regime's shared block is inverted once, from batch entry
-        0, and the resampled columns are bordered in one at a time (see
-        :func:`breakboot.estimation._shared_inverse`); G^{-1} then gives b
-        and V, and only entry 0's prefix sums cover the whole Gram.  A
-        candidate is skipped where the shared block is singular or a
-        bordering pivot is not positive.  Every bootstrap batch passes it;
-        None (the default), for the sample's batch of one, solves every
-        (entry, candidate) Gram by LU.
+
+    A batch of one solves every candidate's Gram by LU.  A larger batch
+    inverts each candidate regime's block of the columns that are equal in
+    every entry once and borders the others in (see
+    :mod:`breakboot.estimation`); a candidate is then also skipped where a
+    bordering pivot is not positive.
 
     Returns (wald, ssr, ok), each (B, m); wald is -inf and ssr +inf where
     a candidate failed.
     """
-    return _scan(Y, Ws, _edges(parts, Ws.shape[1]), n_global, v_rows, score_beta, p1,
-                 compute_wald, chunk_rows, resampled)
+    return _scan(Y, Ws, _edges(parts, Ws.shape[1]), n_global, v_rows, score_beta,
+                 compute_wald, chunk_rows)
 
 
 def _edges(parts: np.ndarray, n: int) -> np.ndarray:
@@ -227,29 +218,23 @@ def restricted_fit_batch(Y: np.ndarray, Ws: np.ndarray) -> tuple[np.ndarray, np.
 # ---------------------------------------------------------------------------
 
 
-def _sup_case_i(Y, Ws, k, eps, q, *, statistic="supwald", v_rows=None, p1=0,
-                resampled=None):
+def _sup_case_i(Y, Ws, k, eps, q, *, statistic="supwald"):
     """Case (i) values at every candidate of the full k-break grid.
 
     Y is (B, n) or (B, n, py) and Ws (B, n, d) over the whole effective
-    sample; v_rows is (B, n, p1).  statistic is "supwald" or "supf".
-    resampled is passed to every scan (see :func:`scan_partitions_batch`).
-    Returns (parts (m, k), values (B, m), ok (B, m)); a failed candidate
-    holds -inf.
+    sample; statistic is "supwald" or "supf".  The score is each
+    candidate fit's own residual.  Returns (parts (m, k), values (B, m),
+    ok (B, m)); a failed candidate holds -inf.
     """
     _, n, d = Ws.shape
     parts = enumerate_partitions(n, k, eps, q).as_array()
     if statistic == "supf":
         _, ssr0 = restricted_fit_batch(Y, Ws)
-        _, ssr, ok = scan_partitions_batch(
-            Y, Ws, parts, n, compute_wald=False, resampled=resampled
-        )
+        _, ssr, ok = scan_partitions_batch(Y, Ws, parts, n, compute_wald=False)
         vals = _f_ratio((n - (k + 1) * d) / (k * d) * (ssr0[:, None] - ssr), ssr,
                         np.isfinite(ssr) & (ssr > 0))
         return parts, vals, ok
-    vals, _, ok = scan_partitions_batch(
-        Y, Ws, parts, n, v_rows=v_rows, p1=p1, resampled=resampled
-    )
+    vals, _, ok = scan_partitions_batch(Y, Ws, parts, n)
     return parts, vals, ok
 
 
@@ -258,14 +243,12 @@ def _f_ratio(num, den, defined):
     return np.divide(num, den, out=np.full(num.shape, -np.inf), where=defined)
 
 
-def _sup_case_ii(Y, Ws, null_partition, min_len, *, statistic="supwald", v_rows=None, p1=0,
-                 resampled=None):
+def _sup_case_ii(Y, Ws, null_partition, min_len, *, statistic="supwald", v_rows=None):
     """Case (ii): the sup over one extra break within each null regime.
 
     Each regime's restricted single-regime fit supplies the score's
-    endogenous-block coefficients (when v_rows is given) and, for
-    statistic="supf", the restricted SSR; resampled is as in
-    :func:`_sup_case_i`.  Returns (best, regime, row,
+    endogenous-block coefficients (when v_rows, (B, n, p1), is given) and,
+    for statistic="supf", the restricted SSR.  Returns (best, regime, row,
     skipped, flags): per batch entry the sup, its 1-based regime and its
     break row on the full sample (-inf, 0, 0 where every candidate
     failed), then the failed candidate count and notes on regimes that
@@ -292,19 +275,17 @@ def _sup_case_ii(Y, Ws, null_partition, min_len, *, statistic="supwald", v_rows=
             _, ssr0 = restricted_fit_batch(Y_i, W_i)
             if np.any(ssr0 <= 0):
                 flags.append(f"regime {i} degenerate restricted SSR")
-            _, ssr, ok = scan_partitions_batch(
-                Y_i, W_i, local[:, None], n, compute_wald=False, resampled=resampled
-            )
+            _, ssr, ok = scan_partitions_batch(Y_i, W_i, local[:, None], n,
+                                               compute_wald=False)
             vals = _f_ratio((length - d) / d * (ssr0[:, None] - ssr), ssr0[:, None],
                             np.isfinite(ssr) & (ssr0[:, None] > 0))
         else:
             v_i = score_beta = None
             if v_rows is not None:
                 v_i = np.ascontiguousarray(v_rows[:, sl])
-                score_beta = restricted_fit_batch(Y_i, W_i)[0][:, :p1]
+                score_beta = restricted_fit_batch(Y_i, W_i)[0][:, :v_rows.shape[2]]
             vals, _, ok = scan_partitions_batch(
-                Y_i, W_i, local[:, None], n, v_rows=v_i, score_beta=score_beta, p1=p1,
-                resampled=resampled,
+                Y_i, W_i, local[:, None], n, v_rows=v_i, score_beta=score_beta
             )
         skipped += int(np.sum(~ok))
         j = np.argmax(vals, axis=1)
@@ -361,10 +342,8 @@ def _case_i_outcome(design, k, eps, rf_partition, statistic):
     if k < 1:
         raise ConfigError(f"the alternative needs at least one break, got {k}")
     n, q = design.n, design.spec.q
-    Y, W, v_hat = _sample_batch(design, eps, rf_partition)
-    parts, vals, ok = _sup_case_i(
-        Y, W, k, eps, q, statistic=statistic, v_rows=v_hat, p1=design.spec.p1
-    )
+    Y, W, _ = _sample_batch(design, eps, rf_partition)
+    parts, vals, ok = _sup_case_i(Y, W, k, eps, q, statistic=statistic)
     if not np.any(np.isfinite(vals)):
         error = DegenerateSSRError if statistic == "supf" else SingularMiddleError
         raise error("every candidate partition failed")
@@ -442,7 +421,5 @@ def sup_wald_seq_design(
         raise InfeasiblePartitionError("the null must impose at least one break")
     Y, W, v_hat = _sample_batch(design, eps, rf_partition)
     min_len = min_regime_length(design.n, eps, design.spec.q)
-    found = _sup_case_ii(
-        Y, W, null_partition, min_len, statistic=statistic, v_rows=v_hat, p1=design.spec.p1
-    )
+    found = _sup_case_ii(Y, W, null_partition, min_len, statistic=statistic, v_rows=v_hat)
     return _seq_outcome(null_partition, *found)

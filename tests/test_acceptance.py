@@ -323,14 +323,7 @@ def test_criterion_7e_instrument_invariance():
         ZA = design.Z @ A.T
         delta = np.linalg.solve(ZA.T @ ZA, ZA.T @ design.x)
         x_hat = ZA @ delta
-        scan = scan_partitions(
-            design.y,
-            np.column_stack([x_hat, design.Z1]),
-            parts,
-            n,
-            v_rows=design.x - x_hat,
-            p1=1,
-        )
+        scan = scan_partitions(design.y, np.column_stack([x_hat, design.Z1]), parts, n)
         worst = max(worst, abs(float(np.max(scan.wald)) - base) / base)
     _report("criterion 7e", worst <= 1e-8, f"max relative drift {worst:.2e} over 10 maps")
 

@@ -398,10 +398,15 @@ def test_singular_first_stage_fails_only_its_replication():
     assert np.array_equal(xhat[keep], clean[keep])
 
 
+def differing_columns(batch):
+    """The columns of a (B, n, c) batch that are not bitwise equal in every entry."""
+    return tuple(np.flatnonzero(np.any(batch != batch[:1], axis=(0, 1))))
+
+
 def test_recursion_rebuilds_only_lagged_x_and_y_columns():
     # WR overwrites the lagged-x columns of z from the bootstrap history, and
     # the lagged-y columns only when y is generated (SE); const and r columns
-    # keep the sample's values, and WF keeps every row
+    # keep the sample's values, and WF keeps every row, as the sample's Z
     data, _ = bb.generate(bb.ScenarioConfig("h0m0", "A", T=61, seed=53))
     spec = bb.scenario_model_spec()
     design, est = null_estimates(spec, data)
@@ -413,26 +418,33 @@ def test_recursion_rebuilds_only_lagged_x_and_y_columns():
     fixed = [c for c, role in enumerate(roles) if role.kind in ("const", "r")]
     Z = np.broadcast_to(design.Z, (B,) + design.Z.shape)
 
-    xb, Zb, yb, rebuilt = _paths(*args, recursive=True, est=est)
-    assert rebuilt == (cx, cy)
+    xb, Zb, yb = _paths(*args, recursive=True, est=est)
+    assert differing_columns(Zb) == (cx, cy)
     assert np.array_equal(Zb[:, 1:, cx], xb[:-1, 0, :].T)
     assert np.array_equal(Zb[:, 1:, cy], yb[:-1].T)
     assert np.array_equal(Zb[:, 0], Z[:, 0])  # lags of row 1 are start-up values
     assert np.array_equal(Zb[:, :, fixed], Z[:, :, fixed])
     assert not np.array_equal(Zb[:, 1:, cy], Z[:, 1:, cy])
 
-    xb, Zb, yb, rebuilt = _paths(*args, recursive=True)
+    xb, Zb, yb = _paths(*args, recursive=True)
     assert yb is None
-    assert rebuilt == (cx,)
+    assert differing_columns(Zb) == (cx,)
     assert np.array_equal(Zb[:, 1:, cx], xb[:-1, 0, :].T)
     assert not np.array_equal(Zb[:, 1:, cx], Z[:, 1:, cx])
     rest = [c for c in range(spec.q) if c != cx]
     assert np.array_equal(Zb[:, :, rest], Z[:, :, rest])
 
     for fit in (est, None):
-        _, Zb, _, rebuilt = _paths(*args, recursive=False, est=fit)
-        assert np.array_equal(Zb, Z)
-        assert rebuilt == ()
+        assert _paths(*args, recursive=False, est=fit)[1] is design.Z
+
+    # WR of x alone, on a spec whose only lag role is lagged y, rebuilds no
+    # column either
+    spec_y = replace(spec, rf_instruments=tuple(r for r in roles if r.kind != "x"))
+    design_y = make_design(spec_y, data)
+    part0 = no_breaks(design_y.n, 0.15, min_regime_length(design_y.n, 0.15, spec_y.q))
+    delta, _, v_hat = first_stage(design_y, part0)
+    Zb = _paths(design_y, delta, part0, v_hat, nu, recursive=True)[1]
+    assert Zb is design_y.Z
 
 
 def test_shared_first_stage_equals_per_draw_fit():
@@ -451,10 +463,10 @@ def test_shared_first_stage_equals_per_draw_fit():
 
 
 def rf_samples(design, rf, scheme, B=7, seed=5):
-    """One RF stage's bootstrap batch: (Yb, Wb, resampled)."""
+    """One RF stage's bootstrap batch: (Yb, Wb)."""
     cfg = BootstrapConfig(scheme, B, seed, 1)
-    Yb, Wb, _, resampled = _samples(design, cfg, None, rf=rf)
-    return Yb, Wb, resampled
+    Yb, Wb, _ = _samples(design, cfg, None, rf=rf)
+    return Yb, Wb
 
 
 def h1m1_design(T=120, seed=7):
@@ -470,9 +482,33 @@ def rf_stage_fits(design, eps=0.15):
     return (delta0, v0, part0), (delta1, v1, part1)
 
 
+def lu_reference(fn, Yb, Wb, *args, v_rows=None, **kwargs):
+    """fn on each batch entry as a batch of one, which takes the LU form,
+    joined as one batch call returns them: arrays with a batch axis
+    stacked, skipped counts summed, and the candidate grid and the flags,
+    equal for every entry, taken once."""
+    outs = [fn(Yb[b:b + 1], Wb[b:b + 1], *args, **kwargs,
+               **({} if v_rows is None else {"v_rows": v_rows[b:b + 1]}))
+            for b in range(Wb.shape[0])]
+    joined = []
+    for first, *rest in zip(*outs):
+        if isinstance(first, int):
+            joined.append(first + sum(rest))
+        elif isinstance(first, np.ndarray) and first.shape[0] == 1:
+            joined.append(np.concatenate([first, *rest]))
+        else:
+            assert all(np.array_equal(first, r) for r in rest)
+            joined.append(first)
+    return tuple(joined)
+
+
 def assert_same_scan(new, lu):
     np.testing.assert_array_equal(new[-1], lu[-1])  # ok masks
     np.testing.assert_allclose(new[1], lu[1], rtol=1e-10)
+
+
+def lagged_x_columns(design):
+    return tuple(c for c, role in enumerate(design.spec.rf_instruments) if role.kind == "x")
 
 
 def test_rf_shared_block_scans_equal_lu_path():
@@ -482,23 +518,22 @@ def test_rf_shared_block_scans_equal_lu_path():
         rf0, rf1 = rf_stage_fits(design)
         q = design.spec.q
         min_len = min_regime_length(design.n, 0.15, q)
-        lagged_x = tuple(c for c, role in enumerate(design.spec.rf_instruments)
-                         if role.kind == "x")
         for scheme in ("wr", "wf"):
-            Yb, Wb, resampled = rf_samples(design, rf0, scheme)
-            assert resampled == (lagged_x if scheme == "wr" else ())
+            Yb, Wb = rf_samples(design, rf0, scheme)
+            assert differing_columns(Wb) == (lagged_x_columns(design) if scheme == "wr" else ())
             for k in (1, 2):
                 assert_same_scan(
-                    _sup_case_i(Yb, Wb, k, 0.15, q, resampled=resampled),
                     _sup_case_i(Yb, Wb, k, 0.15, q),
+                    lu_reference(_sup_case_i, Yb, Wb, k, 0.15, q),
                 )
             parts = enumerate_partitions(design.n, 1, 0.15, q).as_array()
-            ssr = [scan_partitions_batch(Yb, Wb, parts, design.n, compute_wald=False,
-                                         resampled=r)[1] for r in (resampled, None)]
-            np.testing.assert_allclose(*ssr, rtol=1e-10)  # the SSR-only path
-            Yb, Wb, resampled = rf_samples(design, rf1, scheme)
-            new = _sup_case_ii(Yb, Wb, rf1[2], min_len, resampled=resampled)
-            lu = _sup_case_ii(Yb, Wb, rf1[2], min_len)
+            ssr = scan_partitions_batch(Yb, Wb, parts, design.n, compute_wald=False)[1]
+            lu = lu_reference(scan_partitions_batch, Yb, Wb, parts, design.n,
+                              compute_wald=False)[1]
+            np.testing.assert_allclose(ssr, lu, rtol=1e-10)  # the SSR-only path
+            Yb, Wb = rf_samples(design, rf1, scheme)
+            new = _sup_case_ii(Yb, Wb, rf1[2], min_len)
+            lu = lu_reference(_sup_case_ii, Yb, Wb, rf1[2], min_len)
             np.testing.assert_allclose(new[0], lu[0], rtol=1e-10)
             assert all(np.array_equal(a, b) for a, b in zip(new[1:3], lu[1:3]))
             assert new[3] == lu[3] and new[4] == lu[4]
@@ -515,17 +550,18 @@ def test_rf_shared_block_singular_policy():
     Z = design.Z.copy()
     Z[:40, 1] = 0.0
     zeroed = replace(design, Z=Z)
-    Yb, Wb, resampled = rf_samples(zeroed, rf0, "wr")
-    parts, vals, ok = _sup_case_i(Yb, Wb, 1, 0.15, q, resampled=resampled)
-    assert_same_scan((parts, vals, ok), _sup_case_i(Yb, Wb, 1, 0.15, q))
+    Yb, Wb = rf_samples(zeroed, rf0, "wr")
+    parts, vals, ok = _sup_case_i(Yb, Wb, 1, 0.15, q)
+    assert_same_scan((parts, vals, ok), lu_reference(_sup_case_i, Yb, Wb, 1, 0.15, q))
     inside = parts[:, 0] <= 40
     assert inside.any() and not inside.all()
     assert np.array_equal(ok, np.broadcast_to(~inside, ok.shape))
 
-    Yb, Wb, resampled = rf_samples(design, rf0, "wr")
-    Wb[2, :40, resampled[0]] = 0.0
-    parts, vals, ok = _sup_case_i(Yb, Wb, 1, 0.15, q, resampled=resampled)
-    assert_same_scan((parts, vals, ok), _sup_case_i(Yb, Wb, 1, 0.15, q))
+    Yb, Wb = rf_samples(design, rf0, "wr")
+    Wb = Wb.copy()
+    Wb[2, :40, lagged_x_columns(design)[0]] = 0.0
+    parts, vals, ok = _sup_case_i(Yb, Wb, 1, 0.15, q)
+    assert_same_scan((parts, vals, ok), lu_reference(_sup_case_i, Yb, Wb, 1, 0.15, q))
     assert np.array_equal(ok[2], parts[:, 0] > 40)
     assert ok[[0, 1, 3, 4, 5, 6]].all()
 
@@ -536,26 +572,25 @@ def scenario_design(T=120, seed=53):
 
 
 def se_samples(design, scheme, null_partition=None, B=7, seed=5):
-    """One SE bootstrap batch, no RF breaks: (Yb, Wb, v_hat_b, resampled)."""
+    """One SE bootstrap batch, no RF breaks: (Yb, Wb, v_hat_b)."""
     n = design.n
     part0 = no_breaks(n, 0.15, min_regime_length(n, 0.15, design.spec.q))
     est = fit_regimes(design, part0, null_partition or part0)
     return _samples(design, BootstrapConfig(scheme, B, seed, 1), None, est=est)
 
 
-def test_se_samples_declare_their_resampled_columns():
+def test_se_samples_share_the_columns_they_do_not_rebuild():
     # W = (x_hat, z1): every draw refits the first stage, and WR rebuilds
     # lagged y, the scenario's fourth column of W.  Every other column is
     # the sample's, bit for bit, in every batch entry.
     for design, wr, wf in ((scenario_design(), (0, 3), (0,)),  # p1 = 1
                            (make_design(*two_endogenous_system()), (0, 1), (0, 1))):
+        p1 = design.spec.p1
         for scheme, expected in (("wr", wr), ("wf", wf)):
-            _, Wb, _, resampled = se_samples(design, scheme)
-            assert resampled == expected
-            shared = Wb[:, :, [c for c in range(design.spec.d_beta) if c not in resampled]]
-            assert np.array_equal(shared, np.broadcast_to(shared[:1], shared.shape))
-            for c in resampled:
-                assert not np.array_equal(Wb[1, :, c], Wb[0, :, c])
+            _, Wb, _ = se_samples(design, scheme)
+            assert differing_columns(Wb) == expected
+            for c in set(range(p1, design.spec.d_beta)) - set(expected):
+                assert np.array_equal(Wb[0, :, c], design.Z1[:, c - p1])
 
 
 def assert_close_to_lu(new, lu, sup_tol):
@@ -582,25 +617,24 @@ def test_se_shared_block_scans_equal_lu_path():
     # refinement step of b, sup-F misses that by a factor of ten.
     for design, sup_tol in ((scenario_design(), 1e-8),
                             (make_design(*two_endogenous_system()), None)):
-        n, q, p1 = design.n, design.spec.q, design.spec.p1
+        n, q = design.n, design.spec.q
         min_len = min_regime_length(n, 0.15, q)
         null = ssr_null_partition(design, 1, 0.15)
         for scheme in ("wr", "wf"):
-            Yb, Wb, vb, resampled = se_samples(design, scheme)
+            Yb, Wb, _ = se_samples(design, scheme)
             for k in (1, 2):
                 for statistic in STATISTICS:
-                    new, lu = (_sup_case_i(Yb, Wb, k, 0.15, q, statistic=statistic,
-                                           v_rows=vb, p1=p1, resampled=r)
-                               for r in (resampled, None))
+                    new = _sup_case_i(Yb, Wb, k, 0.15, q, statistic=statistic)
+                    lu = lu_reference(_sup_case_i, Yb, Wb, k, 0.15, q, statistic=statistic)
                     np.testing.assert_array_equal(new[2], lu[2])
                     np.testing.assert_array_equal(np.argmax(new[1], axis=1),
                                                   np.argmax(lu[1], axis=1))
                     assert_close_to_lu(new[1], lu[1], sup_tol)
-            Yb, Wb, vb, resampled = se_samples(design, scheme, null)
+            Yb, Wb, vb = se_samples(design, scheme, null)
             for statistic in STATISTICS:
-                new, lu = (_sup_case_ii(Yb, Wb, null, min_len, statistic=statistic,
-                                        v_rows=vb, p1=p1, resampled=r)
-                           for r in (resampled, None))
+                new = _sup_case_ii(Yb, Wb, null, min_len, statistic=statistic, v_rows=vb)
+                lu = lu_reference(_sup_case_ii, Yb, Wb, null, min_len, statistic=statistic,
+                                  v_rows=vb)
                 assert_close_to_lu(new[0], lu[0], sup_tol)
                 assert all(np.array_equal(a, b) for a, b in zip(new[1:3], lu[1:3]))
                 assert new[3] == lu[3] and new[4] == lu[4]
@@ -613,12 +647,11 @@ def test_se_shared_block_singular_policy():
     # are skipped, on the Wald and the SSR-only path, and nothing raises.
     design = scenario_design(T=241)
     q = design.spec.q
-    Yb, Wb, vb, resampled = se_samples(design, "wr")
-    Wb[2, :40, resampled[1]] = 0.0
+    Yb, Wb, _ = se_samples(design, "wr")
+    Wb[2, :40, 3] = 0.0
     for statistic in STATISTICS:
-        parts, vals, ok = _sup_case_i(Yb, Wb, 1, 0.15, q, statistic=statistic, v_rows=vb,
-                                      p1=1, resampled=resampled)
-        lu = _sup_case_i(Yb, Wb, 1, 0.15, q, statistic=statistic, v_rows=vb, p1=1)
+        parts, vals, ok = _sup_case_i(Yb, Wb, 1, 0.15, q, statistic=statistic)
+        lu = lu_reference(_sup_case_i, Yb, Wb, 1, 0.15, q, statistic=statistic)
         np.testing.assert_array_equal(ok, lu[2])
         np.testing.assert_array_equal(np.isfinite(vals), np.isfinite(lu[1]))
         inside = parts[:, 0] <= 40

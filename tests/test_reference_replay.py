@@ -8,7 +8,8 @@ every output is within the tolerances of ``workloads.matches``.  These
 tests catch that here: each of the four recorded cells (the traced run
 picks cell ``seed % 4``) is replayed with ``threads=1`` and compared with
 ``==``, and four pool entries are compared through ``matches`` at the
-paper's B = 399.
+paper's B = 399.  With ``BREAKBOOT_ACCEPTANCE=full`` every entry of both
+pools (64 + 40 tests, a few minutes) is replayed the same way.
 
 The bitwise assert is relaxed in the same change that relaxes the
 benchmark's own 2-worker check; until then the two must agree.
@@ -16,9 +17,13 @@ benchmark's own 2-worker check; until then the two must agree.
 
 import importlib.util
 import json
+import os
 from pathlib import Path
 
+import pytest
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+FULL = os.environ.get("BREAKBOOT_ACCEPTANCE", "").lower() == "full"
 
 
 def load_workloads():
@@ -53,3 +58,18 @@ def test_pool_entries_match_their_reference():
         for k in ks:
             out = workloads.run_test(name, workloads.pool_seed(name, k), ref["B"])
             assert workloads.matches(out, entries[k], ref["B"]), (name, k, out)
+
+
+@pytest.mark.skipif(not FULL, reason="the whole pool replays with BREAKBOOT_ACCEPTANCE=full")
+def test_every_pool_entry_matches_its_reference():
+    workloads = load_workloads()
+    misses = []
+    for name in workloads.WORKLOADS:
+        ref = reference(name)
+        assert [e["k"] for e in ref["entries"]] == list(range(workloads.pool_size(name)))
+        for entry in ref["entries"]:
+            want = {key: v for key, v in entry.items() if key != "k"}
+            out = workloads.run_test(name, workloads.pool_seed(name, entry["k"]), ref["B"])
+            if not workloads.matches(out, want, ref["B"]):
+                misses.append((name, entry["k"], out))
+    assert misses == []

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import breakboot as bb
+from breakboot import estimation
 from breakboot.estimation import (
     eicker_white,
     first_stage,
@@ -20,6 +21,7 @@ from breakboot.stats import (
     f_at,
     restricted_fit_batch,
     scan_partitions,
+    scan_partitions_batch,
     ssr_null_partition,
     sup_f_design,
     sup_wald_seq_design,
@@ -155,8 +157,58 @@ def test_sup_wald_instrument_transformation_invariance():
         delta = np.linalg.solve(ZA.T @ ZA, ZA.T @ design.x)
         x_hat = ZA @ delta
         W = np.column_stack([x_hat, design.Z1])
-        scan = scan_partitions(design.y, W, parts, n, v_rows=design.x - x_hat, p1=1)
+        scan = scan_partitions(design.y, W, parts, n)
         assert np.max(scan.wald) == pytest.approx(base.statistic, rel=1e-8)
+
+
+def test_score_pair_enters_whole_or_not_at_all():
+    # v_rows and score_beta form one score term: either alone is an error,
+    # not an input the scan silently ignores
+    rng = np.random.default_rng(71)
+    y, W, v = rng.normal(size=60), rng.normal(size=(60, 3)), rng.normal(size=(60, 1))
+    parts = enumerate_partitions(60, 1, 0.15, 3).as_array()
+    with pytest.raises(ValueError):
+        scan_partitions(y, W, parts, 60, v_rows=v)
+    with pytest.raises(ValueError):
+        scan_partitions_batch(y[None], W[None], parts, 60, score_beta=np.zeros((1, 1)))
+    wald = scan_partitions(y, W, parts, 60, v_rows=v, score_beta=np.zeros(1)).wald
+    assert np.all(np.isfinite(wald))
+
+
+def test_scan_reads_the_resampled_columns_from_the_batch(monkeypatch):
+    # column 1 differs only in the last of 5 entries and column 2 arrives
+    # as a broadcast view: the scan borders column 1 in and reads column 2
+    # from entry 0, and gives each entry's values as a batch of one (the LU
+    # form) does.  A batch that is one broadcast view resamples nothing.
+    rng = np.random.default_rng(73)
+    B, n = 5, 60
+    W0 = np.column_stack([np.ones(n), rng.normal(size=(n, 3))])
+    Ws = np.repeat(W0[None], B, axis=0)
+    Ws[-1, :, 1] = rng.normal(size=n)
+    Ws[:, :, 2] = np.broadcast_to(W0[:, 2], (B, n))
+    Y = rng.normal(size=(B, n))
+    parts = enumerate_partitions(n, 1, 0.15, 4).as_array()
+    seen = []
+
+    def spy(cum_G, h, s_e, e_e, rs, bufs):
+        seen.append(tuple(rs))
+        return shared_inverse(cum_G, h, s_e, e_e, rs, bufs)
+
+    shared_inverse = estimation._shared_inverse
+    monkeypatch.setattr(estimation, "_shared_inverse", spy)
+    for batch, resampled in ((Ws, (1,)), (np.broadcast_to(W0, (B, n, 4)), ())):
+        for compute_wald in (True, False):
+            seen.clear()
+            wald, ssr, ok = scan_partitions_batch(Y, batch, parts, n, compute_wald=compute_wald)
+            assert seen and set(seen) == {resampled}
+            seen.clear()
+            for b in range(B):
+                lu = scan_partitions_batch(Y[b:b + 1], batch[b:b + 1], parts, n,
+                                           compute_wald=compute_wald)
+                np.testing.assert_array_equal(ok[b], lu[2][0])
+                np.testing.assert_allclose(wald[b], lu[0][0], rtol=1e-10)
+                np.testing.assert_allclose(ssr[b], lu[1][0], rtol=1e-10)
+            assert seen == []  # a batch of one takes the LU form
 
 
 def test_sup_wald_seq_matches_independent_loop():

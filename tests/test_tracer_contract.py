@@ -40,7 +40,3 @@ def test_scan_batch_signature_read_by_the_counter():
     assert params["chunk_rows"].kind is inspect.Parameter.KEYWORD_ONLY
     assert scan_partitions_batch.__kwdefaults__["compute_wald"] is True
     assert scan_partitions_batch.__kwdefaults__["chunk_rows"] == 1_000_000
-    # the counter reads Ws and parts by position, so the shared-column
-    # declaration must stay keyword-only and off by default
-    assert params["resampled"].kind is inspect.Parameter.KEYWORD_ONLY
-    assert scan_partitions_batch.__kwdefaults__["resampled"] is None
