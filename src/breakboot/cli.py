@@ -100,7 +100,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    """Fill unset flags from the JSON config; explicit flags win."""
+    """Fill unset flags from the JSON config; explicit flags win.
+
+    A file value goes through its flag's type and choices, as the same
+    value typed on the command line would; one that does not convert is a
+    ConfigError.
+    """
     if not getattr(args, "config", None):
         return args
     try:
@@ -110,13 +115,24 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
         raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
     if not isinstance(file_values, dict):
         raise ConfigError("config file must hold a JSON object")
-    defaults = vars(parser.parse_args([args.verb]))
+    verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest: a for a in verbs.choices[args.verb]._actions if a.dest in vars(args)}
     for key, value in file_values.items():
         attr = key.replace("-", "_")
-        if attr not in vars(args):
+        if attr not in flags:
             raise ConfigError(f"config key {key!r} is not a flag of '{args.verb}'")
-        if getattr(args, attr) == defaults.get(attr):
-            setattr(args, attr, value)
+        flag = flags[attr]
+        if getattr(args, attr) != flag.default:
+            continue
+        if not isinstance(value, (str, int, float)):
+            raise ConfigError(f"config key {key!r} takes one value, got {value!r}")
+        try:
+            value = (flag.type or str)(str(value))
+        except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+            raise ConfigError(f"config key {key!r}: bad value {value!r}") from exc
+        if flag.choices is not None and value not in flag.choices:
+            raise ConfigError(f"config key {key!r}: {value!r} is not one of {list(flag.choices)}")
+        setattr(args, attr, value)
     return args
 
 

@@ -18,7 +18,18 @@ sum(y^2) - b'h with sum(y^2) summed over the target columns before its
 prefix sum, the final quadratic forms are stacked solves, and the
 outer-product terms are single matrix products against the row-wise
 regressor cross products.  Each block of candidates forms its masked score
-rows in place, in one buffer that every regime reuses.
+rows in place, in one buffer that every regime reuses, and a regime of a
+block reads only the rows (min s, max e] that some candidate's regime
+(s, e] covers: every other row scores zero after the mask, so skipping it
+changes no value beyond the rounding of the row sums.  A block is a fixed
+amount of (entry, candidate) work, _CHUNK // bc candidates for a batch
+chunk of bc entries, so that the bootstrap's k = 1 batches take blocks of
+a few dozen consecutive break dates, whose spans exceed a regime by only
+that many rows.  A batch of one (the sample statistic, a segment table)
+keeps blocks of _CHUNK candidates, its whole grid at k = 1: the matrix
+product over a regime's rows may round differently in another block
+shape, and the benchmark's 2-worker cell compares the sample statistic
+bit for bit.
 
 The regime coefficients and sandwich blocks take one of two forms, picked
 by the batch size.  A batch of one, the sample statistic or a segment
@@ -211,8 +222,10 @@ def _scan(Y, Ws, edges, n_global, v_rows, score_beta, compute_wald, chunk_rows):
     candidate's regime bounds, regime i covering rows edges[:, i] + 1 to
     edges[:, i + 1].  The other arguments are those of
     :func:`breakboot.stats.scan_partitions_batch`.  Works in batch chunks
-    of chunk_rows and candidate blocks of _CHUNK; returns (wald, ssr, ok),
-    each (B, m).
+    of bc = chunk_rows // (m * n) entries and candidate blocks of
+    _CHUNK // bc, scoring each regime of a block over the rows the block's
+    regimes cover (see the module docstring); returns (wald, ssr, ok), each
+    (B, m).
 
     The batch size picks the form (see the module docstring).  A batch of
     one keeps the LU form, whose rounding the benchmark's 2-worker cell
@@ -229,8 +242,10 @@ def _scan(Y, Ws, edges, n_global, v_rows, score_beta, compute_wald, chunk_rows):
     wald = np.empty((B, m))
     ssr = np.empty((B, m))
     ok = np.empty((B, m), dtype=bool)
-    # keep the (batch, candidates, rows) work arrays around L2/L3 size
+    # keep the (batch, candidates, rows) work arrays around L2/L3 size, and
+    # the (entry, candidate) work of a block fixed, so that its spans stay tight
     bc = max(1, min(B, chunk_rows // max(1, m * n)))
+    block = max(1, _CHUNK // bc)
     for b0 in range(0, B, bc):
         sb = slice(b0, min(b0 + bc, B))
         Yc, Wc = Y[sb], Ws[sb]
@@ -244,8 +259,8 @@ def _scan(Y, Ws, edges, n_global, v_rows, score_beta, compute_wald, chunk_rows):
                 _prefix(np.sum(Yc * Yc, axis=2)))
         vc = None if v_rows is None else v_rows[sb]
         betac = None if score_beta is None else score_beta[sb]
-        for c0 in range(0, m, _CHUNK):
-            sc = slice(c0, min(c0 + _CHUNK, m))
+        for c0 in range(0, m, block):
+            sc = slice(c0, min(c0 + block, m))
             wald[sb, sc], ssr[sb, sc], ok[sb, sc] = _scan_block(
                 Yc, Wc, sums, edges[sc], n_global, vc, betac, compute_wald, resampled
             )
@@ -322,7 +337,6 @@ def _scan_block(Y, Ws, sums, edges, n_global, v_rows, score_beta, compute_wald, 
     py = Y.shape[2]
     m, deff = edges.shape[0], d * py
     k = edges.shape[1] - 2
-    rows = np.arange(1, n + 1)
     ok = np.ones((Bc, m), dtype=bool)
     ssr = np.zeros((Bc, m))
     thetas: list[np.ndarray] = []
@@ -331,7 +345,10 @@ def _scan_block(Y, Ws, sums, edges, n_global, v_rows, score_beta, compute_wald, 
     if inverse:  # work arrays of the inverse form, written in place by every regime
         inv_bufs = np.empty((3, Bc, m, d, d))
     if compute_wald:
-        buf = np.empty((py, Bc, m, n))  # the score rows, reused by every regime
+        # regime i of the block covers only rows spans[i][0] + 1 to spans[i][1]
+        spans = [(int(edges[:, i].min()), int(edges[:, i + 1].max())) for i in range(k + 1)]
+        # the score rows, reused by every regime
+        buf = np.empty(py * Bc * m * max(hi - lo for lo, hi in spans))
         M = np.empty((Bc, m, py, d, py, d))
         if inverse:
             GM = np.empty((Bc, m, py, d, deff))
@@ -351,18 +368,21 @@ def _scan_block(Y, Ws, sums, edges, n_global, v_rows, score_beta, compute_wald, 
         thetas.append(b.transpose(0, 1, 3, 2).reshape(Bc, m, deff))
         if not compute_wald:
             continue
+        lo, hi = spans[i]  # every other row scores zero
+        rows = np.arange(lo + 1, hi + 1)
         mask = ((rows > s_e[:, None]) & (rows <= e_e[:, None])).astype(np.float64)
+        score = buf[:py * Bc * m * (hi - lo)].reshape(py, Bc, m, hi - lo)
         for c in range(py):  # masked scores; a 0/1 mask before the product is exact
-            np.matmul(b[..., c], Ws.transpose(0, 2, 1), out=buf[c])
-            np.subtract(Y[:, None, :, c], buf[c], out=buf[c])
+            np.matmul(b[..., c], Ws[:, lo:hi].transpose(0, 2, 1), out=score[c])
+            np.subtract(Y[:, None, lo:hi, c], score[c], out=score[c])
             if score_beta is not None:
                 g = score_beta[:, None, :] - b[:, :, :score_beta.shape[1], 0]
-                buf[c] += g @ v_rows.transpose(0, 2, 1)
-            buf[c] *= mask
+                score[c] += g @ v_rows[:, lo:hi].transpose(0, 2, 1)
+            score[c] *= mask
         for c in range(py):
-            for cc in range(py - 1, c - 1, -1):  # (c, c) last: it squares buf[c] in place
-                sq = np.multiply(buf[c], buf[cc], out=buf[c] if cc == c else None)
-                blk = (sq @ cross).reshape(Bc, m, d, d)
+            for cc in range(py - 1, c - 1, -1):  # (c, c) last: it squares score[c] in place
+                sq = np.multiply(score[c], score[cc], out=score[c] if cc == c else None)
+                blk = (sq @ cross[:, lo:hi]).reshape(Bc, m, d, d)
                 if cc != c:
                     M[:, :, cc, :, c] = blk.transpose(0, 1, 3, 2)
                 M[:, :, c, :, cc] = blk

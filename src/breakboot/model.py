@@ -150,7 +150,7 @@ class ModelSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSpec":
         try:
-            return cls(
+            fields = dict(
                 p1=int(d["p1"]),
                 p2=int(d["p2"]),
                 se_regressors=tuple(Role.parse(s) for s in d["se_regressors"]),
@@ -158,11 +158,18 @@ class ModelSpec:
             )
         except KeyError as exc:
             raise ConfigError(f"model spec missing field {exc}") from exc
+        except (AttributeError, TypeError, ValueError) as exc:  # not an object, or a bad value
+            raise ConfigError(f"malformed model spec: {exc}") from exc
+        return cls(**fields)
 
     @classmethod
     def from_json(cls, path: str) -> "ModelSpec":
         with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                d = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"model spec {path} is not JSON: {exc}") from exc
+        return cls.from_dict(d)
 
     def to_json(self, path: str) -> None:
         with open(path, "w") as fh:

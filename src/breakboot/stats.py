@@ -173,7 +173,8 @@ def scan_partitions_batch(
         one of them raises ValueError.  Neither (the default) scores with
         the candidate fit's own coefficients, so the score is the fit
         residual.
-    chunk_rows : bound on batch x candidates x rows per batch chunk.
+    chunk_rows : bound on batch x candidates x rows per batch chunk; a
+        chunk of bc entries scans its candidates in blocks of 2048 // bc.
 
     A batch of one solves every candidate's Gram by LU.  A larger batch
     inverts each candidate regime's block of the columns that are equal in

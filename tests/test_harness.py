@@ -207,6 +207,37 @@ def test_cli_config_errors_exit_2(tmp_path):
     ]) == 2
 
 
+def test_cli_config_values_take_their_flag_type(tmp_path):
+    # a file value converts as the same text on the command line would
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"N": "2", "B": "19", "T": "80", "g": 0}))
+    out = tmp_path / "cell.csv"
+    assert cli_main(["simulate", "--config", str(cfgfile), "--seed", "3",
+                     "--out", str(out)]) == 0
+    with open(out) as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 4 and rows[1][2] == "80"
+
+
+def test_cli_config_value_that_does_not_convert_exits_2(tmp_path, capsys):
+    cfgfile = tmp_path / "cfg.json"
+    for bad in ({"B": "abc"}, {"alpha": [0.1]}, {"T": 80.5}, {"scheme": "wx"}, {"N": None}):
+        cfgfile.write_text(json.dumps(bad))
+        assert cli_main(["simulate", "--config", str(cfgfile)]) == 2, bad
+        assert "configuration error" in capsys.readouterr().err
+
+
+def test_cli_malformed_spec_exits_2(tmp_path, capsys):
+    data, _ = bb.generate(bb.ScenarioConfig("h0m0", "A", T=80, seed=7))
+    data_path, spec_path = tmp_path / "d.csv", tmp_path / "spec.json"
+    data.to_csv(str(data_path))
+    for bad in ("{not json", "[1]", json.dumps({"p1": "x", "p2": 4, "se_regressors": [],
+                                                 "rf_instruments": []})):
+        spec_path.write_text(bad)
+        assert cli_main(["test", "--data", str(data_path), "--spec", str(spec_path)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+
 def test_cli_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "breakboot.cli", "gen", "--T", "60", "--out",

@@ -211,6 +211,57 @@ def test_scan_reads_the_resampled_columns_from_the_batch(monkeypatch):
             assert seen == []  # a batch of one takes the LU form
 
 
+@pytest.mark.parametrize("k, eps", [(1, 0.15), (2, 0.25)])
+@pytest.mark.parametrize("py", [1, 2])
+def test_scan_over_several_candidate_blocks_equals_the_batch_of_one(monkeypatch, k, eps, py):
+    # B = 40 entries at n = 150 take blocks of a few dozen to a few hundred
+    # candidates, and each regime reads only the rows its block covers; every
+    # entry must still give what its whole grid in one block (a batch of one)
+    # gives.  k = 2 has a middle regime with both edges inside the sample;
+    # py = 2 pools two targets (the RF form); py = 1 adds the score pair.
+    # Column 1 is resampled in every entry.
+    rng = np.random.default_rng(79 + k + py)
+    B, n, d = 40, 150, 4
+    Ws = np.repeat(np.column_stack([np.ones(n), rng.normal(size=(n, d - 1))])[None], B, axis=0)
+    Ws[:, :, 1] = rng.normal(size=(B, n))
+    Y = rng.normal(size=(B, n) if py == 1 else (B, n, py))
+    score = {} if py > 1 else {"v_rows": rng.normal(size=(B, n, 1)),
+                               "score_beta": rng.normal(size=(B, 1))}
+    parts = enumerate_partitions(n, k, eps, d).as_array()
+    blocks = []
+
+    def spy(Y, Ws, sums, edges, *args):
+        blocks.append((Ws.shape[0], edges.shape[0]))
+        return scan_block(Y, Ws, sums, edges, *args)
+
+    scan_block = estimation._scan_block
+    monkeypatch.setattr(estimation, "_scan_block", spy)
+    wald, ssr, ok = scan_partitions_batch(Y, Ws, parts, n, **score)
+    assert all(bc > 1 and m < len(parts) for bc, m in blocks), blocks
+    for b in range(B):
+        one = {key: v[b:b + 1] for key, v in score.items()}
+        lu = scan_partitions_batch(Y[b:b + 1], Ws[b:b + 1], parts, n, **one)
+        np.testing.assert_array_equal(ok[b], lu[2][0])
+        assert ok[b].any()
+        np.testing.assert_allclose(wald[b], lu[0][0], rtol=1e-10)
+        np.testing.assert_allclose(ssr[b], lu[1][0], rtol=1e-10)
+
+
+def test_scan_batch_chunk_wider_than_a_block():
+    # a tiny grid lets a batch chunk hold more entries than a block has
+    # candidates' worth of work; every candidate is still scanned
+    rng = np.random.default_rng(83)
+    B, n = 2100, 20
+    Ws = np.repeat(np.column_stack([np.ones(n), rng.normal(size=n)])[None], B, axis=0)
+    Y = rng.normal(size=(B, n))
+    parts = enumerate_partitions(n, 1, 0.25, 2).as_array()
+    wald, ssr, ok = scan_partitions_batch(Y, Ws, parts, n)
+    lu = scan_partitions_batch(Y[-1:], Ws[-1:], parts, n)
+    assert ok.all()
+    np.testing.assert_allclose(wald[-1], lu[0][0], rtol=1e-10)
+    np.testing.assert_allclose(ssr[-1], lu[1][0], rtol=1e-10)
+
+
 def test_sup_wald_seq_matches_independent_loop():
     # null partition with two long, internally homogeneous regimes: the
     # statistic equals the max over regimes of a hand-rolled scan that
