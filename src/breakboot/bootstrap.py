@@ -39,7 +39,7 @@ import numpy as np
 from .estimation import (
     Design,
     RegimeEstimates,
-    _batched_solve,
+    _regime_fit,
     fit_regimes,
     make_design,
 )
@@ -218,29 +218,14 @@ def _first_stage_batch(Zb, xb, rf_partition: Partition):
     Zb is (B, n, q), the bootstrap instrument rows, or (n, q), the sample's
     rows shared by every replication, whose regime Grams are then solved
     once against all B right-hand sides; xb is (n, p1, B).  A replication
-    whose regime Gram is singular gets NaN there, so its draw fails.
+    whose :func:`_regime_fit` system is singular gets NaN there, so it fails.
     """
     n, p1, B = xb.shape
-    xhat = np.empty((B, n, p1))
+    regimes = rf_partition.regimes()
     if Zb.ndim == 2:
-        for a, bnd in rf_partition.regimes():
-            sl = slice(a - 1, bnd)
-            Zr = Zb[sl]
-            h = Zr.T @ xb[sl].reshape(-1, p1 * B)
-            delta, ok = _batched_solve((Zr.T @ Zr)[None], h[None])
-            delta[~ok] = np.nan
-            xhat[:, sl, :] = np.einsum("tq,qpb->btp", Zr, delta[0].reshape(-1, p1, B))
-        return xhat
-    xbt = xb.transpose(2, 0, 1)  # (B, n, p1)
-    for a, bnd in rf_partition.regimes():
-        sl = slice(a - 1, bnd)
-        Zr = Zb[:, sl, :]
-        G = np.einsum("bti,btj->bij", Zr, Zr)
-        h = np.einsum("bti,btp->bip", Zr, xbt[:, sl, :])
-        delta, ok = _batched_solve(G, h)
-        delta[~ok] = np.nan
-        xhat[:, sl, :] = np.einsum("btq,bqp->btp", Zr, delta)
-    return xhat
+        _, xhat = _regime_fit(Zb[None], xb.reshape(1, n, p1 * B), regimes)
+        return xhat[0].reshape(n, p1, B).transpose(2, 0, 1)
+    return _regime_fit(Zb, xb.transpose(2, 0, 1), regimes)[1]
 
 
 def _samples(design: Design, cfg: BootstrapConfig, nu: np.ndarray | None, *,
@@ -443,6 +428,8 @@ def bootstrap_sup_test_design(
         raise ConfigError("null_breaks must be >= 0")
     if null_breaks > 0 and alt_breaks != null_breaks + 1:
         raise ConfigError("with a breaking null, alt_breaks must equal null_breaks + 1")
+    if not all(0 < a < 1 for a in alphas):
+        raise ConfigError(f"every alpha must lie in (0, 1), got {alphas}")
     n = design.n
     rf_partition = _rf_partition(design, eps, rf_partition)
 

@@ -99,9 +99,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    """Fill unset flags from the JSON config; explicit flags win.
+def _apply_config_file(args: argparse.Namespace, argv: list[str] | None):
+    """Fill the flags argv does not give from the JSON config; explicit flags win.
 
+    A flag counts as given when argv names it, even with its default value.
     A file value goes through its flag's type and choices, as the same
     value typed on the command line would; one that does not convert is a
     ConfigError.
@@ -115,14 +116,18 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
         raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
     if not isinstance(file_values, dict):
         raise ConfigError("config file must hold a JSON object")
+    parser = build_parser()
     verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     flags = {a.dest: a for a in verbs.choices[args.verb]._actions if a.dest in vars(args)}
+    for flag in flags.values():  # parse argv again to see which flags it gives
+        flag.default = argparse.SUPPRESS
+    given = vars(parser.parse_args(argv))
     for key, value in file_values.items():
         attr = key.replace("-", "_")
         if attr not in flags:
             raise ConfigError(f"config key {key!r} is not a flag of '{args.verb}'")
         flag = flags[attr]
-        if getattr(args, attr) != flag.default:
+        if attr in given:
             continue
         if not isinstance(value, (str, int, float)):
             raise ConfigError(f"config key {key!r} takes one value, got {value!r}")
@@ -230,7 +235,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _apply_config_file(args, parser)
+        args = _apply_config_file(args, argv)
         if args.verb == "gen":
             return _cmd_gen(args)
         if args.verb == "simulate":

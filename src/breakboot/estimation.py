@@ -47,6 +47,12 @@ p-value count and the order-statistic critical values, so their rounding
 may move; the sample statistic keeps the LU sequence until the
 benchmark's 2-worker cell, compared bit for bit with a recorded
 reference, is compared through tolerances.
+
+:func:`_regime_fit` is the one least-squares fit on a fixed partition:
+the sample first and second stages (a batch of one, after each regime's
+COND_CAP check), every bootstrap sample's first stage, and the one-regime
+restricted fit.  On a batch of one it gives the bits of a plain per-regime
+Z_r'Z_r solve, which the benchmark's 2-worker cell compares bit for bit.
 """
 
 from __future__ import annotations
@@ -90,16 +96,15 @@ class RobustBlocks:
 
 @dataclass(frozen=True)
 class SecondStageFit:
-    """Per-regime SE coefficients plus both residual kinds.
+    """Per-regime SE coefficients, the second-stage SSR and the structural residuals.
 
-    resid2 are second-stage residuals y - w_hat' beta; u_hat are the
+    ssr sums the second-stage residuals y - w_hat' beta; u_hat are the
     structural residuals y - w' beta computed with the actual x, the
     (non-centered) residuals used by the bootstrap.
     """
 
     beta: list[np.ndarray]
     ssr: float
-    resid2: np.ndarray
     u_hat: np.ndarray
 
 
@@ -434,8 +439,32 @@ def _scan_block(Y, Ws, sums, edges, n_global, v_rows, score_beta, compute_wald, 
     return wald, ssr, ok
 
 
-def _regime_slices(partition: Partition) -> list[slice]:
-    return [slice(a - 1, b) for a, b in partition.regimes()]
+def _regime_fit(X: np.ndarray, Y: np.ndarray, regimes) -> tuple[list[np.ndarray], np.ndarray]:
+    """Least squares of Y (B, n, c) on X (B, n, d) within each regime, over a batch.
+
+    regimes holds 1-based inclusive (start, end) row pairs, as
+    :meth:`Partition.regimes`.  A system that :func:`_batched_solve` flags
+    gets NaN coefficients.  Returns ((B, d, c) coefficients per regime,
+    fitted values (B, n, c)).
+    """
+    coef: list[np.ndarray] = []
+    fitted = np.empty(X.shape[:2] + Y.shape[2:])
+    for s, t in regimes:
+        Xr = X[:, s - 1 : t]
+        Xt = Xr.transpose(0, 2, 1)
+        b, ok = _batched_solve(Xt @ Xr, Xt @ Y[:, s - 1 : t])
+        b[~ok] = np.nan
+        coef.append(b)
+        np.matmul(Xr, b, out=fitted[:, s - 1 : t])
+    return coef, fitted
+
+
+def _sample_fit(X: np.ndarray, Y: np.ndarray, partition: Partition, what: str):
+    """:func:`_regime_fit` of Y (n, c) on X (n, d), raising where a Gram fails COND_CAP."""
+    for s, t in partition.regimes():
+        _check_gram(X[s - 1 : t].T @ X[s - 1 : t], what)
+    coef, fitted = _regime_fit(X[None], Y[None], partition.regimes())
+    return [c[0] for c in coef], fitted[0]
 
 
 def first_stage(
@@ -446,17 +475,8 @@ def first_stage(
     Delta_(j) is q x p1 for RF regime j; x_hat stitches the regime fits,
     v_hat = x - x_hat exactly.
     """
-    Z, x = design.Z, design.x
-    delta: list[np.ndarray] = []
-    x_hat = np.empty_like(x)
-    for sl in _regime_slices(rf_partition):
-        Zr = Z[sl]
-        G = Zr.T @ Zr
-        _check_gram(G, "first_stage")
-        d = np.linalg.solve(G, Zr.T @ x[sl])
-        delta.append(d)
-        x_hat[sl] = Zr @ d
-    return delta, x_hat, x - x_hat
+    delta, x_hat = _sample_fit(design.Z, design.x, rf_partition, "first_stage")
+    return delta, x_hat, design.x - x_hat
 
 
 def second_stage(
@@ -464,23 +484,13 @@ def second_stage(
 ) -> SecondStageFit:
     """Regime-wise OLS of y on w_hat = (x_hat, z1)."""
     W = np.column_stack([x_hat, design.Z1])
-    Wa = design.w_actual
-    y = design.y
-    beta: list[np.ndarray] = []
-    resid2 = np.empty_like(y)
-    u_hat = np.empty_like(y)
-    ssr = 0.0
-    for sl in _regime_slices(se_partition):
-        Wr = W[sl]
-        G = Wr.T @ Wr
-        _check_gram(G, "second_stage")
-        b = np.linalg.solve(G, Wr.T @ y[sl])
-        beta.append(b)
-        e = y[sl] - Wr @ b
-        resid2[sl] = e
-        u_hat[sl] = y[sl] - Wa[sl] @ b
-        ssr += float(e @ e)
-    return SecondStageFit(beta=beta, ssr=ssr, resid2=resid2, u_hat=u_hat)
+    y, Wa = design.y, design.w_actual
+    beta, fitted = _sample_fit(W, y[:, None], se_partition, "second_stage")
+    beta = [b[:, 0] for b in beta]
+    e = y - fitted[:, 0]
+    u_hat = np.concatenate([y[s - 1 : t] - Wa[s - 1 : t] @ b
+                            for (s, t), b in zip(se_partition.regimes(), beta)])
+    return SecondStageFit(beta=beta, ssr=float(e @ e), u_hat=u_hat)
 
 
 def fit_regimes(
@@ -525,10 +535,11 @@ def eicker_white(
     Q: list[np.ndarray] = []
     M: list[np.ndarray] = []
     V: list[np.ndarray] = []
-    slices = _regime_slices(se_partition)
-    if len(slices) != len(estimates.beta):
+    regimes = se_partition.regimes()
+    if len(regimes) != len(estimates.beta):
         raise ValueError("se_partition does not match estimates")
-    for i, sl in enumerate(slices):
+    for i, (s, t) in enumerate(regimes):
+        sl = slice(s - 1, t)
         Wr = W[sl]
         Qi = (Wr.T @ Wr) / n
         eig = np.linalg.eigvalsh(Qi)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimation import Design, RobustBlocks, _batched_solve, _scan, first_stage
+from .estimation import Design, RobustBlocks, _regime_fit, _scan, first_stage
 from .exceptions import (
     ConfigError,
     DegenerateSSRError,
@@ -199,19 +199,13 @@ def restricted_fit_batch(Y: np.ndarray, Ws: np.ndarray) -> tuple[np.ndarray, np.
 
     Y (B, n) gives coefficients (B, d) and SSR (B,).  Y (B, n, py) fits each
     column on the same Ws: coefficients (B, d, py), and the SSR summed over
-    the columns, as the scan pools them.
+    the columns, as the scan pools them.  A one-regime :func:`_regime_fit`;
+    the SSR sums its residuals, not the cancelling sum(y^2) - b'h.
     """
     Y3 = Y if Y.ndim == 3 else Y[:, :, None]
-    G = np.einsum("bni,bnj->bij", Ws, Ws)
-    b = np.empty((Ws.shape[0], Ws.shape[2], Y3.shape[2]))
-    ssr = np.zeros(Y.shape[0])
-    for c in range(Y3.shape[2]):
-        h = np.einsum("bni,bn->bi", Ws, Y3[:, :, c])
-        bc, ok = _batched_solve(G, h[:, :, None])
-        b[:, :, c] = np.where(ok[:, None], bc[:, :, 0], np.nan)
-        resid = Y3[:, :, c] - np.einsum("bnd,bd->bn", Ws, b[:, :, c])
-        ssr += np.einsum("bn,bn->b", resid, resid)
-    return (b if Y.ndim == 3 else b[:, :, 0]), ssr
+    (b,), fitted = _regime_fit(Ws, Y3, [(1, Ws.shape[1])])
+    resid = Y3 - fitted
+    return (b if Y.ndim == 3 else b[:, :, 0]), np.einsum("bnc,bnc->b", resid, resid)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from breakboot.bootstrap import (
     wr_generate,
 )
 from breakboot.estimation import first_stage, fit_regimes, make_design
-from breakboot.exceptions import EmptyDrawsError
+from breakboot.exceptions import ConfigError, EmptyDrawsError
 from breakboot.model import Dataset, ModelSpec, Partition, Role, no_breaks
 from breakboot.partition_search import (
     enumerate_partitions,
@@ -273,6 +273,14 @@ def test_rejection_flags_attached_to_outcome():
     assert set(out.levels_rejected) == {0.10, 0.05}
     assert 0.0 <= out.p_value <= 1.0
     assert len(out.boot_draws) == 39
+
+
+def test_alpha_outside_unit_interval_is_a_config_error():
+    data, _ = bb.generate(bb.ScenarioConfig("h0m0", "A", T=80, seed=41))
+    design = make_design(bb.scenario_model_spec(), data)
+    for alphas in ((1.5,), (0.10, 0.0), (-0.05,)):
+        with pytest.raises(ConfigError):
+            bootstrap_sup_test_design(design, BootstrapConfig("wr", 9, 2), alphas=alphas)
 
 
 def test_seq_bootstrap_runs_and_is_deterministic():

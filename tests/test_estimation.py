@@ -1,10 +1,13 @@
 """Least-squares kernels against independent oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import breakboot as bb
 from breakboot.estimation import (
+    COND_CAP,
     _batched_solve,
     eicker_white,
     first_stage,
@@ -114,6 +117,37 @@ def test_second_stage_single_regime_equals_ols():
     ref = ols(W, design.y)
     np.testing.assert_allclose(fit.beta[0], ref.coef, rtol=1e-9)
     assert abs(fit.ssr - ref.ssr) < 1e-8 * max(1.0, ref.ssr)
+
+
+def test_sample_stages_raise_on_a_bad_regime_and_keep_the_plain_solve_bits():
+    design, spec = _design(T=200, seed=8)
+    n = design.n
+    part = Partition((90,), n, 0.15, min_regime_length(n, 0.15, spec.q))
+    delta, x_hat, v_hat = first_stage(design, part)
+    # the 2-worker benchmark cell compares sample statistics bit for bit
+    for (a, b), d in zip(part.regimes(), delta):
+        Zr = design.Z[a - 1 : b]
+        plain = np.linalg.solve(Zr.T @ Zr, Zr.T @ design.x[a - 1 : b])
+        assert np.array_equal(d, plain)
+        assert np.array_equal(x_hat[a - 1 : b], Zr @ plain)
+    assert np.array_equal(v_hat, design.x - x_hat)
+
+    # a column that is zero over regime 2, and one scaled there so that the
+    # regime's Gram exceeds COND_CAP although it still solves
+    for scale in (0.0, 1e-4):
+        Z = design.Z.copy()
+        Z[90:, 2] *= scale
+        bad_x_hat = x_hat.copy()
+        bad_x_hat[90:] *= scale
+        if scale:
+            for X in (Z[90:], np.column_stack([bad_x_hat, design.Z1])[90:]):
+                G = X.T @ X
+                assert np.linalg.cond(G) > COND_CAP
+                assert _batched_solve(G[None], G[None, :, :1])[1].all()
+        with pytest.raises(RankDeficientError):
+            first_stage(replace(design, Z=Z), part)
+        with pytest.raises(RankDeficientError):
+            second_stage(design, bad_x_hat, part)
 
 
 def test_second_stage_mirror_halves_equal_betas():

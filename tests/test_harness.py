@@ -186,14 +186,26 @@ def test_cli_flag_overrides_config(tmp_path):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"T": 90, "N": 2, "B": 19}))
     out = tmp_path / "cell.csv"
-    rc = cli_main([
-        "simulate", "--config", str(cfgfile), "--T", "80",
-        "--seed", "3", "--out", str(out),
-    ])
-    assert rc == 0
-    with open(out) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[1][2] == "80"
+    for T in ("80", "240"):  # 240 is the flag's default, given explicitly
+        rc = cli_main([
+            "simulate", "--T", T, "--config", str(cfgfile),
+            "--seed", "3", "--out", str(out),
+        ])
+        assert rc == 0
+        with open(out) as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1][2] == T
+
+
+def test_cli_test_alpha_outside_unit_interval_exits_2(tmp_path, capsys):
+    data, _ = bb.generate(bb.ScenarioConfig("h0m0", "A", T=80, seed=7))
+    data_path, spec_path = tmp_path / "d.csv", tmp_path / "spec.json"
+    data.to_csv(str(data_path))
+    bb.scenario_model_spec().to_json(str(spec_path))
+    for alpha in ("1.5", "0.05,0"):
+        assert cli_main(["test", "--data", str(data_path), "--spec", str(spec_path),
+                         "--B", "9", "--rf-breaks", "0", "--alpha", alpha]) == 2
+        assert "configuration error" in capsys.readouterr().err
 
 
 def test_cli_config_errors_exit_2(tmp_path):
@@ -239,10 +251,13 @@ def test_cli_malformed_spec_exits_2(tmp_path, capsys):
 
 
 def test_cli_entry_point_runs():
+    # the child imports breakboot from where this process found it
+    src = os.path.dirname(os.path.dirname(bb.__file__))
     proc = subprocess.run(
         [sys.executable, "-m", "breakboot.cli", "gen", "--T", "60", "--out",
          os.devnull],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0
