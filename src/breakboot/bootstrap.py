@@ -21,10 +21,10 @@ Grams.
 
 Replication b of Monte Carlo repetition j draws its multipliers from the
 stream seeded by derive_seed(master_seed, j, STREAM_NU, b); reduced-form
-pre-test stages use STREAM_NU_RF with the stage index appended.  The
-number and location of reduced-form breaks are held at their sample
-estimates across replications; reduced-form coefficients are re-estimated
-in every bootstrap sample.  The B samples of a test form one batch, scored
+pre-test stages use STREAM_NU_RF with the stage's null break count
+appended.  The number and location of reduced-form breaks are held at
+their sample estimates across replications; reduced-form coefficients are
+re-estimated in every bootstrap sample.  The B samples of a test form one batch, scored
 by the same sup reductions as the sample statistic (see
 :mod:`breakboot.stats`).
 """
@@ -229,7 +229,7 @@ def _first_stage_batch(Zb, xb, rf_partition: Partition):
 
 
 def _samples(design: Design, cfg: BootstrapConfig, nu: np.ndarray | None, *,
-             est: RegimeEstimates | None = None, rf=None, stage: int = 0):
+             est: RegimeEstimates | None = None, rf=None):
     """The B bootstrap samples of one test as a batch: (Yb, Wb, v_hat_b).
 
     Structural equation (est, a null-imposed fit): Yb (B, n) is y, Wb
@@ -237,17 +237,17 @@ def _samples(design: Design, cfg: BootstrapConfig, nu: np.ndarray | None, *,
     est.rf_partition next to z1, and v_hat_b (B, n, p1) its residuals.
     Reduced form (rf = (delta, v_hat, rf_partition)): Yb (B, n, p1) is x,
     Wb (B, n, q) is z, a read-only view, and v_hat_b is None.  Multipliers
-    come from the SE stream, or the RF stream of the given pre-test stage,
-    unless nu (n, B) is passed.
+    come from the SE stream, or the RF stream keyed by rf_partition.k, the
+    pre-test stage's null break count, unless nu (n, B) is passed.
     """
     n, spec = design.n, design.spec
+    delta, v_hat, rf_partition = rf if est is None else (est.delta, est.v_hat, est.rf_partition)
     if nu is None:
         stream = (
             MultiplierStream(cfg.master_seed, cfg.rep_index) if rf is None
-            else MultiplierStream(cfg.master_seed, cfg.rep_index, STREAM_NU_RF, stage)
+            else MultiplierStream(cfg.master_seed, cfg.rep_index, STREAM_NU_RF, rf_partition.k)
         )
         nu = stream.matrix(n, cfg.B)
-    delta, v_hat, rf_partition = rf if est is None else (est.delta, est.v_hat, est.rf_partition)
     xb, Zb, yb = _paths(design, delta, rf_partition, v_hat, nu,
                         recursive=cfg.scheme == "wr", est=est)
     B = nu.shape[1]
@@ -261,16 +261,17 @@ def _samples(design: Design, cfg: BootstrapConfig, nu: np.ndarray | None, *,
     return yb.T.copy(), Wb, xb.transpose(2, 0, 1) - what
 
 
-def _draws(stats: np.ndarray, cfg: BootstrapConfig) -> tuple[np.ndarray, int]:
+def _draws(stats: np.ndarray) -> tuple[np.ndarray, int]:
     """Finite bootstrap statistics and the count of failed replications.
 
-    A replication fails when its statistic is not finite; more than
-    MAX_FAILURE_RATE * B failures raise BootstrapFailureError.
+    stats holds one statistic per replication, B in all.  A replication
+    fails when its statistic is not finite; more than MAX_FAILURE_RATE * B
+    failures raise BootstrapFailureError.
     """
     finite = np.isfinite(stats)
     failures = int(np.sum(~finite))
-    if failures > MAX_FAILURE_RATE * cfg.B:
-        raise BootstrapFailureError(f"{failures} of {cfg.B} bootstrap replications failed")
+    if failures > MAX_FAILURE_RATE * stats.size:
+        raise BootstrapFailureError(f"{failures} of {stats.size} bootstrap replications failed")
     return stats[finite], failures
 
 
@@ -292,13 +293,12 @@ def case_i_draws(
     """
     Yb, Wb, _ = _samples(design, cfg, nu, est=est)
     _, vals, _ = _sup_case_i(Yb, Wb, k, eps, design.spec.q, statistic=statistic)
-    return _draws(np.max(vals, axis=1), cfg)
+    return _draws(np.max(vals, axis=1))
 
 
 def case_ii_draws(
     design: Design,
     est: RegimeEstimates,
-    eps: float,
     cfg: BootstrapConfig,
     *,
     statistic: str = "supwald",
@@ -306,14 +306,13 @@ def case_ii_draws(
 ) -> tuple[np.ndarray, int]:
     """B bootstrap one-more-break statistics for an l-break null.
 
-    est must impose the l-break null: its se_partition is reused
-    as the regime frame for every replication.
+    est must impose the l-break null: its se_partition is reused as the
+    regime frame for every replication, and its min_len bounds the extra
+    break.
     """
     Yb, Wb, vb = _samples(design, cfg, nu, est=est)
-    min_len = min_regime_length(design.n, eps, design.spec.q)
-    best, *_ = _sup_case_ii(Yb, Wb, est.se_partition, min_len, statistic=statistic,
-                            v_rows=vb)
-    return _draws(best, cfg)
+    best, *_ = _sup_case_ii(Yb, Wb, est.se_partition, statistic=statistic, v_rows=vb)
+    return _draws(best)
 
 
 def rf_case_i_draws(
@@ -323,14 +322,13 @@ def rf_case_i_draws(
     eps: float,
     cfg: BootstrapConfig,
     *,
-    stage: int = 0,
     nu: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
     """Bootstrap sup-Wald draws for no RF breaks against one."""
     rf = (delta, v_hat, _rf_partition(design, eps, None))
-    Yb, Wb, _ = _samples(design, cfg, nu, rf=rf, stage=stage)
+    Yb, Wb, _ = _samples(design, cfg, nu, rf=rf)
     _, vals, _ = _sup_case_i(Yb, Wb, 1, eps, design.spec.q)
-    return _draws(np.max(vals, axis=1), cfg)
+    return _draws(np.max(vals, axis=1))
 
 
 def rf_case_ii_draws(
@@ -338,18 +336,19 @@ def rf_case_ii_draws(
     delta: list[np.ndarray],
     v_hat: np.ndarray,
     rf_partition: Partition,
-    eps: float,
     cfg: BootstrapConfig,
     *,
-    stage: int = 1,
     nu: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
-    """Bootstrap draws for l RF breaks against l+1."""
+    """Bootstrap draws for l RF breaks against l+1.
+
+    l is rf_partition.k, which also keys the multiplier stream; its
+    min_len bounds the extra break.
+    """
     rf = (delta, v_hat, rf_partition)
-    Yb, Wb, _ = _samples(design, cfg, nu, rf=rf, stage=stage)
-    min_len = min_regime_length(design.n, eps, design.spec.q)
-    best, *_ = _sup_case_ii(Yb, Wb, rf_partition, min_len)
-    return _draws(best, cfg)
+    Yb, Wb, _ = _samples(design, cfg, nu, rf=rf)
+    best, *_ = _sup_case_ii(Yb, Wb, rf_partition)
+    return _draws(best)
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +367,11 @@ def pvalue_and_quantile(
     statistic.  The level-alpha critical value is the (1-alpha)(B+1)-th
     order statistic of the B draws; when that index is not an integer it
     is rounded up and flagged, and when it exceeds B the level is
-    infeasible (critical value +inf, never reject).
+    infeasible (critical value +inf, never reject).  An alpha outside
+    (0, 1) raises ConfigError.
     """
+    if not all(0 < a < 1 for a in alphas):
+        raise ConfigError(f"every alpha must lie in (0, 1), got {alphas}")
     draws = np.asarray(boot_draws, dtype=np.float64)
     if draws.size == 0:
         raise EmptyDrawsError("no bootstrap draws")
@@ -428,8 +430,6 @@ def bootstrap_sup_test_design(
         raise ConfigError("null_breaks must be >= 0")
     if null_breaks > 0 and alt_breaks != null_breaks + 1:
         raise ConfigError("with a breaking null, alt_breaks must equal null_breaks + 1")
-    if not all(0 < a < 1 for a in alphas):
-        raise ConfigError(f"every alpha must lie in (0, 1), got {alphas}")
     n = design.n
     rf_partition = _rf_partition(design, eps, rf_partition)
 
@@ -438,13 +438,14 @@ def bootstrap_sup_test_design(
             outcome = sup_wald_design(design, alt_breaks, eps, rf_partition)
         else:
             outcome = sup_f_design(design, alt_breaks, eps, rf_partition)
-        est = fit_regimes(design, rf_partition, no_breaks(n, eps))
+        null_partition = no_breaks(n, eps, min_regime_length(n, eps, design.spec.q))
+        est = fit_regimes(design, rf_partition, null_partition)
         draws, failures = case_i_draws(design, est, alt_breaks, eps, boot, statistic=statistic)
     else:
         null_partition = ssr_null_partition(design, null_breaks, eps, rf_partition)
-        outcome = sup_wald_seq_design(design, null_partition, eps, rf_partition, statistic)
+        outcome = sup_wald_seq_design(design, null_partition, rf_partition, statistic)
         est = fit_regimes(design, rf_partition, null_partition)
-        draws, failures = case_ii_draws(design, est, eps, boot, statistic=statistic)
+        draws, failures = case_ii_draws(design, est, boot, statistic=statistic)
 
     p, crits, rejects, flags = pvalue_and_quantile(outcome.statistic, draws, alphas)
     outcome.rf_partition = rf_partition

@@ -84,7 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
     tst.add_argument("--data", required=False, help="dataset CSV (y,x1..,r1..)")
     tst.add_argument("--spec", required=False, help="model spec JSON")
     tst.add_argument("--null-breaks", type=int, default=0)
-    tst.add_argument("--alt-breaks", type=int, default=1)
+    tst.add_argument("--alt-breaks", type=int, default=None,
+                     help="alternative break count (default: --null-breaks + 1)")
     tst.add_argument("--B", type=int, default=399)
     tst.add_argument("--alpha", default="0.10,0.05,0.01")
     tst.add_argument("--test", choices=STATISTICS, default="supwald")
@@ -221,7 +222,7 @@ def _cmd_test(args) -> int:
         make_design(spec, data),
         BootstrapConfig(args.scheme, args.B, args.seed),
         null_breaks=args.null_breaks,
-        alt_breaks=args.alt_breaks,
+        alt_breaks=args.null_breaks + 1 if args.alt_breaks is None else args.alt_breaks,
         statistic=args.test,
         eps=args.eps,
         alphas=_parse_alphas(args.alpha),

@@ -107,14 +107,15 @@ def segment_ssr_table(y: np.ndarray, X: np.ndarray, min_len: int) -> np.ndarray:
     return table
 
 
-def dp_breaks(table: np.ndarray, n: int, k: int, min_len: int) -> tuple[tuple[int, ...], float]:
+def dp_breaks(table: np.ndarray, k: int, min_len: int) -> tuple[tuple[int, ...], float]:
     """Minimise total segment SSR over admissible k-break partitions.
 
-    Works on a segment table from :func:`segment_ssr_table`.  Ties are
-    broken by the lexicographically smallest break tuple (reconstruction
-    walks forward choosing the smallest first break attaining the
-    optimum).
+    Works on an (n+1, n+1) segment table from :func:`segment_ssr_table`,
+    whose +inf entries mark inadmissible segments.  Ties are broken by the
+    lexicographically smallest break tuple (reconstruction walks forward
+    choosing the smallest first break attaining the optimum).
     """
+    n = table.shape[0] - 1
     if k == 0:
         ssr = table[1, n]
         if not np.isfinite(ssr):
@@ -124,29 +125,18 @@ def dp_breaks(table: np.ndarray, n: int, k: int, min_len: int) -> tuple[tuple[in
         raise InfeasiblePartitionError(
             f"no admissible {k}-break partition of {n} rows"
         )
-    # suffix[j][s] = min SSR of covering rows s..n with j segments
-    suffix = [np.full(n + 2, np.inf) for _ in range(k + 2)]
-    suffix[1][1 : n - min_len + 2] = table[1 : n - min_len + 2, n]
+    # suffix[j][s] = min SSR of covering rows s..n with j segments; segment
+    # [s, b] plus a suffix of j-1 segments from b+1, +inf where none fits
+    suffix = {1: np.append(table[:, n], np.inf)}
     for j in range(2, k + 2):
-        # segment [s, b] + suffix of j-1 segments from b+1
-        prev = suffix[j - 1]
-        cur = suffix[j]
-        for s in range(1, n - j * min_len + 2):
-            bs = np.arange(s + min_len - 1, n - (j - 1) * min_len + 1)
-            vals = table[s, bs] + prev[bs + 1]
-            best = np.min(vals) if bs.size else np.inf
-            cur[s] = best
+        suffix[j] = np.append(np.min(table + suffix[j - 1][1:], axis=1), np.inf)
     total = suffix[k + 1][1]
     if not np.isfinite(total):
         raise InfeasiblePartitionError("all candidate partitions are rank deficient")
     breaks: list[int] = []
     s = 1
     for j in range(k + 1, 1, -1):
-        bs = np.arange(s + min_len - 1, n - (j - 1) * min_len + 1)
-        vals = table[s, bs] + suffix[j - 1][bs + 1]
-        target = suffix[j][s]
-        hit = bs[vals == target]
-        b = int(hit[0]) if hit.size else int(bs[np.argmin(vals)])
+        b = int(np.argmax(table[s] + suffix[j - 1][1:] == suffix[j][s]))
         breaks.append(b)
         s = b + 1
     return tuple(breaks), float(total)
@@ -164,7 +154,7 @@ def global_ssr_breaks(
     min_len = min_regime_length(n, eps, design.spec.q)
     W = np.column_stack([x_hat, design.Z1])
     table = segment_ssr_table(design.y, W, min_len)
-    breaks, ssr = dp_breaks(table, n, n_breaks, min_len)
+    breaks, ssr = dp_breaks(table, n_breaks, min_len)
     return Partition(breaks, n, eps, min_len), ssr
 
 
@@ -181,7 +171,7 @@ def rf_break_grid_and_fit(
     n = design.n
     min_len = min_regime_length(n, eps, design.spec.q)
     table = segment_ssr_table(design.x, design.Z, min_len)
-    breaks, _ = dp_breaks(table, n, h, min_len)
+    breaks, _ = dp_breaks(table, h, min_len)
     partition = Partition(breaks, n, eps, min_len)
     delta, _, v_hat = first_stage(design, partition)
     return partition, delta, v_hat

@@ -3,7 +3,9 @@
 The RF is a linear model estimated by OLS, so the structural-change
 machinery applies with x as the dependent block and no second stage.
 Stage l tests l breaks against l+1 with the bootstrap sup-Wald, with the
-first stage fitted once on the stage's l-break partition; testing stops
+first stage fitted once on the stage's l-break partition.  That partition
+carries everything else the stage needs: its break count keys the stage's
+multiplier stream and its min_len bounds the extra break.  Testing stops
 at the first p-value above ALPHA_SEQ, keeping that stage's partition, or
 at the break cap, whose partition is estimated then.
 """
@@ -32,9 +34,12 @@ ALPHA_SEQ = 0.05  # level of every stage's test
 
 @dataclass(frozen=True)
 class SequentialResult:
-    chosen_breaks: int
     partition: Partition
     trail: list[tuple[int, float, float]]  # (null breaks, statistic, p-value)
+
+    @property
+    def chosen_breaks(self) -> int:
+        return self.partition.k
 
 
 def rf_sup_wald(design: Design, eps: float = 0.15) -> float:
@@ -45,12 +50,10 @@ def rf_sup_wald(design: Design, eps: float = 0.15) -> float:
     return float(np.max(vals[0]))
 
 
-def rf_sup_wald_seq(
-    design: Design, rf_partition: Partition, eps: float = 0.15
-) -> float:
-    """Sample one-more-break sup-Wald within the regimes of rf_partition."""
-    min_len = min_regime_length(design.n, eps, design.spec.q)
-    best, *_ = _sup_case_ii(design.x[None], design.Z[None], rf_partition, min_len)
+def rf_sup_wald_seq(design: Design, rf_partition: Partition) -> float:
+    """Sample one-more-break sup-Wald within the regimes of rf_partition,
+    whose min_len bounds the extra break."""
+    best, *_ = _sup_case_ii(design.x[None], design.Z[None], rf_partition)
     if not np.isfinite(best[0]):
         raise SingularMiddleError("every within-regime candidate failed")
     return float(best[0])
@@ -75,18 +78,14 @@ def estimate_rf_breaks_design(
             partition = no_breaks(n, eps, min_regime_length(n, eps, design.spec.q))
             delta, _, v_hat = first_stage(design, partition)
             stat = rf_sup_wald(design, eps)
-            draws, _ = rf_case_i_draws(
-                design, delta, v_hat, eps, boot, stage=0
-            )
+            draws, _ = rf_case_i_draws(design, delta, v_hat, eps, boot)
         else:
             partition, delta, v_hat = rf_break_grid_and_fit(design, level, eps)
-            stat = rf_sup_wald_seq(design, partition, eps)
-            draws, _ = rf_case_ii_draws(
-                design, delta, v_hat, partition, eps, boot, stage=level
-            )
+            stat = rf_sup_wald_seq(design, partition)
+            draws, _ = rf_case_ii_draws(design, delta, v_hat, partition, boot)
         p = pvalue_and_quantile(stat, draws, ())[0]
         trail.append((level, stat, p))
         if p > ALPHA_SEQ:
-            return SequentialResult(chosen_breaks=level, partition=partition, trail=trail)
+            return SequentialResult(partition=partition, trail=trail)
     final, _, _ = rf_break_grid_and_fit(design, max_breaks, eps)
-    return SequentialResult(chosen_breaks=max_breaks, partition=final, trail=trail)
+    return SequentialResult(partition=final, trail=trail)

@@ -238,10 +238,11 @@ def _f_ratio(num, den, defined):
     return np.divide(num, den, out=np.full(num.shape, -np.inf), where=defined)
 
 
-def _sup_case_ii(Y, Ws, null_partition, min_len, *, statistic="supwald", v_rows=None):
+def _sup_case_ii(Y, Ws, null_partition, *, statistic="supwald", v_rows=None):
     """Case (ii): the sup over one extra break within each null regime.
 
-    Each regime's restricted single-regime fit supplies the score's
+    The extra break leaves both sub-regimes at least null_partition.min_len
+    rows long.  Each regime's restricted single-regime fit supplies the score's
     endogenous-block coefficients (when v_rows, (B, n, p1), is given) and,
     for statistic="supf", the restricted SSR.  Returns (best, regime, row,
     skipped, flags): per batch entry the sup, its 1-based regime and its
@@ -250,6 +251,7 @@ def _sup_case_ii(Y, Ws, null_partition, min_len, *, statistic="supwald", v_rows=
     cannot take a break.
     """
     B, n, d = Ws.shape
+    min_len = null_partition.min_len
     best = np.full(B, -np.inf)
     regime = np.zeros(B, dtype=np.int64)
     row = np.zeros(B, dtype=np.int64)
@@ -400,7 +402,6 @@ def _seq_outcome(null_partition: Partition, best, regime, row, skipped, flags) -
 def sup_wald_seq_design(
     design: Design,
     null_partition: Partition,
-    eps: float = 0.15,
     rf_partition: Partition | None = None,
     statistic: str = "supwald",
 ) -> TestOutcome:
@@ -408,13 +409,14 @@ def sup_wald_seq_design(
 
     The paper's null partition is the SSR-minimising one,
     ``ssr_null_partition(design, l, eps, rf_partition)``; rf_partition is as
-    in sup_wald_design.
+    in sup_wald_design.  The extra break leaves both sub-regimes at least
+    null_partition.min_len rows long: the design's for every partition the
+    package builds, and its own for a hand-built one.
     """
     if statistic not in STATISTICS:
         raise ConfigError(f"statistic must be one of {STATISTICS}")
     if null_partition.k < 1:
         raise InfeasiblePartitionError("the null must impose at least one break")
-    Y, W, v_hat = _sample_batch(design, eps, rf_partition)
-    min_len = min_regime_length(design.n, eps, design.spec.q)
-    found = _sup_case_ii(Y, W, null_partition, min_len, statistic=statistic, v_rows=v_hat)
+    Y, W, v_hat = _sample_batch(design, null_partition.trim, rf_partition)
+    found = _sup_case_ii(Y, W, null_partition, statistic=statistic, v_rows=v_hat)
     return _seq_outcome(null_partition, *found)

@@ -90,3 +90,23 @@ def test_bootstrap_settings_come_as_one_config():
         if inspect.isfunction(obj := getattr(bb, name))
     }
     assert {name: params for name, params in takers.items() if params} == {}
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # __init__ imports only to export, which test_every_export_resolves checks
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = parse(path)
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unused += [
+            f"{path.stem}: {name}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+            if (name := (alias.asname or alias.name).split(".")[0]) not in loaded
+        ]
+    assert unused == []

@@ -215,11 +215,10 @@ def test_failure_cap_enforced():
     from breakboot.bootstrap import _draws
     from breakboot.exceptions import BootstrapFailureError
 
-    cfg = BootstrapConfig("wr", 100, 0, 1)
-    draws, failures = _draws(np.array([1.0] * 96 + [np.nan] * 4), cfg)
+    draws, failures = _draws(np.array([1.0] * 96 + [np.nan] * 4))
     assert failures == 4 and len(draws) == 96
     with pytest.raises(BootstrapFailureError):
-        _draws(np.array([1.0] * 94 + [np.nan] * 6), cfg)
+        _draws(np.array([1.0] * 94 + [np.nan] * 6))
 
 
 def test_pvalue_order_statistic_rules():
@@ -252,6 +251,12 @@ def test_pvalue_order_statistic_rules():
 
     with pytest.raises(EmptyDrawsError):
         pvalue_and_quantile(1.0, np.empty(0))
+
+    # an alpha outside (0, 1) is refused; 1.5 would index the draws from
+    # the end and give critical value 199 and "reject"
+    for alphas in ((1.5,), (0.05, 0.0), (1.0,), (-0.1,)):
+        with pytest.raises(ConfigError):
+            pvalue_and_quantile(350.0, draws, alphas)
 
 
 def test_p_rule_and_order_rule_agree_when_exact():
@@ -338,7 +343,7 @@ def two_endogenous_rf_stages(eps=0.15):
     part1, delta1, v1 = rf_break_grid_and_fit(design, 1, eps)
     return design, part1, (
         (rf_case_i_draws, (design, delta0, v0, eps)),
-        (rf_case_ii_draws, (design, delta1, v1, part1, eps)),
+        (rf_case_ii_draws, (design, delta1, v1, part1)),
     )
 
 
@@ -490,6 +495,19 @@ def rf_stage_fits(design, eps=0.15):
     return (delta0, v0, part0), (delta1, v1, part1)
 
 
+def test_rf_stage_stream_is_keyed_by_the_partition_break_count():
+    # the 2-against-3 stage draws from the RF stream of stage 2
+    design = h1m1_design()
+    part2, delta2, v2 = rf_break_grid_and_fit(design, 2, 0.15)
+    assert part2.k == 2
+    cfg = BootstrapConfig("wr", 9, 4, 3)
+    nu = MultiplierStream(4, 3, STREAM_NU_RF, 2).matrix(design.n, 9)
+    draws, fails = rf_case_ii_draws(design, delta2, v2, part2, cfg)
+    np.testing.assert_array_equal(
+        draws, rf_case_ii_draws(design, delta2, v2, part2, cfg, nu=nu)[0])
+    assert fails == 0 and len(draws) == 9
+
+
 def lu_reference(fn, Yb, Wb, *args, v_rows=None, **kwargs):
     """fn on each batch entry as a batch of one, which takes the LU form,
     joined as one batch call returns them: arrays with a batch axis
@@ -525,7 +543,6 @@ def test_rf_shared_block_scans_equal_lu_path():
     for design in (h1m1_design(), make_design(*two_endogenous_system())):  # p1 = 1, 2
         rf0, rf1 = rf_stage_fits(design)
         q = design.spec.q
-        min_len = min_regime_length(design.n, 0.15, q)
         for scheme in ("wr", "wf"):
             Yb, Wb = rf_samples(design, rf0, scheme)
             assert differing_columns(Wb) == (lagged_x_columns(design) if scheme == "wr" else ())
@@ -540,8 +557,8 @@ def test_rf_shared_block_scans_equal_lu_path():
                               compute_wald=False)[1]
             np.testing.assert_allclose(ssr, lu, rtol=1e-10)  # the SSR-only path
             Yb, Wb = rf_samples(design, rf1, scheme)
-            new = _sup_case_ii(Yb, Wb, rf1[2], min_len)
-            lu = lu_reference(_sup_case_ii, Yb, Wb, rf1[2], min_len)
+            new = _sup_case_ii(Yb, Wb, rf1[2])
+            lu = lu_reference(_sup_case_ii, Yb, Wb, rf1[2])
             np.testing.assert_allclose(new[0], lu[0], rtol=1e-10)
             assert all(np.array_equal(a, b) for a, b in zip(new[1:3], lu[1:3]))
             assert new[3] == lu[3] and new[4] == lu[4]
@@ -625,8 +642,7 @@ def test_se_shared_block_scans_equal_lu_path():
     # refinement step of b, sup-F misses that by a factor of ten.
     for design, sup_tol in ((scenario_design(), 1e-8),
                             (make_design(*two_endogenous_system()), None)):
-        n, q = design.n, design.spec.q
-        min_len = min_regime_length(n, 0.15, q)
+        q = design.spec.q
         null = ssr_null_partition(design, 1, 0.15)
         for scheme in ("wr", "wf"):
             Yb, Wb, _ = se_samples(design, scheme)
@@ -640,9 +656,8 @@ def test_se_shared_block_scans_equal_lu_path():
                     assert_close_to_lu(new[1], lu[1], sup_tol)
             Yb, Wb, vb = se_samples(design, scheme, null)
             for statistic in STATISTICS:
-                new = _sup_case_ii(Yb, Wb, null, min_len, statistic=statistic, v_rows=vb)
-                lu = lu_reference(_sup_case_ii, Yb, Wb, null, min_len, statistic=statistic,
-                                  v_rows=vb)
+                new = _sup_case_ii(Yb, Wb, null, statistic=statistic, v_rows=vb)
+                lu = lu_reference(_sup_case_ii, Yb, Wb, null, statistic=statistic, v_rows=vb)
                 assert_close_to_lu(new[0], lu[0], sup_tol)
                 assert all(np.array_equal(a, b) for a, b in zip(new[1:3], lu[1:3]))
                 assert new[3] == lu[3] and new[4] == lu[4]

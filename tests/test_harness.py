@@ -139,6 +139,17 @@ def test_cli_bad_break_counts_exit_2(tmp_path):
     assert cli_main(base + ["--alt-breaks", "0", "--rf-breaks", "0"]) == 2
     assert cli_main(base + ["--alt-breaks", "-1", "--rf-breaks", "0"]) == 2
     assert cli_main(base + ["--rf-breaks", "-1"]) == 2
+    assert cli_main(base + ["--null-breaks", "1", "--alt-breaks", "3", "--rf-breaks", "0"]) == 2
+
+
+def test_cli_alt_breaks_defaults_to_one_more_than_the_null(tmp_path, capsys):
+    data, _ = bb.generate(bb.ScenarioConfig("h0m0", "A", T=80, seed=7))
+    data_path, spec_path = tmp_path / "d.csv", tmp_path / "spec.json"
+    data.to_csv(str(data_path))
+    bb.scenario_model_spec().to_json(str(spec_path))
+    assert cli_main(["test", "--data", str(data_path), "--spec", str(spec_path), "--B", "9",
+                     "--rf-breaks", "0", "--null-breaks", "1"]) == 0
+    assert "H0: m=1 vs H1: m=2" in capsys.readouterr().out
 
 
 def test_cli_table_unknown_grid_key_exit_2(tmp_path):

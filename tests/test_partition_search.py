@@ -11,6 +11,7 @@ from breakboot.estimation import first_stage, make_design
 from breakboot.exceptions import InfeasiblePartitionError
 from breakboot.model import Dataset, ModelSpec, Role, no_breaks
 from breakboot.partition_search import (
+    dp_breaks,
     enumerate_partitions,
     global_ssr_breaks,
     min_regime_length,
@@ -196,6 +197,44 @@ def test_segment_table_marks_singular_segments_inf():
             resid = y[a - 1 : b] - W[a - 1 : b] @ beta
             want = float(resid @ resid)
             assert abs(table[a, b] - want) < 1e-10 * max(1.0, want)
+
+
+def synthetic_table(n, min_len, inf_rows, rng):
+    """An (n+1, n+1) segment table of SSRs in {0, 1, 2}: +inf on row 0,
+    on segments shorter than min_len and on every segment starting at one
+    of inf_rows."""
+    table = rng.integers(0, 3, size=(n + 1, n + 1)).astype(float)
+    a, b = np.indices(table.shape)
+    table[(a == 0) | (b - a + 1 < min_len)] = np.inf
+    table[list(inf_rows)] = np.inf
+    return table
+
+
+def test_dp_breaks_takes_the_lexicographically_smallest_optimum():
+    # small integer SSRs add exactly in any order, so the optimum is often
+    # tied; among tied tuples the DP must return the smallest one
+    rng = np.random.default_rng(3)
+    ties = 0
+    for _ in range(80):
+        n = int(rng.integers(8, 16))
+        min_len = int(rng.integers(1, 4))
+        inf_rows = rng.choice(np.arange(1, n + 1), size=int(rng.integers(0, 3)), replace=False)
+        table = synthetic_table(n, min_len, inf_rows, rng)
+        for k in (1, 2, 3):
+            if (k + 1) * min_len > n:
+                continue
+            totals = sorted(
+                (sum(table[a + 1, b] for a, b in zip((0,) + tup, tup + (n,))), tup)
+                for tup in brute_force_tuples(n, k, min_len)
+            )
+            ssr, breaks = totals[0]
+            if not np.isfinite(ssr):
+                with pytest.raises(InfeasiblePartitionError):
+                    dp_breaks(table, k, min_len)
+                continue
+            ties += len(totals) > 1 and totals[1][0] == ssr
+            assert dp_breaks(table, k, min_len) == (breaks, ssr)
+    assert ties > 50
 
 
 def test_dp_ssr_monotone_in_l():

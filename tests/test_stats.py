@@ -272,7 +272,7 @@ def test_sup_wald_seq_matches_independent_loop():
     n = design.n
     eps = 0.15
     ml = min_regime_length(n, eps, spec.q)
-    out = sup_wald_seq_design(design, ssr_null_partition(design, 1, eps), eps)
+    out = sup_wald_seq_design(design, ssr_null_partition(design, 1, eps))
 
     # oracle: recompute everything from scratch
     Z = design.Z
@@ -319,7 +319,7 @@ def test_sup_wald_seq_infeasible_everywhere():
     # trimming so wide that no regime of the 1-break fit admits an
     # interior candidate
     with pytest.raises(InfeasiblePartitionError):
-        sup_wald_seq_design(design, ssr_null_partition(design, 1, 0.35), 0.35)
+        sup_wald_seq_design(design, ssr_null_partition(design, 1, 0.35))
 
 
 def test_alternative_without_breaks_is_a_config_error():
@@ -400,7 +400,7 @@ def test_sup_f_seq_scaling():
     n = design.n
     eps = 0.15
     ml = min_regime_length(n, eps, spec.q)
-    out = sup_wald_seq_design(design, ssr_null_partition(design, 1, eps), eps, statistic="supf")
+    out = sup_wald_seq_design(design, ssr_null_partition(design, 1, eps), statistic="supf")
     Z = design.Z
     delta = np.linalg.solve(Z.T @ Z, Z.T @ design.x)
     x_hat = Z @ delta
@@ -480,11 +480,28 @@ def test_singular_null_regime_is_skipped_not_raised():
     n = design.n
     ml = min_regime_length(n, 0.15, design.spec.q)
     out = sup_wald_seq_design(
-        design, Partition((80,), n, 0.15, ml), 0.15, no_breaks(n, 0.15, ml)
+        design, Partition((80,), n, 0.15, ml), no_breaks(n, 0.15, ml)
     )
     assert out.argmax_regime == 2
     assert out.skipped_candidates == 80 - 2 * ml + 1
     assert out.statistic == pytest.approx(17.69356340904543, rel=1e-9)
+
+
+def test_seq_extra_break_is_bounded_by_the_null_partition_min_len():
+    # a null partition longer-trimmed than the design's eps: both sides of
+    # the extra break keep its min_len rows.  The first regime is singular,
+    # so all 80 - 2 * 39 + 1 of its candidates are skipped.
+    data, _ = bb.generate(bb.ScenarioConfig("h0m0", "A", T=240, seed=5))
+    data.r[:81, 0] = 0.0
+    design = make_design(bb.scenario_model_spec(), data)
+    n = design.n
+    ml = min_regime_length(n, 0.15, design.spec.q) + 2
+    assert ml == 39
+    out = sup_wald_seq_design(design, Partition((80,), n, 0.15, ml))
+    assert out.argmax_regime == 2
+    assert out.skipped_candidates == 80 - 2 * ml + 1
+    assert 80 + ml <= out.argmax_partition.breaks[1] <= n - ml
+    assert out.argmax_partition.min_len == ml
 
 
 def test_default_first_stage_is_no_rf_breaks_without_a_search(monkeypatch):
