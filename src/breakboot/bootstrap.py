@@ -319,15 +319,16 @@ def rf_case_i_draws(
     design: Design,
     delta: list[np.ndarray],
     v_hat: np.ndarray,
-    eps: float,
+    rf_partition: Partition,
     cfg: BootstrapConfig,
     *,
     nu: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
-    """Bootstrap sup-Wald draws for no RF breaks against one."""
-    rf = (delta, v_hat, _rf_partition(design, eps, None))
+    """Bootstrap sup-Wald draws for no RF breaks against one; the no-break
+    rf_partition keys the multiplier stream and its trim sets the grid."""
+    rf = (delta, v_hat, rf_partition)
     Yb, Wb, _ = _samples(design, cfg, nu, rf=rf)
-    _, vals, _ = _sup_case_i(Yb, Wb, 1, eps, design.spec.q)
+    _, vals, _ = _sup_case_i(Yb, Wb, 1, rf_partition.trim, design.spec.q)
     return _draws(np.max(vals, axis=1))
 
 
@@ -356,6 +357,12 @@ def rf_case_ii_draws(
 # ---------------------------------------------------------------------------
 
 
+def _check_alphas(alphas: tuple[float, ...]) -> None:
+    """Raise ConfigError unless every level lies in (0, 1)."""
+    if not all(0 < a < 1 for a in alphas):
+        raise ConfigError(f"every alpha must lie in (0, 1), got {alphas}")
+
+
 def pvalue_and_quantile(
     sample_stat: float,
     boot_draws: np.ndarray,
@@ -370,8 +377,7 @@ def pvalue_and_quantile(
     infeasible (critical value +inf, never reject).  An alpha outside
     (0, 1) raises ConfigError.
     """
-    if not all(0 < a < 1 for a in alphas):
-        raise ConfigError(f"every alpha must lie in (0, 1), got {alphas}")
+    _check_alphas(alphas)
     draws = np.asarray(boot_draws, dtype=np.float64)
     if draws.size == 0:
         raise EmptyDrawsError("no bootstrap draws")
@@ -426,6 +432,7 @@ def bootstrap_sup_test_design(
     """
     if statistic not in STATISTICS:
         raise ConfigError(f"statistic must be one of {STATISTICS}")
+    _check_alphas(alphas)
     if null_breaks < 0:
         raise ConfigError("null_breaks must be >= 0")
     if null_breaks > 0 and alt_breaks != null_breaks + 1:

@@ -16,12 +16,18 @@ import multiprocessing as mp
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import dgp
-from .bootstrap import DEFAULT_BOOT, SCHEMES, BootstrapConfig, bootstrap_sup_test_design
+from .bootstrap import (
+    DEFAULT_BOOT,
+    SCHEMES,
+    BootstrapConfig,
+    _check_alphas,
+    bootstrap_sup_test_design,
+)
 from .estimation import Design, make_design
 from .exceptions import ConfigError
 from .partition_search import rf_break_grid_and_fit
@@ -60,10 +66,9 @@ class McConfig:
             raise ConfigError("test must be 'supwald' or 'supf'")
         if self.scheme not in SCHEMES:
             raise ConfigError("scheme must be 'wr' or 'wf'")
-        if list(self.alphas) != sorted(self.alphas, reverse=True) or not all(
-            0 < a < 1 for a in self.alphas
-        ):
-            raise ConfigError("alphas must be strictly decreasing in (0, 1)")
+        _check_alphas(self.alphas)
+        if list(self.alphas) != sorted(self.alphas, reverse=True):
+            raise ConfigError("alphas must be strictly decreasing")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
 
@@ -168,27 +173,16 @@ def run_cell(cfg: McConfig, progress: io.TextIOBase | None = None) -> CellResult
 
 
 def run_table(
-    base: McConfig,
-    grid: list[dict],
+    cells: list[McConfig],
     out_path: str,
     progress: io.TextIOBase | None = None,
 ) -> list[tuple[McConfig, CellResult]]:
-    """Run a grid of cells and write one CSV row per (cell, alpha).
-
-    Each grid entry overrides McConfig fields of base; every entry is
-    checked before the output file is opened.
-    """
-    names = {f.name for f in fields(McConfig)}
-    for overrides in grid:
-        unknown = sorted(set(overrides) - names)
-        if unknown:
-            raise ConfigError(f"unknown grid key(s) {unknown}; the fields are {sorted(names)}")
-    cfgs = [replace(base, **overrides) for overrides in grid]
+    """Run each cell in turn and write one CSV row per (cell, alpha)."""
     results = []
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TABLE_HEADER)
-        for cfg in cfgs:
+        for cfg in cells:
             cell = run_cell(cfg, progress=progress)
             results.append((cfg, cell))
             for a in cfg.alphas:
@@ -216,6 +210,7 @@ def test_dataset(
     to two breaks; an integer imposes that many RF breaks at their
     SSR-estimated locations.
     """
+    _check_alphas(alphas)
     rf_partition = None  # no RF breaks
     if rf_breaks == "auto":
         seq = estimate_rf_breaks_design(design, boot=boot, eps=eps)

@@ -107,13 +107,15 @@ def segment_ssr_table(y: np.ndarray, X: np.ndarray, min_len: int) -> np.ndarray:
     return table
 
 
-def dp_breaks(table: np.ndarray, k: int, min_len: int) -> tuple[tuple[int, ...], float]:
+def dp_breaks(table: np.ndarray, k: int) -> tuple[tuple[int, ...], float]:
     """Minimise total segment SSR over admissible k-break partitions.
 
     Works on an (n+1, n+1) segment table from :func:`segment_ssr_table`,
-    whose +inf entries mark inadmissible segments.  Ties are broken by the
-    lexicographically smallest break tuple (reconstruction walks forward
-    choosing the smallest first break attaining the optimum).
+    whose +inf entries mark inadmissible and rank-deficient segments, so
+    the optimum is +inf exactly when no partition is both admissible and
+    of finite SSR.  Ties are broken by the lexicographically smallest break
+    tuple (reconstruction walks forward choosing the smallest first break
+    attaining the optimum).
     """
     n = table.shape[0] - 1
     if k == 0:
@@ -121,10 +123,6 @@ def dp_breaks(table: np.ndarray, k: int, min_len: int) -> tuple[tuple[int, ...],
         if not np.isfinite(ssr):
             raise RankDeficientError("full-sample segment is rank deficient")
         return (), float(ssr)
-    if (k + 1) * min_len > n:
-        raise InfeasiblePartitionError(
-            f"no admissible {k}-break partition of {n} rows"
-        )
     # suffix[j][s] = min SSR of covering rows s..n with j segments; segment
     # [s, b] plus a suffix of j-1 segments from b+1, +inf where none fits
     suffix = {1: np.append(table[:, n], np.inf)}
@@ -132,7 +130,9 @@ def dp_breaks(table: np.ndarray, k: int, min_len: int) -> tuple[tuple[int, ...],
         suffix[j] = np.append(np.min(table + suffix[j - 1][1:], axis=1), np.inf)
     total = suffix[k + 1][1]
     if not np.isfinite(total):
-        raise InfeasiblePartitionError("all candidate partitions are rank deficient")
+        raise InfeasiblePartitionError(
+            f"no admissible {k}-break partition of {n} rows, or none with a finite SSR"
+        )
     breaks: list[int] = []
     s = 1
     for j in range(k + 1, 1, -1):
@@ -154,7 +154,7 @@ def global_ssr_breaks(
     min_len = min_regime_length(n, eps, design.spec.q)
     W = np.column_stack([x_hat, design.Z1])
     table = segment_ssr_table(design.y, W, min_len)
-    breaks, ssr = dp_breaks(table, n_breaks, min_len)
+    breaks, ssr = dp_breaks(table, n_breaks)
     return Partition(breaks, n, eps, min_len), ssr
 
 
@@ -171,7 +171,7 @@ def rf_break_grid_and_fit(
     n = design.n
     min_len = min_regime_length(n, eps, design.spec.q)
     table = segment_ssr_table(design.x, design.Z, min_len)
-    breaks, _ = dp_breaks(table, h, min_len)
+    breaks, _ = dp_breaks(table, h)
     partition = Partition(breaks, n, eps, min_len)
     delta, _, v_hat = first_stage(design, partition)
     return partition, delta, v_hat

@@ -5,9 +5,10 @@ machinery applies with x as the dependent block and no second stage.
 Stage l tests l breaks against l+1 with the bootstrap sup-Wald, with the
 first stage fitted once on the stage's l-break partition.  That partition
 carries everything else the stage needs: its break count keys the stage's
-multiplier stream and its min_len bounds the extra break.  Testing stops
-at the first p-value above ALPHA_SEQ, keeping that stage's partition, or
-at the break cap, whose partition is estimated then.
+multiplier stream, and its trim (stage 0) or min_len (later stages) bounds
+the extra break.  Testing stops at the first p-value above ALPHA_SEQ,
+keeping that stage's partition, or at the break cap, whose partition is
+estimated then.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ def estimate_rf_breaks_design(
             partition = no_breaks(n, eps, min_regime_length(n, eps, design.spec.q))
             delta, _, v_hat = first_stage(design, partition)
             stat = rf_sup_wald(design, eps)
-            draws, _ = rf_case_i_draws(design, delta, v_hat, eps, boot)
+            draws, _ = rf_case_i_draws(design, delta, v_hat, partition, boot)
         else:
             partition, delta, v_hat = rf_break_grid_and_fit(design, level, eps)
             stat = rf_sup_wald_seq(design, partition)

@@ -38,9 +38,15 @@ from breakboot.partition_search import (
 from breakboot.stats import f_at, scan_partitions
 
 FULL = os.environ.get("BREAKBOOT_ACCEPTANCE", "").lower() == "full"
-full_scale = pytest.mark.skipif(
-    not FULL, reason="full-scale cells run with BREAKBOOT_ACCEPTANCE=full"
-)
+
+
+def full_scale(test):
+    """Mark a full-scale cell acceptance_full; it runs with BREAKBOOT_ACCEPTANCE=full."""
+    skip = pytest.mark.skipif(
+        not FULL, reason="full-scale cells run with BREAKBOOT_ACCEPTANCE=full"
+    )
+    return pytest.mark.acceptance_full(skip(test))
+
 
 WORKERS = min(8, os.cpu_count() or 1)
 SCALE = max(1.0, 8.0 / WORKERS)

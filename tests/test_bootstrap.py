@@ -339,10 +339,11 @@ def two_endogenous_rf_stages(eps=0.15):
     spec, data = two_endogenous_system()
     design = make_design(spec, data)
     n = design.n
-    delta0, _, v0 = first_stage(design, no_breaks(n, eps, min_regime_length(n, eps, spec.q)))
+    part0 = no_breaks(n, eps, min_regime_length(n, eps, spec.q))
+    delta0, _, v0 = first_stage(design, part0)
     part1, delta1, v1 = rf_break_grid_and_fit(design, 1, eps)
     return design, part1, (
-        (rf_case_i_draws, (design, delta0, v0, eps)),
+        (rf_case_i_draws, (design, delta0, v0, part0)),
         (rf_case_ii_draws, (design, delta1, v1, part1)),
     )
 

@@ -5,8 +5,10 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
+import pytest
 
 import breakboot as bb
 from breakboot.cli import main as cli_main
@@ -57,7 +59,7 @@ def test_shared_streams_across_g():
 
 def test_run_table_schema(tmp_path):
     out = tmp_path / "table.csv"
-    run_table(tiny_cfg(N=2, B=19), [{"g": 0.0}], str(out))
+    run_table([replace(tiny_cfg(N=2, B=19), g=0.0)], str(out))
     with open(out) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == TABLE_HEADER
@@ -69,7 +71,7 @@ def test_run_table_schema(tmp_path):
 
 def test_run_table_empty_grid(tmp_path):
     out = tmp_path / "empty.csv"
-    run_table(tiny_cfg(), [], str(out))
+    run_table([], str(out))
     with open(out) as fh:
         rows = list(csv.reader(fh))
     assert rows == [TABLE_HEADER]
@@ -108,6 +110,20 @@ def test_test_dataset_power_smoke():
         null_breaks=1, alt_breaks=2, rf_breaks=0,
     )
     assert outcome.levels_rejected[0.05]
+
+
+def test_test_dataset_refuses_an_alpha_before_any_work(monkeypatch):
+    # the level is a setting: it is checked before the RF pre-test runs
+    calls = []
+    monkeypatch.setattr("breakboot.harness.estimate_rf_breaks_design",
+                        lambda *a, **k: calls.append(a))
+    data, _ = bb.generate(bb.ScenarioConfig("h1m1", "B", T=240, seed=7))
+    design = bb.make_design(bb.scenario_model_spec(), data)
+    for alphas in ((1.5,), (0.05, 0.0)):
+        with pytest.raises(bb.ConfigError):
+            run_dataset_test(design, bb.BootstrapConfig("wr", 19, 1),
+                             null_breaks=1, alt_breaks=2, alphas=alphas)
+    assert calls == []
 
 
 def test_cli_gen_and_test(tmp_path):
@@ -154,7 +170,10 @@ def test_cli_alt_breaks_defaults_to_one_more_than_the_null(tmp_path, capsys):
 
 def test_cli_table_unknown_grid_key_exit_2(tmp_path):
     out = tmp_path / "table.csv"
-    for bad in ([{"tset": "supf"}], [{"g": 0.0}, {"burn_in": 100}], [{"rf_max_breaks": 1}]):
+    # McConfig field names are not flags: a grid entry takes flag names only
+    for bad in ([{"tset": "supf"}], [{"g": 0.0}, {"burn_in": 100}], [{"rf_max_breaks": 1}],
+                [{"error_case": "B"}], [{"master_seed": 1}], [{"alphas": "0.05"}],
+                [{"keep_reps": 1}]):
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps(bad))
         rc = cli_main([
@@ -191,6 +210,22 @@ def test_cli_table_with_grid_and_config(tmp_path):
         rows = list(csv.reader(fh))
     assert len(rows) == 7  # header + 2 cells x 3 alphas
     assert rows[1][2] == "80" and rows[4][2] == "90"
+
+
+def test_cli_grid_entries_take_flag_names_and_text_values(tmp_path):
+    # a grid entry is a per-cell --config: flag names, values as typed
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([{"case": "B"}, {"T": "90", "alpha": "0.05"}]))
+    out = tmp_path / "table.csv"
+    rc = cli_main([
+        "table", "--grid", str(grid), "--T", "80", "--N", "1", "--B", "9",
+        "--seed", "3", "--out", str(out),
+    ])
+    assert rc == 0
+    with open(out) as fh:
+        rows = list(csv.reader(fh))
+    assert [r[1:3] for r in rows[1:]] == [["B", "80"]] * 3 + [["A", "90"]]
+    assert rows[4][6] == "0.05"
 
 
 def test_cli_flag_overrides_config(tmp_path):
@@ -243,11 +278,17 @@ def test_cli_config_values_take_their_flag_type(tmp_path):
 
 
 def test_cli_config_value_that_does_not_convert_exits_2(tmp_path, capsys):
-    cfgfile = tmp_path / "cfg.json"
-    for bad in ({"B": "abc"}, {"alpha": [0.1]}, {"T": 80.5}, {"scheme": "wx"}, {"N": None}):
+    cfgfile, grid, out = tmp_path / "cfg.json", tmp_path / "grid.json", tmp_path / "t.csv"
+    for bad in ({"B": "abc"}, {"alpha": [0.1]}, {"T": 80.5}, {"scheme": "wx"}, {"N": None},
+                {"T": "abc"}, {"alpha": "0.1,x"}):
         cfgfile.write_text(json.dumps(bad))
         assert cli_main(["simulate", "--config", str(cfgfile)]) == 2, bad
         assert "configuration error" in capsys.readouterr().err
+        # the same value as a one-entry grid, checked before the CSV opens
+        grid.write_text(json.dumps([bad]))
+        assert cli_main(["table", "--grid", str(grid), "--N", "1", "--out", str(out)]) == 2, bad
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_malformed_spec_exits_2(tmp_path, capsys):

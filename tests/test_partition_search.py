@@ -221,7 +221,9 @@ def test_dp_breaks_takes_the_lexicographically_smallest_optimum():
         inf_rows = rng.choice(np.arange(1, n + 1), size=int(rng.integers(0, 3)), replace=False)
         table = synthetic_table(n, min_len, inf_rows, rng)
         for k in (1, 2, 3):
-            if (k + 1) * min_len > n:
+            if (k + 1) * min_len > n:  # no admissible tuple at all
+                with pytest.raises(InfeasiblePartitionError):
+                    dp_breaks(table, k)
                 continue
             totals = sorted(
                 (sum(table[a + 1, b] for a, b in zip((0,) + tup, tup + (n,))), tup)
@@ -230,10 +232,10 @@ def test_dp_breaks_takes_the_lexicographically_smallest_optimum():
             ssr, breaks = totals[0]
             if not np.isfinite(ssr):
                 with pytest.raises(InfeasiblePartitionError):
-                    dp_breaks(table, k, min_len)
+                    dp_breaks(table, k)
                 continue
             ties += len(totals) > 1 and totals[1][0] == ssr
-            assert dp_breaks(table, k, min_len) == (breaks, ssr)
+            assert dp_breaks(table, k) == (breaks, ssr)
     assert ties > 50
 
 

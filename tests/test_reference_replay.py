@@ -60,6 +60,7 @@ def test_pool_entries_match_their_reference():
             assert workloads.matches(out, entries[k], ref["B"]), (name, k, out)
 
 
+@pytest.mark.acceptance_full
 @pytest.mark.skipif(not FULL, reason="the whole pool replays with BREAKBOOT_ACCEPTANCE=full")
 def test_every_pool_entry_matches_its_reference():
     workloads = load_workloads()
