@@ -363,6 +363,20 @@ def _check_alphas(alphas: tuple[float, ...]) -> None:
         raise ConfigError(f"every alpha must lie in (0, 1), got {alphas}")
 
 
+def _check_test(statistic: str, null_breaks: int, alt_breaks: int,
+                alphas: tuple[float, ...]) -> None:
+    """Raise ConfigError unless the statistic, break counts and levels make a test."""
+    if statistic not in STATISTICS:
+        raise ConfigError(f"statistic must be one of {STATISTICS}")
+    _check_alphas(alphas)
+    if null_breaks < 0:
+        raise ConfigError("null_breaks must be >= 0")
+    if alt_breaks < 1:
+        raise ConfigError(f"the alternative needs at least one break, got {alt_breaks}")
+    if null_breaks > 0 and alt_breaks != null_breaks + 1:
+        raise ConfigError("with a breaking null, alt_breaks must equal null_breaks + 1")
+
+
 def pvalue_and_quantile(
     sample_stat: float,
     boot_draws: np.ndarray,
@@ -430,13 +444,7 @@ def bootstrap_sup_test_design(
     at rf_partition; None means no RF breaks.  The outcome records the RF
     partition used in its rf_partition field.
     """
-    if statistic not in STATISTICS:
-        raise ConfigError(f"statistic must be one of {STATISTICS}")
-    _check_alphas(alphas)
-    if null_breaks < 0:
-        raise ConfigError("null_breaks must be >= 0")
-    if null_breaks > 0 and alt_breaks != null_breaks + 1:
-        raise ConfigError("with a breaking null, alt_breaks must equal null_breaks + 1")
+    _check_test(statistic, null_breaks, alt_breaks, alphas)
     n = design.n
     rf_partition = _rf_partition(design, eps, rf_partition)
 

@@ -15,37 +15,42 @@ segment SSR table (a scan of one-regime candidates) both run on it.
 All candidates of a scan are evaluated in one batched pass: regime Gram
 matrices and cross moments come from prefix sums, the SSR is
 sum(y^2) - b'h with sum(y^2) summed over the target columns before its
-prefix sum, the final quadratic forms are stacked solves, and the
-outer-product terms are single matrix products against the row-wise
-regressor cross products.  Each block of candidates forms its masked score
-rows in place, in one buffer that every regime reuses, and a regime of a
-block reads only the rows (min s, max e] that some candidate's regime
-(s, e] covers: every other row scores zero after the mask, so skipping it
-changes no value beyond the rounding of the row sums.  A block is a fixed
-amount of (entry, candidate) work, _CHUNK // bc candidates for a batch
-chunk of bc entries, so that the bootstrap's k = 1 batches take blocks of
-a few dozen consecutive break dates, whose spans exceed a regime by only
-that many rows.  A batch of one (the sample statistic, a segment table)
-keeps blocks of _CHUNK candidates, its whole grid at k = 1: the matrix
-product over a regime's rows may round differently in another block
-shape, and the benchmark's 2-worker cell compares the sample statistic
-bit for bit.
+prefix sum, and the outer-product terms are single matrix products against
+the row-wise regressor cross products.  Each block of candidates forms its
+masked score rows in place, in one buffer that every regime reuses, and a
+regime of a block reads only the rows (min s, max e] that some candidate's
+regime (s, e] covers: every other row scores zero after the mask, so
+skipping it changes no value beyond the rounding of the row sums.  A block
+holds at most _CHUNK // bc candidates for a batch chunk of bc entries, a
+fixed amount of (entry, candidate) work, so that the bootstrap's k = 1
+batches take blocks of a few dozen consecutive break dates, whose spans
+exceed a regime by only that many rows.  The m candidates are split into
+ceil(m / (_CHUNK // bc)) blocks whose sizes differ by at most one, so no
+block is a remainder of a few candidates that still pays a block's fixed
+cost.  A batch of one (the sample statistic, a segment table) takes blocks
+of up to _CHUNK candidates, its whole grid at k = 1: the matrix product
+over a regime's rows may round differently in another block shape, and the
+benchmark's 2-worker cell compares the sample statistic bit for bit.
 
-The regime coefficients and sandwich blocks take one of two forms, picked
-by the batch size.  A batch of one, the sample statistic or a segment
-table, has nothing to share across entries: it solves each candidate's
-Gram by LU, once for b and, with the Wald form, twice for V.  A larger
-batch, the bootstrap's B samples, shares every regressor column that its
-scheme keeps: WR rebuilds lagged y and lagged x inside z on every draw,
-WF keeps every regressor row, and the structural equation refits x_hat on
-every draw.  The scan reads that set from the batch, a column counting as
-resampled where it is not equal in every entry, then inverts each
-candidate regime's shared block once, borders the resampled columns in
-one at a time, and takes b and V from G^{-1} by vector operations and
-matrix products.  Bootstrap draws reach the outputs only through the
-p-value count and the order-statistic critical values, so their rounding
-may move; the sample statistic keeps the LU sequence until the
-benchmark's 2-worker cell, compared bit for bit with a recorded
+The regime coefficients, sandwich blocks and Wald forms take one of two
+forms, picked by the batch size.  A batch of one, the sample statistic or
+a segment table, has nothing to share across entries: it solves each
+candidate's Gram by LU, once for b and, with the Wald form, twice for V,
+and solves the middle matrix by LU.  A larger batch, the bootstrap's B
+samples, shares every regressor column that its scheme keeps: WR rebuilds
+lagged y and lagged x inside z on every draw, WF keeps every regressor
+row, and the structural equation refits x_hat on every draw.  The scan
+reads that set from the batch, a column counting as resampled where it is
+not equal in every entry.  Before its first batch chunk it inverts the
+shared block of each candidate regime once, from entry 0's Gram; each
+chunk then borders its resampled columns in one at a time and takes b and
+V from G^{-1} by vector operations and matrix products.  The Wald form is
+a symmetric elimination without pivoting of the middle matrix, run over
+the (entry, candidate) axes, and a candidate is skipped where a pivot of
+its middle matrix is not positive.  Bootstrap draws reach the outputs only
+through the p-value count and the order-statistic critical values, so
+their rounding may move; the sample statistic keeps the LU sequence until
+the benchmark's 2-worker cell, compared bit for bit with a recorded
 reference, is compared through tolerances.
 
 :func:`_regime_fit` is the one least-squares fit on a fixed partition:
@@ -67,7 +72,7 @@ from .model import Dataset, ModelSpec, Partition, build_instrument_rows
 # Gram matrices with condition number above this cap are treated as rank
 # deficient; there is no silent pseudo-inverse fallback.
 COND_CAP = 1e10
-_CHUNK = 2048  # candidates per block of a scan
+_CHUNK = 2048  # (entry, candidate) pairs per block of a scan
 
 
 @dataclass(frozen=True)
@@ -227,59 +232,85 @@ def _scan(Y, Ws, edges, n_global, v_rows, score_beta, compute_wald, chunk_rows):
     candidate's regime bounds, regime i covering rows edges[:, i] + 1 to
     edges[:, i + 1].  The other arguments are those of
     :func:`breakboot.stats.scan_partitions_batch`.  Works in batch chunks
-    of bc = chunk_rows // (m * n) entries and candidate blocks of
-    _CHUNK // bc, scoring each regime of a block over the rows the block's
-    regimes cover (see the module docstring); returns (wald, ssr, ok), each
-    (B, m).
+    of bc = chunk_rows // (m * n) entries and in ceil(m / (_CHUNK // bc))
+    candidate blocks whose sizes differ by at most one, scoring each regime
+    of a block over the rows the block's regimes cover (see the module
+    docstring); returns (wald, ssr, ok), each (B, m).
 
     The batch size picks the form (see the module docstring).  A batch of
     one keeps the LU form, whose rounding the benchmark's 2-worker cell
     compares bit for bit.  A larger batch takes the shared-inverse form
-    (:func:`_shared_inverse`) over the columns of Ws that are not equal in
-    every entry; a column equal in every entry is read from entry 0.
+    over the columns of Ws that are not equal in every entry.  The columns
+    equal in every entry are read from entry 0: before the first batch
+    chunk, each block's regimes get their Gram and the inverse of its
+    shared block once (:func:`_shared_block`), and every chunk borders its
+    own resampled columns in (:func:`_shared_inverse`).
     """
     if (v_rows is None) != (score_beta is None):
         raise ValueError("v_rows and score_beta enter the score together")
     Y = Y if Y.ndim == 3 else Y[:, :, None]
     B, n, d = Ws.shape
-    resampled = None if B == 1 else np.flatnonzero(np.ptp(Ws, axis=0).any(axis=0))
-    m = edges.shape[0]
+    m, k = edges.shape[0], edges.shape[1] - 2
     wald = np.empty((B, m))
     ssr = np.empty((B, m))
     ok = np.empty((B, m), dtype=bool)
     # keep the (batch, candidates, rows) work arrays around L2/L3 size, and
     # the (entry, candidate) work of a block fixed, so that its spans stay tight
     bc = max(1, min(B, chunk_rows // max(1, m * n)))
-    block = max(1, _CHUNK // bc)
+    n_blocks = -(-m // max(1, _CHUNK // bc))
+    blocks = [slice(m * j // n_blocks, m * (j + 1) // n_blocks) for j in range(n_blocks)]
+    shared = [None] * n_blocks
+    if B > 1:
+        resampled = np.flatnonzero(np.ptp(Ws, axis=0).any(axis=0))
+        kept = np.setdiff1d(np.arange(d), resampled)
+        cum_A = _prefix((Ws[0, :, :, None] * Ws[0, :, None, :])[None])[0]
+        shared = [(resampled, [_shared_block(cum_A, edges[sc, i], edges[sc, i + 1], kept)
+                               for i in range(k + 1)]) for sc in blocks]
     for b0 in range(0, B, bc):
         sb = slice(b0, min(b0 + bc, B))
         Yc, Wc = Y[sb], Ws[sb]
         cross = (Wc[:, :, :, None] * Wc[:, :, None, :]).reshape(-1, n, d * d)
-        if resampled is None:
+        if B == 1:
             cum_G = _prefix(cross)
-        else:  # entry 0 in full, and the resampled rows of the Gram for every entry
-            cum_G = (_prefix(cross[:1])[0],
-                     _prefix(cross[:, :, (resampled[:, None] * d + np.arange(d)).ravel()]))
+        else:  # the resampled rows of the Gram, for every entry
+            cum_G = _prefix(cross[:, :, (resampled[:, None] * d + np.arange(d)).ravel()])
         sums = (cross, cum_G, _prefix(Wc[:, :, :, None] * Yc[:, :, None, :]),
                 _prefix(np.sum(Yc * Yc, axis=2)))
         vc = None if v_rows is None else v_rows[sb]
         betac = None if score_beta is None else score_beta[sb]
-        for c0 in range(0, m, block):
-            sc = slice(c0, min(c0 + block, m))
+        for sc, sh in zip(blocks, shared):
             wald[sb, sc], ssr[sb, sc], ok[sb, sc] = _scan_block(
-                Yc, Wc, sums, edges[sc], n_global, vc, betac, compute_wald, resampled
+                Yc, Wc, sums, edges[sc], n_global, vc, betac, compute_wald, sh
             )
     return wald, ssr, ok
 
 
-def _shared_inverse(cum_G, h, s_e, e_e, rs, bufs):
+def _shared_block(cum_A, s_e, e_e, kept):
+    """Entry 0's Gram of each candidate regime and the inverse of its block of the kept columns.
+
+    cum_A is entry 0's prefix of the Gram, (n+1, d, d).  Returns (G
+    (d, d, 1, m); G^{-1} (d, d, 1, m), zero outside the kept block; ok
+    (1, m), False where _batched_solve flags that block singular), the
+    start of :func:`_shared_inverse`'s bordering.
+    """
+    m, d = s_e.shape[0], cum_A.shape[-1]
+    G = (cum_A[e_e] - cum_A[s_e]).transpose(1, 2, 0)[:, :, None]
+    G_inv = np.zeros((d, d, 1, m))
+    ok = np.ones((1, m), dtype=bool)
+    if kept.size:
+        A = G[kept[:, None], kept, 0].transpose(2, 0, 1)
+        A_inv, ok[0] = _batched_solve(A, np.broadcast_to(np.eye(kept.size), A.shape))
+        G_inv[kept[:, None], kept, 0] = A_inv.transpose(1, 2, 0)
+    return G, G_inv, ok
+
+
+def _shared_inverse(shared, cum_R, h, s_e, e_e, rs, bufs):
     """G^{-1} and b = G^{-1} h of every (entry, candidate) regime, by bordering.
 
-    rs holds the resampled columns, and cum_G is (entry 0's prefix of the
-    whole Gram, (n+1, d*d); every entry's prefix of the resampled rows,
-    (Bc, n+1, len(rs)*d)).  The block of the shared columns is read from
-    entry 0 and inverted once per candidate; the resampled columns are then
-    bordered in one at a time.
+    shared is :func:`_shared_block`'s (G, G^{-1}, ok) of the regime, rs the
+    resampled columns and cum_R every entry's prefix of their rows of the
+    Gram, (Bc, n+1, len(rs)*d).  The resampled columns are bordered into
+    the shared block's inverse one at a time.
     With G^{-1} the zero-padded inverse so far, g column r of the Gram,
     u = G^{-1} g and the pivot s = g_rr - g'u, G^{-1} += w w'/s with
     w = u - e_r.  A Gram of condition 1e8 (a constant next to a lagged y of
@@ -287,22 +318,14 @@ def _shared_inverse(cum_G, h, s_e, e_e, rs, bufs):
     solve, so b takes one step of iterative refinement against G.
     Returns (G^{-1} (Bc, m, d, d), in bufs[0]; b (Bc, m, d, py); ok
     (Bc, m)), with a leading axis of 1 for G^{-1} and ok when nothing is
-    resampled.  ok is False where _batched_solve flags the shared block
-    singular or a pivot is not positive, that is where the Schur complement
-    of the resampled columns is not positive definite.  The work keeps the
-    (entry, candidate) axes last, in bufs (3, Bc, m, d, d), so every step
-    is a long vector operation.
+    resampled.  ok is False where the shared block is singular or a pivot
+    is not positive, that is where the Schur complement of the resampled
+    columns is not positive definite.  The work keeps the (entry,
+    candidate) axes last, in bufs (3, Bc, m, d, d), so every step is a long
+    vector operation.
     """
-    cum_A, cum_R = cum_G
+    G, G_inv, ok = shared
     m, d = s_e.shape[0], bufs.shape[-1]
-    sh = np.setdiff1d(np.arange(d), rs)
-    G = (cum_A[e_e] - cum_A[s_e]).reshape(m, d, d).transpose(1, 2, 0)[:, :, None]
-    G_inv = np.zeros((d, d, 1, m))
-    ok = np.ones((1, m), dtype=bool)
-    if sh.size:
-        A = G[sh[:, None], sh, 0].transpose(2, 0, 1)
-        A_inv, ok[0] = _batched_solve(A, np.broadcast_to(np.eye(sh.size), A.shape))
-        G_inv[sh[:, None], sh, 0] = A_inv.transpose(1, 2, 0)
     R = np.ascontiguousarray((cum_R[:, e_e] - cum_R[:, s_e]).transpose(2, 0, 1))
     R = R.reshape(rs.size, d, *R.shape[1:])  # the resampled rows, equal to the columns
     work, G_all = bufs[1].reshape(d, d, -1, m), bufs[2].reshape(d, d, -1, m)
@@ -330,13 +353,53 @@ def _shared_inverse(cum_G, h, s_e, e_e, rs, bufs):
     return G_inv.transpose(2, 3, 0, 1), b, ok
 
 
+def _middle_form(Vs, delta):
+    """delta' H^{-1} delta for the middle matrix H of each (entry, candidate), by elimination.
+
+    Vs holds the k+1 regimes' V, each (deff, deff, ...), and delta the
+    k*deff coefficient differences, (k*deff, ...), with the (entry,
+    candidate) axes last.  H is block tridiagonal: V_a + V_{a+1} on the
+    diagonal and -V_{a+1} beside it.  A symmetric elimination without
+    pivoting, H = L D L', with the same steps on delta (y = L^{-1} delta)
+    gives the form sum_j y_j^2 / p_j over the pivots p_j = D_jj.  H is a sum
+    of positive semi-definite sandwich matrices, so a candidate is skipped
+    where a pivot of its middle matrix is not positive, the bordering
+    step's rule.  Returns (form, ok).
+    """
+    k, deff = len(Vs) - 1, Vs[0].shape[0]
+    H = np.zeros((k, deff, k, deff) + delta.shape[1:])
+    for a in range(k):
+        np.add(Vs[a], Vs[a + 1], out=H[a, :, a])
+        if a + 1 < k:
+            np.negative(Vs[a + 1], out=H[a, :, a + 1])
+            np.negative(Vs[a + 1].swapaxes(0, 1), out=H[a + 1, :, a])
+    H = H.reshape((k * deff, k * deff) + delta.shape[1:])
+    y = np.array(delta)
+    form = np.zeros(delta.shape[1:])
+    ok = np.ones(delta.shape[1:], dtype=bool)
+    for j in range(k * deff):
+        p = H[j, j]
+        pos = p > 0
+        ok &= pos
+        p = np.where(pos, p, 1.0)
+        l = H[j + 1:, j] / p
+        H[j + 1:, j + 1:] -= l[:, None] * H[j, j + 1:]
+        y[j + 1:] -= l * y[j]
+        form += y[j] * y[j] / p
+    return form, ok
+
+
 def _mv(A, x):
     """A @ x for (d, d, ...) matrices and (d, ...) vectors, stacked on the last axes."""
     return np.einsum("ij...,j...->i...", A, x)
 
 
-def _scan_block(Y, Ws, sums, edges, n_global, v_rows, score_beta, compute_wald, resampled):
-    """One block of candidates on one batch chunk: (wald, ssr, ok), each (Bc, m)."""
+def _scan_block(Y, Ws, sums, edges, n_global, v_rows, score_beta, compute_wald, shared):
+    """One block of candidates on one batch chunk: (wald, ssr, ok), each (Bc, m).
+
+    shared is None in the LU form, and in the shared-inverse form the
+    resampled columns with each regime's :func:`_shared_block`.
+    """
     cross, cum_G, cum_h, cum_yy = sums
     Bc, n, d = Ws.shape
     py = Y.shape[2]
@@ -346,8 +409,9 @@ def _scan_block(Y, Ws, sums, edges, n_global, v_rows, score_beta, compute_wald, 
     ssr = np.zeros((Bc, m))
     thetas: list[np.ndarray] = []
     Vs: list[np.ndarray] = []
-    inverse = resampled is not None
+    inverse = shared is not None
     if inverse:  # work arrays of the inverse form, written in place by every regime
+        rs, inverses = shared
         inv_bufs = np.empty((3, Bc, m, d, d))
     if compute_wald:
         # regime i of the block covers only rows spans[i][0] + 1 to spans[i][1]
@@ -362,7 +426,7 @@ def _scan_block(Y, Ws, sums, edges, n_global, v_rows, score_beta, compute_wald, 
         s_e, e_e = edges[:, i], edges[:, i + 1]
         h = cum_h[:, e_e] - cum_h[:, s_e]
         if inverse:
-            G_inv, b, ok_i = _shared_inverse(cum_G, h, s_e, e_e, resampled, inv_bufs)
+            G_inv, b, ok_i = _shared_inverse(inverses[i], cum_G, h, s_e, e_e, rs, inv_bufs)
             ok &= ok_i
         else:
             G = (cum_G[:, e_e] - cum_G[:, s_e]).reshape(Bc * m, d, d)
@@ -413,22 +477,26 @@ def _scan_block(Y, Ws, sums, edges, n_global, v_rows, score_beta, compute_wald, 
         Vs.append(V.reshape(Bc, m, deff, deff))
     if compute_wald:
         delta = np.concatenate([thetas[i] - thetas[i + 1] for i in range(k)], axis=2)
-        mid = np.zeros((Bc, m, k * deff, k * deff))
-        for a in range(k):
-            sa = slice(a * deff, (a + 1) * deff)
-            mid[:, :, sa, sa] = Vs[a] + Vs[a + 1]
-            if a + 1 < k:
-                sb = slice((a + 1) * deff, (a + 2) * deff)
-                mid[:, :, sa, sb] = -Vs[a + 1]
-                mid[:, :, sb, sa] = -Vs[a + 1].transpose(0, 1, 3, 2)
-        sol, ok_m = _batched_solve(
-            mid.reshape(Bc * m, k * deff, k * deff),
-            delta.reshape(Bc * m, k * deff, 1),
-        )
-        ok &= ok_m.reshape(Bc, m)
-        wald = n_global * np.einsum(
-            "bmi,bmi->bm", delta, sol[:, :, 0].reshape(Bc, m, k * deff)
-        )
+        if inverse:
+            form, ok_m = _middle_form([V.transpose(2, 3, 0, 1) for V in Vs],
+                                      delta.transpose(2, 0, 1))
+        else:
+            mid = np.zeros((Bc, m, k * deff, k * deff))
+            for a in range(k):
+                sa = slice(a * deff, (a + 1) * deff)
+                mid[:, :, sa, sa] = Vs[a] + Vs[a + 1]
+                if a + 1 < k:
+                    sb = slice((a + 1) * deff, (a + 2) * deff)
+                    mid[:, :, sa, sb] = -Vs[a + 1]
+                    mid[:, :, sb, sa] = -Vs[a + 1].transpose(0, 1, 3, 2)
+            sol, ok_m = _batched_solve(
+                mid.reshape(Bc * m, k * deff, k * deff),
+                delta.reshape(Bc * m, k * deff, 1),
+            )
+            ok_m = ok_m.reshape(Bc, m)
+            form = np.einsum("bmi,bmi->bm", delta, sol[:, :, 0].reshape(Bc, m, k * deff))
+        ok &= ok_m
+        wald = n_global * form
         ok &= np.isfinite(wald) & (wald > -1e-6)
         wald = np.maximum(wald, 0.0)
     else:

@@ -26,6 +26,7 @@ from .bootstrap import (
     SCHEMES,
     BootstrapConfig,
     _check_alphas,
+    _check_test,
     bootstrap_sup_test_design,
 )
 from .estimation import Design, make_design
@@ -67,7 +68,7 @@ class McConfig:
         if self.scheme not in SCHEMES:
             raise ConfigError("scheme must be 'wr' or 'wf'")
         _check_alphas(self.alphas)
-        if list(self.alphas) != sorted(self.alphas, reverse=True):
+        if any(a <= b for a, b in zip(self.alphas, self.alphas[1:])):
             raise ConfigError("alphas must be strictly decreasing")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
@@ -208,9 +209,10 @@ def test_dataset(
     design is ``make_design(spec, data)``.  rf_breaks="auto" runs the
     sequential RF pre-test first, with the same bootstrap settings and up
     to two breaks; an integer imposes that many RF breaks at their
-    SSR-estimated locations.
+    SSR-estimated locations.  The statistic, break counts and levels are
+    checked before any work runs, the pre-test included.
     """
-    _check_alphas(alphas)
+    _check_test(statistic, null_breaks, alt_breaks, alphas)
     rf_partition = None  # no RF breaks
     if rf_breaks == "auto":
         seq = estimate_rf_breaks_design(design, boot=boot, eps=eps)

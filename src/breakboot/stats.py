@@ -173,14 +173,16 @@ def scan_partitions_batch(
         one of them raises ValueError.  Neither (the default) scores with
         the candidate fit's own coefficients, so the score is the fit
         residual.
-    chunk_rows : bound on batch x candidates x rows per batch chunk; a
-        chunk of bc entries scans its candidates in blocks of 2048 // bc.
+    chunk_rows : bound on batch x candidates x rows per batch chunk; with
+        chunks of bc entries the candidates are scanned in
+        ceil(m / (2048 // bc)) blocks whose sizes differ by at most one.
 
-    A batch of one solves every candidate's Gram by LU.  A larger batch
-    inverts each candidate regime's block of the columns that are equal in
-    every entry once and borders the others in (see
-    :mod:`breakboot.estimation`); a candidate is then also skipped where a
-    bordering pivot is not positive.
+    A batch of one solves every candidate's Gram and middle matrix by LU.
+    A larger batch inverts each candidate regime's block of the columns
+    that are equal in every entry once per scan, borders the others in and
+    eliminates the middle matrix (see :mod:`breakboot.estimation`); a
+    candidate is then also skipped where a bordering pivot or a pivot of
+    its middle matrix is not positive.
 
     Returns (wald, ssr, ok), each (B, m); wald is -inf and ssr +inf where
     a candidate failed.

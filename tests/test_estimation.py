@@ -1,5 +1,6 @@
 """Least-squares kernels against independent oracles."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ import breakboot as bb
 from breakboot.estimation import (
     COND_CAP,
     _batched_solve,
+    _middle_form,
     eicker_white,
     first_stage,
     fit_regimes,
@@ -314,3 +316,47 @@ def test_batched_solve_masks_singular_systems_with_per_row_bits():
     assert np.all(X[singular] == 0.0)
     for i in np.flatnonzero(~singular):
         assert np.array_equal(X[i], np.linalg.solve(A[i], B[i]))
+
+
+def _middle_by_lu(V, delta):
+    """delta' H^{-1} delta with H = D blockdiag(V) D' for the regime difference D, by LU."""
+    k1, deff = V.shape[0], V.shape[-1]
+    D = np.kron(np.eye(k1 - 1, k1) - np.eye(k1 - 1, k1, 1), np.eye(deff))
+    blocks = np.zeros(V.shape[1:-2] + (k1 * deff, k1 * deff))
+    for a in range(k1):
+        blocks[..., a * deff:(a + 1) * deff, a * deff:(a + 1) * deff] = V[a]
+    H = D @ blocks @ D.T
+    return np.einsum("...i,...i->...", delta, np.linalg.solve(H, delta[..., None])[..., 0])
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("py", [1, 2])
+def test_middle_form_by_elimination_equals_an_lu_solve(k, py):
+    # random positive definite V of k + 1 regimes over (entry, candidate)
+    # stacks: the elimination gives the LU solve's delta' H^{-1} delta
+    rng = np.random.default_rng(101 + 10 * k + py)
+    deff, stack = 3 * py, (5, 7)
+    A = rng.normal(size=(k + 1, *stack, deff, deff))
+    V = A @ A.swapaxes(-1, -2) + 0.1 * np.eye(deff)
+    delta = rng.normal(size=(*stack, k * deff))
+    form, ok = _middle_form([v.transpose(2, 3, 0, 1) for v in V], delta.transpose(2, 0, 1))
+    assert ok.all()
+    np.testing.assert_allclose(form, _middle_by_lu(V, delta), rtol=1e-10)
+
+
+def test_middle_form_skips_a_zero_pivot_without_a_warning():
+    # a coefficient that no regime's score moves leaves a zero row and
+    # column in H: its pivot is zero, the candidate is skipped, and no
+    # division by zero is warned about (tier-1 makes RuntimeWarning an error)
+    rng = np.random.default_rng(103)
+    deff = 4
+    A = rng.normal(size=(2, 4, deff, deff))
+    V = A @ A.swapaxes(-1, -2)
+    V[:, 0, 0, :] = V[:, 0, :, 0] = 0.0  # the first pivot
+    V[:, 1, 2, :] = V[:, 1, :, 2] = 0.0  # a pivot after two elimination steps
+    delta = rng.normal(size=(4, deff))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        form, ok = _middle_form([v.transpose(1, 2, 0) for v in V], delta.T)
+    np.testing.assert_array_equal(ok, [False, False, True, True])
+    np.testing.assert_allclose(form[2:], _middle_by_lu(V[:, 2:], delta[2:]), rtol=1e-10)

@@ -126,6 +126,29 @@ def test_test_dataset_refuses_an_alpha_before_any_work(monkeypatch):
     assert calls == []
 
 
+def test_test_dataset_refuses_bad_break_counts_before_any_work(monkeypatch):
+    # the break counts are settings too: checked before the RF pre-test runs
+    calls = []
+    monkeypatch.setattr("breakboot.harness.estimate_rf_breaks_design",
+                        lambda *a, **k: calls.append(a))
+    data, _ = bb.generate(bb.ScenarioConfig("h1m1", "B", T=240, seed=7))
+    design = bb.make_design(bb.scenario_model_spec(), data)
+    for null_breaks, alt_breaks in ((1, 3), (-1, 0)):
+        with pytest.raises(bb.ConfigError):
+            run_dataset_test(design, bb.BootstrapConfig("wr", 19, 1),
+                             null_breaks=null_breaks, alt_breaks=alt_breaks)
+    assert calls == []
+
+
+def test_repeated_levels_are_refused(tmp_path):
+    # one level listed twice would give one rate and two table rows
+    with pytest.raises(bb.ConfigError):
+        tiny_cfg(alphas=(0.05, 0.05))
+    assert cli_main(["simulate", "--N", "1", "--B", "9", "--T", "80",
+                     "--alpha", "0.05,0.05", "--out", str(tmp_path / "c.csv")]) == 2
+    assert not (tmp_path / "c.csv").exists()
+
+
 def test_cli_gen_and_test(tmp_path):
     data_path = tmp_path / "d.csv"
     rc = cli_main([

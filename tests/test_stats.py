@@ -190,9 +190,9 @@ def test_scan_reads_the_resampled_columns_from_the_batch(monkeypatch):
     parts = enumerate_partitions(n, 1, 0.15, 4).as_array()
     seen = []
 
-    def spy(cum_G, h, s_e, e_e, rs, bufs):
+    def spy(shared, cum_R, h, s_e, e_e, rs, bufs):
         seen.append(tuple(rs))
-        return shared_inverse(cum_G, h, s_e, e_e, rs, bufs)
+        return shared_inverse(shared, cum_R, h, s_e, e_e, rs, bufs)
 
     shared_inverse = estimation._shared_inverse
     monkeypatch.setattr(estimation, "_shared_inverse", spy)
@@ -238,6 +238,9 @@ def test_scan_over_several_candidate_blocks_equals_the_batch_of_one(monkeypatch,
     monkeypatch.setattr(estimation, "_scan_block", spy)
     wald, ssr, ok = scan_partitions_batch(Y, Ws, parts, n, **score)
     assert all(bc > 1 and m < len(parts) for bc, m in blocks), blocks
+    # the blocks split the grid evenly, each within the block budget
+    sizes = [m for _, m in blocks]
+    assert max(sizes) - min(sizes) <= 1 and max(sizes) <= estimation._CHUNK // blocks[0][0]
     for b in range(B):
         one = {key: v[b:b + 1] for key, v in score.items()}
         lu = scan_partitions_batch(Y[b:b + 1], Ws[b:b + 1], parts, n, **one)
@@ -245,6 +248,43 @@ def test_scan_over_several_candidate_blocks_equals_the_batch_of_one(monkeypatch,
         assert ok[b].any()
         np.testing.assert_allclose(wald[b], lu[0][0], rtol=1e-10)
         np.testing.assert_allclose(ssr[b], lu[1][0], rtol=1e-10)
+
+
+def test_scan_inverts_each_shared_block_once_per_scan(monkeypatch):
+    # the shared block of each (block, regime) is inverted once, before the
+    # batch chunks: 8 entries scanned in one chunk or in four give the same
+    # count of shared-block solves and the same values.  k = 2 gives three
+    # regimes, and column 1 is resampled in every entry.
+    rng = np.random.default_rng(97)
+    B, n, d, k = 8, 60, 4, 2
+    Ws = np.repeat(np.column_stack([np.ones(n), rng.normal(size=(n, d - 1))])[None], B, axis=0)
+    Ws[:, :, 1] = rng.normal(size=(B, n))
+    Y = rng.normal(size=(B, n))
+    parts = enumerate_partitions(n, k, 0.25, d).as_array()
+    solves, chunks = [], []
+
+    def block_spy(cum_A, s_e, e_e, kept):
+        solves.append(s_e.shape[0])
+        return shared_block(cum_A, s_e, e_e, kept)
+
+    def scan_spy(Y, Ws, *args):
+        chunks.append(Ws.shape[0])
+        return scan_block(Y, Ws, *args)
+
+    shared_block, scan_block = estimation._shared_block, estimation._scan_block
+    monkeypatch.setattr(estimation, "_shared_block", block_spy)
+    monkeypatch.setattr(estimation, "_scan_block", scan_spy)
+    runs = []
+    for chunk_rows in (1_000_000, 2 * len(parts) * n):
+        solves.clear()
+        chunks.clear()
+        runs.append(scan_partitions_batch(Y, Ws, parts, n, chunk_rows=chunk_rows))
+        assert solves == [len(parts)] * (k + 1)
+        assert chunks == ([B] if chunk_rows == 1_000_000 else [2] * 4)
+    np.testing.assert_array_equal(runs[0][2], runs[1][2])
+    assert runs[0][2].all()
+    np.testing.assert_allclose(runs[0][0], runs[1][0], rtol=1e-10)
+    np.testing.assert_allclose(runs[0][1], runs[1][1], rtol=1e-10)
 
 
 def test_scan_batch_chunk_wider_than_a_block():
