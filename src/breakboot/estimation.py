@@ -36,22 +36,27 @@ The regime coefficients, sandwich blocks and Wald forms take one of two
 forms, picked by the batch size.  A batch of one, the sample statistic or
 a segment table, has nothing to share across entries: it solves each
 candidate's Gram by LU, once for b and, with the Wald form, twice for V,
-and solves the middle matrix by LU.  A larger batch, the bootstrap's B
-samples, shares every regressor column that its scheme keeps: WR rebuilds
-lagged y and lagged x inside z on every draw, WF keeps every regressor
-row, and the structural equation refits x_hat on every draw.  The scan
-reads that set from the batch, a column counting as resampled where it is
-not equal in every entry.  Before its first batch chunk it inverts the
-shared block of each candidate regime once, from entry 0's Gram; each
-chunk then borders its resampled columns in one at a time and takes b and
-V from G^{-1} by vector operations and matrix products.  The Wald form is
-a symmetric elimination without pivoting of the middle matrix, run over
-the (entry, candidate) axes, and a candidate is skipped where a pivot of
-its middle matrix is not positive.  Bootstrap draws reach the outputs only
-through the p-value count and the order-statistic critical values, so
-their rounding may move; the sample statistic keeps the LU sequence until
-the benchmark's 2-worker cell, compared bit for bit with a recorded
-reference, is compared through tolerances.
+and solves the middle matrix by LU; its score takes three steps, b'w, y
+minus that, and the score pair's term added.  A larger batch, the
+bootstrap's B samples, shares every regressor column that its scheme
+keeps: WR rebuilds lagged y and lagged x inside z on every draw, WF keeps
+every regressor row, and the structural equation refits x_hat on every
+draw.  The scan reads that set from the batch, a column counting as
+resampled where it is not equal in every entry.  Before its first batch
+chunk it inverts the shared block of each candidate regime once, from
+entry 0's Gram; each chunk then borders its resampled columns in one at a
+time and takes b from G^{-1} by vector operations.  Each chunk also stacks
+its rows [y, w, v] once, so that a candidate's score is one matrix product
+of those rows against the coefficients [1, -b, score_beta - b_x], and V is
+(G^{-1} M) G^{-1}, two matrix products whose operands are contiguous.  The
+Wald form is a symmetric elimination without pivoting of the middle
+matrix, run over the (entry, candidate) axes, and a candidate is skipped
+where a pivot of its middle matrix is not positive.  Bootstrap draws
+reach the outputs only through the p-value count and the order-statistic
+critical values, so their rounding may move.  The sample statistic keeps
+the LU sequence and the three-step score, which sum in another order and
+round differently, until the benchmark's 2-worker cell, compared bit for
+bit with a recorded reference, is compared through tolerances.
 
 :func:`_regime_fit` is the one least-squares fit on a fixed partition:
 the sample first and second stages (a batch of one, after each regime's
@@ -244,11 +249,16 @@ def _scan(Y, Ws, edges, n_global, v_rows, score_beta, compute_wald, chunk_rows):
     equal in every entry are read from entry 0: before the first batch
     chunk, each block's regimes get their Gram and the inverse of its
     shared block once (:func:`_shared_block`), and every chunk borders its
-    own resampled columns in (:func:`_shared_inverse`).
+    own resampled columns in (:func:`_shared_inverse`) and stacks the rows
+    [y, w, v] that each score takes in one product.  The score pair's
+    coefficients score_beta - b_x belong to one target column, so the pair
+    with pooled targets (py > 1) raises ValueError.
     """
     if (v_rows is None) != (score_beta is None):
         raise ValueError("v_rows and score_beta enter the score together")
     Y = Y if Y.ndim == 3 else Y[:, :, None]
+    if v_rows is not None and Y.shape[2] > 1:
+        raise ValueError("v_rows and score_beta score one target column, not pooled targets")
     B, n, d = Ws.shape
     m, k = edges.shape[0], edges.shape[1] - 2
     wald = np.empty((B, m))
@@ -274,10 +284,15 @@ def _scan(Y, Ws, edges, n_global, v_rows, score_beta, compute_wald, chunk_rows):
             cum_G = _prefix(cross)
         else:  # the resampled rows of the Gram, for every entry
             cum_G = _prefix(cross[:, :, (resampled[:, None] * d + np.arange(d)).ravel()])
-        sums = (cross, cum_G, _prefix(Wc[:, :, :, None] * Yc[:, :, None, :]),
-                _prefix(np.sum(Yc * Yc, axis=2)))
         vc = None if v_rows is None else v_rows[sb]
         betac = None if score_beta is None else score_beta[sb]
+        score_rows = None
+        if B > 1 and compute_wald:  # the score's rows [y, w, v], each row contiguous
+            parts = [a.transpose(0, 2, 1) for a in (Yc, Wc, vc) if a is not None]
+            score_rows = np.empty((Wc.shape[0], sum(a.shape[1] for a in parts), n))
+            np.concatenate(parts, axis=1, out=score_rows)
+        sums = (cross, cum_G, _prefix(Wc[:, :, :, None] * Yc[:, :, None, :]),
+                _prefix(np.sum(Yc * Yc, axis=2)), score_rows)
         for sc, sh in zip(blocks, shared):
             wald[sb, sc], ssr[sb, sc], ok[sb, sc] = _scan_block(
                 Yc, Wc, sums, edges[sc], n_global, vc, betac, compute_wald, sh
@@ -318,11 +333,15 @@ def _shared_inverse(shared, cum_R, h, s_e, e_e, rs, bufs):
     solve, so b takes one step of iterative refinement against G.
     Returns (G^{-1} (Bc, m, d, d), in bufs[0]; b (Bc, m, d, py); ok
     (Bc, m)), with a leading axis of 1 for G^{-1} and ok when nothing is
-    resampled.  ok is False where the shared block is singular or a pivot
-    is not positive, that is where the Schur complement of the resampled
-    columns is not positive definite.  The work keeps the (entry,
-    candidate) axes last, in bufs (3, Bc, m, d, d), so every step is a long
-    vector operation.
+    resampled.  G^{-1} is returned with the (entry, candidate) axes first
+    and each d x d matrix contiguous, the layout of the two matrix products
+    that form V = (G^{-1} M) G^{-1} in :func:`_scan_block`.  ok is False
+    where the shared block is singular or a pivot is not positive, that is
+    where the Schur complement of the resampled columns is not positive
+    definite.  The work keeps the (entry, candidate) axes last, in bufs
+    (3, Bc, m, d, d), so every step is a long vector operation; the
+    refinement's right-hand sides h are copied into that layout once, so
+    its three mat-vecs read contiguous vectors.
     """
     G, G_inv, ok = shared
     m, d = s_e.shape[0], bufs.shape[-1]
@@ -343,7 +362,7 @@ def _shared_inverse(shared, cum_R, h, s_e, e_e, rs, bufs):
         update = np.multiply(w[:, None], w / s, out=None if G_inv is work else work)
         G_inv = np.add(G_inv, update, out=work)
     b = np.empty(h.shape)
-    for c, hc in enumerate(h.transpose(3, 2, 0, 1)):
+    for c, hc in enumerate(np.ascontiguousarray(h.transpose(3, 2, 0, 1))):
         bc = _mv(G_inv, hc)
         bc += _mv(G_inv, hc - _mv(G, bc))
         b[..., c] = bc.transpose(1, 2, 0)
@@ -398,9 +417,16 @@ def _scan_block(Y, Ws, sums, edges, n_global, v_rows, score_beta, compute_wald, 
     """One block of candidates on one batch chunk: (wald, ssr, ok), each (Bc, m).
 
     shared is None in the LU form, and in the shared-inverse form the
-    resampled columns with each regime's :func:`_shared_block`.
+    resampled columns with each regime's :func:`_shared_block`.  sums holds
+    the chunk's cross products, prefix sums and, in the shared-inverse
+    form with the Wald statistic, its score rows [y, w, v] (Bc, py+d+p1, n).
+    The shared-inverse form scores each target column c with one product
+    of those rows against [e_c, -b_c, score_beta - b_x] and forms V as
+    (G^{-1} M) G^{-1}; the LU form keeps its three-step score, y - b'w plus
+    the score pair's term, and its two LU solves for V, whose rounding the
+    benchmark's 2-worker cell compares bit for bit.
     """
-    cross, cum_G, cum_h, cum_yy = sums
+    cross, cum_G, cum_h, cum_yy, score_rows = sums
     Bc, n, d = Ws.shape
     py = Y.shape[2]
     m, deff = edges.shape[0], d * py
@@ -420,6 +446,7 @@ def _scan_block(Y, Ws, sums, edges, n_global, v_rows, score_beta, compute_wald, 
         buf = np.empty(py * Bc * m * max(hi - lo for lo, hi in spans))
         M = np.empty((Bc, m, py, d, py, d))
         if inverse:
+            coef = np.empty((Bc, m, score_rows.shape[1]))
             GM = np.empty((Bc, m, py, d, deff))
             V_all = np.empty((k + 1, Bc, m, deff, deff))
     for i in range(k + 1):
@@ -442,11 +469,19 @@ def _scan_block(Y, Ws, sums, edges, n_global, v_rows, score_beta, compute_wald, 
         mask = ((rows > s_e[:, None]) & (rows <= e_e[:, None])).astype(np.float64)
         score = buf[:py * Bc * m * (hi - lo)].reshape(py, Bc, m, hi - lo)
         for c in range(py):  # masked scores; a 0/1 mask before the product is exact
-            np.matmul(b[..., c], Ws[:, lo:hi].transpose(0, 2, 1), out=score[c])
-            np.subtract(Y[:, None, lo:hi, c], score[c], out=score[c])
-            if score_beta is not None:
-                g = score_beta[:, None, :] - b[:, :, :score_beta.shape[1], 0]
-                score[c] += g @ v_rows[:, lo:hi].transpose(0, 2, 1)
+            if inverse:  # the rows [y, w, v] against [e_c, -b_c, score_beta - b_x]
+                coef[..., :py] = np.arange(py) == c
+                np.negative(b[..., c], out=coef[..., py:py + d])
+                if score_beta is not None:
+                    np.subtract(score_beta[:, None], b[:, :, :score_beta.shape[1], 0],
+                                out=coef[..., py + d:])
+                np.matmul(coef, score_rows[:, :, lo:hi], out=score[c])
+            else:
+                np.matmul(b[..., c], Ws[:, lo:hi].transpose(0, 2, 1), out=score[c])
+                np.subtract(Y[:, None, lo:hi, c], score[c], out=score[c])
+                if score_beta is not None:
+                    g = score_beta[:, None, :] - b[:, :, :score_beta.shape[1], 0]
+                    score[c] += g @ v_rows[:, lo:hi].transpose(0, 2, 1)
             score[c] *= mask
         for c in range(py):
             for cc in range(py - 1, c - 1, -1):  # (c, c) last: it squares score[c] in place
@@ -458,12 +493,12 @@ def _scan_block(Y, Ws, sums, edges, n_global, v_rows, score_beta, compute_wald, 
         Mf = M.reshape(Bc, m, deff, deff)
         Mf /= n_global
         if inverse:
-            # V = Q^{-1} M Q^{-1} with Q^{-1} = n G^{-1}, one d-row block at a time
+            # V = (Q^{-1} M) Q^{-1} with Q^{-1} = n G^{-1}: G^{-1} M one d-row block
+            # at a time, then that times G^{-1} one d-column block at a time
             np.matmul(G_inv[:, :, None], M.reshape(Bc, m, py, d, deff), out=GM)
             V = V_all[i]
-            GMt = GM.reshape(Bc, m, deff, deff).transpose(0, 1, 3, 2)
-            np.matmul(G_inv[:, :, None], GMt.reshape(Bc, m, py, d, deff),
-                      out=V.reshape(Bc, m, py, d, deff))
+            np.matmul(GM.reshape(Bc, m, deff * py, d), G_inv,
+                      out=V.reshape(Bc, m, deff * py, d))
             V *= n_global * n_global
             Vs.append(V)
             continue

@@ -170,16 +170,20 @@ def scan_partitions_batch(
     v_rows, score_beta : (B, n, p1) first-stage residual rows and (B, p1)
         fixed endogenous-block coefficients, which enter the score together
         (the endogenous block is the first p1 columns of Ws); passing only
-        one of them raises ValueError.  Neither (the default) scores with
-        the candidate fit's own coefficients, so the score is the fit
-        residual.
+        one of them, or the pair with pooled targets (py > 1), raises
+        ValueError.  Neither (the default) scores with the candidate fit's
+        own coefficients, so the score is the fit residual.
     chunk_rows : bound on batch x candidates x rows per batch chunk; with
         chunks of bc entries the candidates are scanned in
         ceil(m / (2048 // bc)) blocks whose sizes differ by at most one.
 
-    A batch of one solves every candidate's Gram and middle matrix by LU.
-    A larger batch inverts each candidate regime's block of the columns
-    that are equal in every entry once per scan, borders the others in and
+    A batch of one solves every candidate's Gram and middle matrix by LU
+    and forms its score in three steps, y - b'w plus the score pair's
+    term, keeping the rounding that the benchmark's 2-worker cell compares
+    bit for bit.  A larger batch inverts each candidate regime's block of
+    the columns that are equal in every entry once per scan, borders the
+    others in, forms each score as one product of the rows [y, w, v]
+    against [1, -b, score_beta - b_x] and V as (G^{-1} M) G^{-1}, and
     eliminates the middle matrix (see :mod:`breakboot.estimation`); a
     candidate is then also skipped where a bordering pivot or a pivot of
     its middle matrix is not positive.

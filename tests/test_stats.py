@@ -175,6 +175,69 @@ def test_score_pair_enters_whole_or_not_at_all():
     assert np.all(np.isfinite(wald))
 
 
+def test_score_pair_takes_one_target_column():
+    # the pair's score coefficients, score_beta minus the fit's endogenous
+    # block, belong to one target column: pooled targets with the pair are
+    # an error in either form, not a score built from column 0's fit
+    rng = np.random.default_rng(72)
+    B, n = 3, 60
+    Y, W = rng.normal(size=(B, n, 2)), rng.normal(size=(B, n, 3))
+    v, beta = rng.normal(size=(B, n, 1)), np.zeros((B, 1))
+    parts = enumerate_partitions(n, 1, 0.15, 3).as_array()
+    for b in (slice(None), slice(0, 1)):
+        with pytest.raises(ValueError):
+            scan_partitions_batch(Y[b], W[b], parts, n, v_rows=v[b], score_beta=beta[b])
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("pair", [False, True])
+def test_shared_inverse_scan_matches_bruteforce_recomputation(monkeypatch, k, pair):
+    # a batch of 6 entries with column 1 resampled takes the shared-inverse
+    # form; each entry's Wald value and SSR at a few candidates equal its
+    # regime fits, Q, M and V recomputed with plain np.linalg calls
+    rng = np.random.default_rng(103 + 2 * k + pair)
+    B, n, d, p1 = 6, 80, 4, 1
+    Ws = np.repeat(np.column_stack([np.ones(n), rng.normal(size=(n, d - 1))])[None], B, axis=0)
+    Ws[:, :, 1] = rng.normal(size=(B, n))
+    Y = Ws @ rng.normal(size=d) + rng.normal(size=(B, n)) * (1.0 + np.abs(Ws[:, :, 2]))
+    score = {}
+    if pair:
+        score = {"v_rows": rng.normal(size=(B, n, p1)), "score_beta": rng.normal(size=(B, p1))}
+    grid = enumerate_partitions(n, k, 0.15, d).as_array()
+    parts = grid[rng.choice(len(grid), 4, replace=False)]
+    calls = []
+
+    def spy(*args):
+        calls.append(args[5])
+        return shared_inverse(*args)
+
+    shared_inverse = estimation._shared_inverse
+    monkeypatch.setattr(estimation, "_shared_inverse", spy)
+    wald, ssr, ok = scan_partitions_batch(Y, Ws, parts, n, **score)
+    assert calls and all(tuple(rs) == (1,) for rs in calls)
+    assert ok.all()
+    R = ContrastMatrix(k, d).matrix
+    for b in range(B):
+        for j, breaks in enumerate(parts):
+            edges = (0, *breaks, n)
+            thetas, V, want_ssr = [], np.zeros(((k + 1) * d, (k + 1) * d)), 0.0
+            for i, (s, e) in enumerate(zip(edges[:-1], edges[1:])):
+                Wr, yr = Ws[b, s:e], Y[b, s:e]
+                theta = np.linalg.solve(Wr.T @ Wr, Wr.T @ yr)
+                u = yr - Wr @ theta
+                want_ssr += u @ u
+                if pair:
+                    u = u + score["v_rows"][b, s:e] @ (score["score_beta"][b] - theta[:p1])
+                Q_inv = np.linalg.inv(Wr.T @ Wr / n)
+                a = Wr * u[:, None]
+                V[i * d:(i + 1) * d, i * d:(i + 1) * d] = Q_inv @ (a.T @ a / n) @ Q_inv
+                thetas.append(theta)
+            r = R @ np.concatenate(thetas)
+            want = n * r @ np.linalg.solve(R @ V @ R.T, r)
+            assert wald[b, j] == pytest.approx(want, rel=1e-9)
+            assert ssr[b, j] == pytest.approx(want_ssr, rel=1e-9)
+
+
 def test_scan_reads_the_resampled_columns_from_the_batch(monkeypatch):
     # column 1 differs only in the last of 5 entries and column 2 arrives
     # as a broadcast view: the scan borders column 1 in and reads column 2
