@@ -11,6 +11,7 @@ from .bootstrap import (
 )
 from .dgp import ScenarioConfig, ScenarioTruth, draw_errors, generate, scenario_model_spec
 from .estimation import (
+    FirstStage,
     OlsFit,
     RegimeEstimates,
     RobustBlocks,
@@ -54,7 +55,6 @@ from .stats import (
     ContrastMatrix,
     TestOutcome,
     f_at,
-    ssr_null_partition,
     sup_f_design,
     sup_wald_design,
     sup_wald_seq_design,

@@ -22,11 +22,14 @@ Grams.
 Replication b of Monte Carlo repetition j draws its multipliers from the
 stream seeded by derive_seed(master_seed, j, STREAM_NU, b); reduced-form
 pre-test stages use STREAM_NU_RF with the stage's null break count
-appended.  The number and location of reduced-form breaks are held at
-their sample estimates across replications; reduced-form coefficients are
-re-estimated in every bootstrap sample.  The B samples of a test form one batch, scored
-by the same sup reductions as the sample statistic (see
-:mod:`breakboot.stats`).
+appended.  Every sample is built from one fit: a
+:class:`breakboot.estimation.FirstStage` for the reduced form, or the
+:class:`breakboot.estimation.RegimeEstimates` of a null-imposed model,
+which holds the first stage the test fitted once.  The number and location
+of reduced-form breaks are held at their sample estimates across
+replications; reduced-form coefficients are re-estimated in every
+bootstrap sample.  The B samples of a test form one batch, scored by the
+same sup reductions as the sample statistic (see :mod:`breakboot.stats`).
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ import numpy as np
 
 from .estimation import (
     Design,
+    FirstStage,
     RegimeEstimates,
     _regime_fit,
     fit_regimes,
@@ -45,15 +49,14 @@ from .estimation import (
 )
 from .exceptions import BootstrapFailureError, ConfigError, EmptyDrawsError
 from .model import Dataset, ModelSpec, Partition, no_breaks
-from .partition_search import min_regime_length
+from .partition_search import global_ssr_breaks, min_regime_length
 from .rng import STREAM_NU, STREAM_NU_RF, generator, rademacher
 from .stats import (
     STATISTICS,
     TestOutcome,
-    _rf_partition,
+    _first_or_default,
     _sup_case_i,
     _sup_case_ii,
-    ssr_null_partition,
     sup_f_design,
     sup_wald_design,
     sup_wald_seq_design,
@@ -119,34 +122,34 @@ def _row_regimes(partition: Partition) -> np.ndarray:
     return np.searchsorted(breaks, np.arange(1, partition.n + 1), side="left")
 
 
-def _paths(design: Design, delta: list[np.ndarray], rf_partition: Partition,
-           v_hat: np.ndarray, nu: np.ndarray, *, recursive: bool,
-           est: RegimeEstimates | None = None):
+def _paths(design: Design, fit: FirstStage | RegimeEstimates, nu: np.ndarray, *,
+           recursive: bool):
     """Bootstrap rows for all multiplier columns nu (n, B): (xb, Zb, yb).
 
-    x (xb, (n, p1, B)) follows the RF over rf_partition with errors
-    v_hat * nu.  y (yb, (n, B)) follows the SE with errors u_hat * nu, and
-    is generated only when est, a null-imposed SE fit, is given; else yb
-    is None.  Zb (B, n, q) holds the instrument rows.  Under WR each row
-    starts as the sample's, and its lagged x columns, plus its lagged y
-    columns when y is generated, are overwritten from the bootstrap history
-    that starts at the first max_lag original observations.  Where no
-    column is overwritten (WF, WR without lags, and WR with no live lag
-    role), every row stays the sample's and Zb is the sample's Z, (n, q).
+    x (xb, (n, p1, B)) follows the RF of the first stage, fit or fit.first,
+    with errors v_hat * nu.  y (yb, (n, B)) follows the SE with errors
+    u_hat * nu, and is generated only when fit is a null-imposed model
+    fit, RegimeEstimates; else yb is None.  Zb (B, n, q) holds the
+    instrument rows.  Under WR each row starts as the sample's, and its
+    lagged x columns, plus its lagged y columns when y is generated, are
+    overwritten from the bootstrap history that starts at the first
+    max_lag original observations.  Where no column is overwritten (WF, WR
+    without lags, and WR with no live lag role), every row stays the
+    sample's and Zb is the sample's Z, (n, q).  Under WF and without lags,
+    x is the first stage's x_hat plus the errors.
     """
     spec, data = design.spec, design.data
     n, B = nu.shape
     lag, p1 = spec.max_lag, spec.p1
-    vb = v_hat[:, :, None] * nu[:, None, :]
+    est = fit if isinstance(fit, RegimeEstimates) else None
+    first = fit if est is None else est.first
+    vb = first.v_hat[:, :, None] * nu[:, None, :]
     if est is not None:
         beta = np.array(est.beta)[_row_regimes(est.se_partition)]
         bx, bz = beta[:, :p1].copy(), beta[:, p1:].copy()
         ub = est.u_hat[:, None] * nu
     if not recursive or lag == 0:
-        x_hat = np.empty((n, p1))
-        for j, (a, bnd) in enumerate(rf_partition.regimes()):
-            x_hat[a - 1 : bnd] = design.Z[a - 1 : bnd] @ delta[j]
-        xb = x_hat[:, :, None] + vb
+        xb = first.x_hat[:, :, None] + vb
         yb = None
         if est is not None:
             fixed = np.einsum("nq,nq->n", design.Z1, bz)
@@ -156,7 +159,7 @@ def _paths(design: Design, delta: list[np.ndarray], rf_partition: Partition,
     live = [(c, role) for c, role in enumerate(spec.rf_instruments)
             if role.kind == "x" or (role.kind == "y" and est is not None)]
     z1 = list(spec.z1_positions)
-    d_idx = _row_regimes(rf_partition)
+    d_idx = _row_regimes(first.partition)
     x_hist = np.empty((lag + n, p1, B))
     y_hist = np.empty((lag + n, B))
     x_hist[:lag] = data.x[:lag, :, None]
@@ -171,7 +174,7 @@ def _paths(design: Design, delta: list[np.ndarray], rf_partition: Partition,
             else:
                 zrow[:, c] = y_hist[lag + i - role.lag]
         Zb[:, i, :] = zrow
-        x_t = zrow @ delta[d_idx[i]] + vb[i].T  # (B, p1)
+        x_t = zrow @ first.delta[d_idx[i]] + vb[i].T  # (B, p1)
         x_hist[lag + i] = x_t.T
         if est is not None:
             y_hist[lag + i] = x_t @ bx[i] + zrow[:, z1] @ bz[i] + ub[i]
@@ -182,8 +185,7 @@ def _generate(spec: ModelSpec, data: Dataset, est: RegimeEstimates, nu: np.ndarr
               recursive: bool) -> Dataset:
     design = make_design(spec, data)
     nu = np.asarray(nu, dtype=np.float64)[:, None]
-    xb, _, yb = _paths(design, est.delta, est.rf_partition, est.v_hat, nu,
-                       recursive=recursive, est=est)
+    xb, _, yb = _paths(design, est, nu, recursive=recursive)
     lag = spec.max_lag
     return Dataset(
         y=np.concatenate([data.y[:lag], yb[:, 0]]),
@@ -212,7 +214,7 @@ def wf_generate(
     return _generate(spec, data, estimates, nu, recursive=False)
 
 
-def _first_stage_batch(Zb, xb, rf_partition: Partition):
+def _first_stage_batch(Zb, xb, partition: Partition):
     """Per-replication RF fits: w-block fitted values (B, n, p1).
 
     Zb is (B, n, q), the bootstrap instrument rows, or (n, q), the sample's
@@ -221,40 +223,39 @@ def _first_stage_batch(Zb, xb, rf_partition: Partition):
     whose :func:`_regime_fit` system is singular gets NaN there, so it fails.
     """
     n, p1, B = xb.shape
-    regimes = rf_partition.regimes()
+    regimes = partition.regimes()
     if Zb.ndim == 2:
         _, xhat = _regime_fit(Zb[None], xb.reshape(1, n, p1 * B), regimes)
         return xhat[0].reshape(n, p1, B).transpose(2, 0, 1)
     return _regime_fit(Zb, xb.transpose(2, 0, 1), regimes)[1]
 
 
-def _samples(design: Design, cfg: BootstrapConfig, nu: np.ndarray | None, *,
-             est: RegimeEstimates | None = None, rf=None):
+def _samples(design: Design, cfg: BootstrapConfig, nu: np.ndarray | None,
+             fit: FirstStage | RegimeEstimates):
     """The B bootstrap samples of one test as a batch: (Yb, Wb, v_hat_b).
 
-    Structural equation (est, a null-imposed fit): Yb (B, n) is y, Wb
-    (B, n, d) holds the first stage re-estimated on each sample over
-    est.rf_partition next to z1, and v_hat_b (B, n, p1) its residuals.
-    Reduced form (rf = (delta, v_hat, rf_partition)): Yb (B, n, p1) is x,
-    Wb (B, n, q) is z, a read-only view, and v_hat_b is None.  Multipliers
-    come from the SE stream, or the RF stream keyed by rf_partition.k, the
-    pre-test stage's null break count, unless nu (n, B) is passed.
+    Structural equation (fit a null-imposed RegimeEstimates): Yb (B, n) is
+    y, Wb (B, n, d) holds the first stage re-estimated on each sample over
+    fit.first.partition next to z1, and v_hat_b (B, n, p1) its residuals.
+    Reduced form (fit a FirstStage): Yb (B, n, p1) is x, Wb (B, n, q) is z,
+    a read-only view, and v_hat_b is None.  Multipliers come from the SE
+    stream, or the RF stream keyed by fit.partition.k, the pre-test stage's
+    null break count, unless nu (n, B) is passed.
     """
     n, spec = design.n, design.spec
-    delta, v_hat, rf_partition = rf if est is None else (est.delta, est.v_hat, est.rf_partition)
+    rf = isinstance(fit, FirstStage)
     if nu is None:
         stream = (
-            MultiplierStream(cfg.master_seed, cfg.rep_index) if rf is None
-            else MultiplierStream(cfg.master_seed, cfg.rep_index, STREAM_NU_RF, rf_partition.k)
+            MultiplierStream(cfg.master_seed, cfg.rep_index, STREAM_NU_RF, fit.partition.k) if rf
+            else MultiplierStream(cfg.master_seed, cfg.rep_index)
         )
         nu = stream.matrix(n, cfg.B)
-    xb, Zb, yb = _paths(design, delta, rf_partition, v_hat, nu,
-                        recursive=cfg.scheme == "wr", est=est)
+    xb, Zb, yb = _paths(design, fit, nu, recursive=cfg.scheme == "wr")
     B = nu.shape[1]
-    if est is None:
+    if rf:
         return (np.ascontiguousarray(xb.transpose(2, 0, 1)),
                 np.broadcast_to(Zb, (B,) + design.Z.shape), None)
-    what = _first_stage_batch(Zb, xb, rf_partition)
+    what = _first_stage_batch(Zb, xb, fit.first.partition)
     Wb = np.empty((B, n, spec.d_beta))
     Wb[:, :, : spec.p1] = what
     Wb[:, :, spec.p1 :] = Zb[..., list(spec.z1_positions)]
@@ -291,7 +292,7 @@ def case_i_draws(
     first stage on the fixed RF regimes, second stage over the same grid,
     and the robust blocks built from the re-estimated residuals.
     """
-    Yb, Wb, _ = _samples(design, cfg, nu, est=est)
+    Yb, Wb, _ = _samples(design, cfg, nu, est)
     _, vals, _ = _sup_case_i(Yb, Wb, k, eps, design.spec.q, statistic=statistic)
     return _draws(np.max(vals, axis=1))
 
@@ -310,45 +311,40 @@ def case_ii_draws(
     regime frame for every replication, and its min_len bounds the extra
     break.
     """
-    Yb, Wb, vb = _samples(design, cfg, nu, est=est)
+    Yb, Wb, vb = _samples(design, cfg, nu, est)
     best, *_ = _sup_case_ii(Yb, Wb, est.se_partition, statistic=statistic, v_rows=vb)
     return _draws(best)
 
 
 def rf_case_i_draws(
     design: Design,
-    delta: list[np.ndarray],
-    v_hat: np.ndarray,
-    rf_partition: Partition,
+    first: FirstStage,
     cfg: BootstrapConfig,
     *,
     nu: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
     """Bootstrap sup-Wald draws for no RF breaks against one; the no-break
-    rf_partition keys the multiplier stream and its trim sets the grid."""
-    rf = (delta, v_hat, rf_partition)
-    Yb, Wb, _ = _samples(design, cfg, nu, rf=rf)
-    _, vals, _ = _sup_case_i(Yb, Wb, 1, rf_partition.trim, design.spec.q)
+    first stage's partition keys the multiplier stream and its trim sets
+    the grid."""
+    Yb, Wb, _ = _samples(design, cfg, nu, first)
+    _, vals, _ = _sup_case_i(Yb, Wb, 1, first.partition.trim, design.spec.q)
     return _draws(np.max(vals, axis=1))
 
 
 def rf_case_ii_draws(
     design: Design,
-    delta: list[np.ndarray],
-    v_hat: np.ndarray,
-    rf_partition: Partition,
+    first: FirstStage,
     cfg: BootstrapConfig,
     *,
     nu: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
     """Bootstrap draws for l RF breaks against l+1.
 
-    l is rf_partition.k, which also keys the multiplier stream; its
-    min_len bounds the extra break.
+    l is first.partition.k, which also keys the multiplier stream; the
+    partition's min_len bounds the extra break.
     """
-    rf = (delta, v_hat, rf_partition)
-    Yb, Wb, _ = _samples(design, cfg, nu, rf=rf)
-    best, *_ = _sup_case_ii(Yb, Wb, rf_partition)
+    Yb, Wb, _ = _samples(design, cfg, nu, first)
+    best, *_ = _sup_case_ii(Yb, Wb, first.partition)
     return _draws(best)
 
 
@@ -431,7 +427,7 @@ def bootstrap_sup_test_design(
     alt_breaks: int = 1,
     statistic: str = "supwald",
     eps: float = 0.15,
-    rf_partition: Partition | None = None,
+    first: FirstStage | None = None,
     alphas: tuple[float, ...] = (0.10, 0.05, 0.01),
 ) -> TestOutcome:
     """Run one structural-change test end to end with bootstrap inference.
@@ -440,30 +436,31 @@ def bootstrap_sup_test_design(
     B and seed path.  null_breaks=0 tests no change against alt_breaks
     changes; null_breaks = l >= 1 tests l against l+1 (alt_breaks must then
     be l+1), with the null partition at the SSR-minimising l breaks
-    (:func:`breakboot.stats.ssr_null_partition`).  The first stage is fixed
-    at rf_partition; None means no RF breaks.  The outcome records the RF
-    partition used in its rf_partition field.
+    (:func:`breakboot.partition_search.global_ssr_breaks`).  The first
+    stage is the fit first, which the sample statistic, the null partition,
+    the null fit and the B samples all read; None means no RF breaks.  The
+    outcome records its RF partition in the rf_partition field.
     """
     _check_test(statistic, null_breaks, alt_breaks, alphas)
     n = design.n
-    rf_partition = _rf_partition(design, eps, rf_partition)
+    first = _first_or_default(design, eps, first)
 
     if null_breaks == 0:
         if statistic == "supwald":
-            outcome = sup_wald_design(design, alt_breaks, eps, rf_partition)
+            outcome = sup_wald_design(design, alt_breaks, eps, first)
         else:
-            outcome = sup_f_design(design, alt_breaks, eps, rf_partition)
+            outcome = sup_f_design(design, alt_breaks, eps, first)
         null_partition = no_breaks(n, eps, min_regime_length(n, eps, design.spec.q))
-        est = fit_regimes(design, rf_partition, null_partition)
+        est = fit_regimes(design, first, null_partition)
         draws, failures = case_i_draws(design, est, alt_breaks, eps, boot, statistic=statistic)
     else:
-        null_partition = ssr_null_partition(design, null_breaks, eps, rf_partition)
-        outcome = sup_wald_seq_design(design, null_partition, rf_partition, statistic)
-        est = fit_regimes(design, rf_partition, null_partition)
+        null_partition, _ = global_ssr_breaks(design, first, null_breaks, eps)
+        outcome = sup_wald_seq_design(design, null_partition, first, statistic)
+        est = fit_regimes(design, first, null_partition)
         draws, failures = case_ii_draws(design, est, boot, statistic=statistic)
 
     p, crits, rejects, flags = pvalue_and_quantile(outcome.statistic, draws, alphas)
-    outcome.rf_partition = rf_partition
+    outcome.rf_partition = first.partition
     outcome.boot_draws = draws
     outcome.p_value = p
     outcome.critical_values = crits

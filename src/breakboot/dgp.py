@@ -14,6 +14,21 @@ The structural equation is y_t = a_y + b_x x_t + b_r1 r_{1,t}
 A nonzero shift g adds g to every SE coefficient on a window starting
 after [T/2], creating one extra break for power experiments.
 
+Putting the RF into the SE makes (y_t, x_t) a VAR(1) with companion matrix
+
+  [[b_y1 + b_x d_y1, b_x d_x1],
+   [d_y1,            d_x1    ]].
+
+Its eigenvalues for the (RF regime, SE regime) pairs that the scenarios
+use, at g = 0:
+
+  RF 2 with SE 1  1.0 and 0.4, a unit root (all of an h0m0 sample and
+                  its burn-in, before the SE break in h0m1, and from the
+                  RF break to any SE break in h1m0 and h1m1);
+  RF 1 with SE 1  0.86 and 0.09 (before the RF break, burn-in included,
+                  in h1m0 and h1m1);
+  RF 2 with SE 2  0.36 and 0.14 (after the SE break).
+
 Innovation streams are keyed only by the seed and a purpose tag, never by
 g, so experiments under the null and the alternative share random
 numbers.

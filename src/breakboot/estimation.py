@@ -58,6 +58,12 @@ the LU sequence and the three-step score, which sum in another order and
 round differently, until the benchmark's 2-worker cell, compared bit for
 bit with a recorded reference, is compared through tolerances.
 
+:func:`first_stage` returns a :class:`FirstStage`, the RF partition with
+its fit (delta, x_hat, v_hat).  A test fits it once and passes that value
+on: the sample statistic, the null partition's search, the null fit
+(:class:`RegimeEstimates` holds it next to the second stage) and the
+bootstrap samples all read the same x_hat and v_hat.
+
 :func:`_regime_fit` is the one least-squares fit on a fixed partition:
 the sample first and second stages (a batch of one, after each regime's
 COND_CAP check), every bootstrap sample's first stage, and the one-regime
@@ -119,16 +125,27 @@ class SecondStageFit:
 
 
 @dataclass(frozen=True)
-class RegimeEstimates:
-    """Everything a null-imposed model fit produces, for reuse downstream."""
+class FirstStage:
+    """The reduced-form fit a test conditions on: regime-wise OLS of x on z.
 
-    rf_partition: Partition
+    delta holds the q x p1 coefficients of each regime of partition; x_hat
+    stitches the regime fits and v_hat = x - x_hat exactly.
+    """
+
+    partition: Partition
     delta: list[np.ndarray]
+    x_hat: np.ndarray
+    v_hat: np.ndarray
+
+
+@dataclass(frozen=True)
+class RegimeEstimates:
+    """A null-imposed model fit: its first stage and the second stage on se_partition."""
+
+    first: FirstStage
     se_partition: Partition
     beta: list[np.ndarray]
     u_hat: np.ndarray
-    v_hat: np.ndarray
-    x_hat: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -570,16 +587,10 @@ def _sample_fit(X: np.ndarray, Y: np.ndarray, partition: Partition, what: str):
     return [c[0] for c in coef], fitted[0]
 
 
-def first_stage(
-    design: Design, rf_partition: Partition
-) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
-    """Regime-wise OLS of x on z; returns (delta list, x_hat, v_hat).
-
-    Delta_(j) is q x p1 for RF regime j; x_hat stitches the regime fits,
-    v_hat = x - x_hat exactly.
-    """
-    delta, x_hat = _sample_fit(design.Z, design.x, rf_partition, "first_stage")
-    return delta, x_hat, design.x - x_hat
+def first_stage(design: Design, partition: Partition) -> FirstStage:
+    """Regime-wise OLS of x on z over the RF regimes of partition."""
+    delta, x_hat = _sample_fit(design.Z, design.x, partition, "first_stage")
+    return FirstStage(partition, delta, x_hat, design.x - x_hat)
 
 
 def second_stage(
@@ -596,21 +607,10 @@ def second_stage(
     return SecondStageFit(beta=beta, ssr=float(e @ e), u_hat=u_hat)
 
 
-def fit_regimes(
-    design: Design, rf_partition: Partition, se_partition: Partition
-) -> RegimeEstimates:
-    """Run the full two-stage pipeline for a fixed pair of partitions."""
-    delta, x_hat, v_hat = first_stage(design, rf_partition)
-    fit = second_stage(design, x_hat, se_partition)
-    return RegimeEstimates(
-        rf_partition=rf_partition,
-        delta=delta,
-        se_partition=se_partition,
-        beta=fit.beta,
-        u_hat=fit.u_hat,
-        v_hat=v_hat,
-        x_hat=x_hat,
-    )
+def fit_regimes(design: Design, first: FirstStage, se_partition: Partition) -> RegimeEstimates:
+    """The second stage on se_partition, on top of the given first stage."""
+    fit = second_stage(design, first.x_hat, se_partition)
+    return RegimeEstimates(first=first, se_partition=se_partition, beta=fit.beta, u_hat=fit.u_hat)
 
 
 def eicker_white(
@@ -633,8 +633,8 @@ def eicker_white(
     """
     n = design.n
     p1 = design.spec.p1
-    W = np.column_stack([estimates.x_hat, design.Z1])
-    v_hat = estimates.v_hat
+    W = np.column_stack([estimates.first.x_hat, design.Z1])
+    v_hat = estimates.first.v_hat
     Q: list[np.ndarray] = []
     M: list[np.ndarray] = []
     V: list[np.ndarray] = []

@@ -213,14 +213,14 @@ def test_dataset(
     checked before any work runs, the pre-test included.
     """
     _check_test(statistic, null_breaks, alt_breaks, alphas)
-    rf_partition = None  # no RF breaks
+    first = None  # no RF breaks
     if rf_breaks == "auto":
         seq = estimate_rf_breaks_design(design, boot=boot, eps=eps)
-        rf_partition = seq.partition
+        first = seq.first
         rf_note = f"sequential pre-test selected {seq.chosen_breaks} RF break(s)"
     elif isinstance(rf_breaks, int) and rf_breaks >= 0:
         if rf_breaks > 0:
-            rf_partition, _, _ = rf_break_grid_and_fit(design, rf_breaks, eps)
+            first = rf_break_grid_and_fit(design, rf_breaks, eps)
         rf_note = f"{rf_breaks} RF break(s) imposed"
     else:
         raise ConfigError(f"rf_breaks must be 'auto' or an integer >= 0, got {rf_breaks!r}")
@@ -232,7 +232,7 @@ def test_dataset(
         alt_breaks=alt_breaks,
         statistic=statistic,
         eps=eps,
-        rf_partition=rf_partition,
+        first=first,
         alphas=alphas,
     )
     lines = [

@@ -235,30 +235,33 @@ class Dataset:
 
     @classmethod
     def from_csv(cls, path: str) -> "Dataset":
+        """Read what :meth:`to_csv` writes; a malformed file raises ConfigError."""
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             try:
-                header = next(reader)
+                cols = [c.strip() for c in next(reader)]
             except StopIteration:
                 raise ConfigError(f"{path}: empty file") from None
+            if not cols or cols[0] != "y":
+                raise ConfigError(f"{path}: header must start with 'y'")
+            p1 = sum(1 for c in cols if re.fullmatch(r"x\d+", c))
+            p2 = sum(1 for c in cols if re.fullmatch(r"r\d+", c))
+            if 1 + p1 + p2 != len(cols):
+                raise ConfigError(f"{path}: header must be y,x1..xp1,r1..rp2")
             rows = []
             for lineno, row in enumerate(reader, start=2):
                 if not row:
                     continue
+                if len(row) != len(cols):
+                    raise ConfigError(
+                        f"{path}:{lineno}: {len(row)} fields, the header has {len(cols)}")
                 try:
                     rows.append([float(v) for v in row])
                 except ValueError as exc:
                     raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-        cols = [c.strip() for c in header]
-        if not cols or cols[0] != "y":
-            raise ConfigError(f"{path}: header must start with 'y'")
-        p1 = sum(1 for c in cols if re.fullmatch(r"x\d+", c))
-        p2 = sum(1 for c in cols if re.fullmatch(r"r\d+", c))
-        if 1 + p1 + p2 != len(cols):
-            raise ConfigError(f"{path}: header must be y,x1..xp1,r1..rp2")
+        if not rows:
+            raise ConfigError(f"{path}: no data rows")
         data = np.asarray(rows, dtype=np.float64)
-        if data.shape[1] != len(cols):
-            raise ConfigError(f"{path}: ragged rows")
         return cls(y=data[:, 0], x=data[:, 1 : 1 + p1], r=data[:, 1 + p1 :])
 
 

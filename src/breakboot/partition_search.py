@@ -18,13 +18,14 @@ least-squares kernel of :mod:`breakboot.estimation`.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .estimation import Design, _scan, first_stage
+from .estimation import Design, FirstStage, _scan, first_stage
 from .exceptions import InfeasiblePartitionError, RankDeficientError
 from .model import Partition
 
@@ -57,30 +58,25 @@ class AdmissibleGrid:
         free = self.T_eff - (self.k + 1) * self.min_len
         return math.comb(free + self.k, self.k)
 
+    def _offsets(self) -> Iterator[tuple[int, ...]]:
+        """The nondecreasing k-tuples c over 0..free, in lexicographic order."""
+        free = self.T_eff - (self.k + 1) * self.min_len
+        return itertools.combinations_with_replacement(range(free + 1), self.k)
+
     def candidates(self) -> Iterator[tuple[int, ...]]:
-        """Yield break tuples in lexicographic order; k=0 yields ()."""
-        n, k, m = self.T_eff, self.k, self.min_len
+        """Yield break tuples in lexicographic order; k=0 yields ().
 
-        def rec(prefix: tuple[int, ...], lo: int, remaining: int):
-            if remaining == 0:
-                yield prefix
-                return
-            hi = n - remaining * m
-            for b in range(lo, hi + 1):
-                yield from rec(prefix + (b,), b + m, remaining - 1)
-
-        yield from rec((), m, k)
+        Break i (0-based) is (i + 1) * min_len + c_i over the nondecreasing
+        offsets c, so every regime is at least min_len rows long.
+        """
+        for c in self._offsets():
+            yield tuple((i + 1) * self.min_len + ci for i, ci in enumerate(c))
 
     def as_array(self) -> np.ndarray:
         """Materialise candidates as an int array of shape (count, k)."""
-        if self.k == 0:
-            return np.zeros((1, 0), dtype=np.int64)
-        out = np.fromiter(
-            (b for tup in self.candidates() for b in tup),
-            dtype=np.int64,
-            count=self.count * self.k,
-        )
-        return out.reshape(self.count, self.k)
+        out = np.fromiter(itertools.chain.from_iterable(self._offsets()),
+                          dtype=np.int64, count=self.count * self.k)
+        return out.reshape(self.count, self.k) + self.min_len * np.arange(1, self.k + 1)
 
 
 def enumerate_partitions(T_eff: int, k: int, eps: float, q: int) -> AdmissibleGrid:
@@ -143,28 +139,26 @@ def dp_breaks(table: np.ndarray, k: int) -> tuple[tuple[int, ...], float]:
 
 
 def global_ssr_breaks(
-    design: Design, x_hat: np.ndarray, n_breaks: int, eps: float
+    design: Design, first: FirstStage, n_breaks: int, eps: float
 ) -> tuple[Partition, float]:
     """Second-stage SSR-minimising partition.
 
-    The regression is y on w_hat = (x_hat, z1); x_hat must come from a
-    first stage whose RF partition is held fixed during the search.
+    The regression is y on w_hat = (x_hat, z1), with x_hat from the first
+    stage first, whose RF partition stays fixed during the search.  With
+    n_breaks = l >= 1 this is the null partition of an l-against-l+1 test.
     """
     n = design.n
     min_len = min_regime_length(n, eps, design.spec.q)
-    W = np.column_stack([x_hat, design.Z1])
+    W = np.column_stack([first.x_hat, design.Z1])
     table = segment_ssr_table(design.y, W, min_len)
     breaks, ssr = dp_breaks(table, n_breaks)
     return Partition(breaks, n, eps, min_len), ssr
 
 
-def rf_break_grid_and_fit(
-    design: Design, h: int, eps: float
-) -> tuple[Partition, list[np.ndarray], np.ndarray]:
+def rf_break_grid_and_fit(design: Design, h: int, eps: float) -> FirstStage:
     """RF analogue: minimise the x-on-z SSR (summed over x columns).
 
-    Returns the h-break partition with the first stage fitted on it: the
-    regime coefficients delta and the residuals v_hat.
+    Returns the first stage fitted on the h-break partition.
     """
     if h < 0:
         raise InfeasiblePartitionError("h must be >= 0")
@@ -172,6 +166,4 @@ def rf_break_grid_and_fit(
     min_len = min_regime_length(n, eps, design.spec.q)
     table = segment_ssr_table(design.x, design.Z, min_len)
     breaks, _ = dp_breaks(table, h)
-    partition = Partition(breaks, n, eps, min_len)
-    delta, _, v_hat = first_stage(design, partition)
-    return partition, delta, v_hat
+    return first_stage(design, Partition(breaks, n, eps, min_len))

@@ -3,12 +3,14 @@
 The RF is a linear model estimated by OLS, so the structural-change
 machinery applies with x as the dependent block and no second stage.
 Stage l tests l breaks against l+1 with the bootstrap sup-Wald, with the
-first stage fitted once on the stage's l-break partition.  That partition
-carries everything else the stage needs: its break count keys the stage's
+first stage fitted once on the stage's l-break partition, a
+:class:`breakboot.estimation.FirstStage`.  That fit's partition carries
+everything else the stage needs: its break count keys the stage's
 multiplier stream, and its trim (stage 0) or min_len (later stages) bounds
 the extra break.  Testing stops at the first p-value above ALPHA_SEQ,
-keeping that stage's partition, or at the break cap, whose partition is
-estimated then.
+keeping that stage's first stage, or at the break cap, whose first stage
+is estimated then.  The test that follows reads the kept first stage and
+fits no other.
 """
 
 from __future__ import annotations
@@ -24,23 +26,23 @@ from .bootstrap import (
     rf_case_i_draws,
     rf_case_ii_draws,
 )
-from .estimation import Design, first_stage
+from .estimation import Design, FirstStage
 from .exceptions import ConfigError, SingularMiddleError
-from .model import Partition, no_breaks
-from .partition_search import min_regime_length, rf_break_grid_and_fit
-from .stats import _sup_case_i, _sup_case_ii
+from .model import Partition
+from .partition_search import rf_break_grid_and_fit
+from .stats import _first_or_default, _sup_case_i, _sup_case_ii
 
 ALPHA_SEQ = 0.05  # level of every stage's test
 
 
 @dataclass(frozen=True)
 class SequentialResult:
-    partition: Partition
+    first: FirstStage  # the stopping stage's
     trail: list[tuple[int, float, float]]  # (null breaks, statistic, p-value)
 
     @property
     def chosen_breaks(self) -> int:
-        return self.partition.k
+        return self.first.partition.k
 
 
 def rf_sup_wald(design: Design, eps: float = 0.15) -> float:
@@ -51,10 +53,10 @@ def rf_sup_wald(design: Design, eps: float = 0.15) -> float:
     return float(np.max(vals[0]))
 
 
-def rf_sup_wald_seq(design: Design, rf_partition: Partition) -> float:
-    """Sample one-more-break sup-Wald within the regimes of rf_partition,
+def rf_sup_wald_seq(design: Design, null_partition: Partition) -> float:
+    """Sample one-more-break sup-Wald within the regimes of null_partition,
     whose min_len bounds the extra break."""
-    best, *_ = _sup_case_ii(design.x[None], design.Z[None], rf_partition)
+    best, *_ = _sup_case_ii(design.x[None], design.Z[None], null_partition)
     if not np.isfinite(best[0]):
         raise SingularMiddleError("every within-regime candidate failed")
     return float(best[0])
@@ -72,21 +74,18 @@ def estimate_rf_breaks_design(
     """
     if max_breaks < 1:
         raise ConfigError("max_breaks must be >= 1")
-    n = design.n
     trail: list[tuple[int, float, float]] = []
     for level in range(max_breaks):
         if level == 0:
-            partition = no_breaks(n, eps, min_regime_length(n, eps, design.spec.q))
-            delta, _, v_hat = first_stage(design, partition)
+            first = _first_or_default(design, eps)
             stat = rf_sup_wald(design, eps)
-            draws, _ = rf_case_i_draws(design, delta, v_hat, partition, boot)
+            draws, _ = rf_case_i_draws(design, first, boot)
         else:
-            partition, delta, v_hat = rf_break_grid_and_fit(design, level, eps)
-            stat = rf_sup_wald_seq(design, partition)
-            draws, _ = rf_case_ii_draws(design, delta, v_hat, partition, boot)
+            first = rf_break_grid_and_fit(design, level, eps)
+            stat = rf_sup_wald_seq(design, first.partition)
+            draws, _ = rf_case_ii_draws(design, first, boot)
         p = pvalue_and_quantile(stat, draws, ())[0]
         trail.append((level, stat, p))
         if p > ALPHA_SEQ:
-            return SequentialResult(partition=partition, trail=trail)
-    final, _, _ = rf_break_grid_and_fit(design, max_breaks, eps)
-    return SequentialResult(partition=final, trail=trail)
+            return SequentialResult(first=first, trail=trail)
+    return SequentialResult(first=rf_break_grid_and_fit(design, max_breaks, eps), trail=trail)

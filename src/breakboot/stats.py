@@ -24,6 +24,11 @@ candidate grid.  The sample is a batch of one, whose argmax also gives the
 break estimate; the bootstrap passes its B samples.  :func:`_sup_case_i`
 scans the full k-break grid (no break against k) and :func:`_sup_case_ii`
 adds one break within each regime of a null partition (l against l+1).
+
+The sample statistics read the first stage from their ``first`` argument,
+a :class:`breakboot.estimation.FirstStage`, and fit none of their own;
+``first=None`` means no RF breaks, a default built only by
+:func:`_first_or_default`.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimation import Design, RobustBlocks, _regime_fit, _scan, first_stage
+from .estimation import Design, FirstStage, RobustBlocks, _regime_fit, _scan, first_stage
 from .exceptions import (
     ConfigError,
     DegenerateSSRError,
@@ -40,7 +45,7 @@ from .exceptions import (
     SingularMiddleError,
 )
 from .model import Partition, no_breaks
-from .partition_search import enumerate_partitions, global_ssr_breaks, min_regime_length
+from .partition_search import enumerate_partitions, min_regime_length
 
 STATISTICS = ("supwald", "supf")
 
@@ -309,44 +314,20 @@ def _sup_case_ii(Y, Ws, null_partition, *, statistic="supwald", v_rows=None):
 # ---------------------------------------------------------------------------
 
 
-def _rf_partition(design: Design, eps: float, rf_partition: Partition | None) -> Partition:
-    """The first stage's RF partition: rf_partition, or no RF breaks when None."""
-    if rf_partition is not None:
-        return rf_partition
+def _first_or_default(design: Design, eps: float, first: FirstStage | None = None) -> FirstStage:
+    """first, or when None the first stage with no RF breaks, every test's default."""
+    if first is not None:
+        return first
     n = design.n
-    return no_breaks(n, eps, min_regime_length(n, eps, design.spec.q))
+    return first_stage(design, no_breaks(n, eps, min_regime_length(n, eps, design.spec.q)))
 
 
-def ssr_null_partition(design: Design, n_breaks: int, eps: float = 0.15,
-                       rf_partition: Partition | None = None) -> Partition:
-    """The n_breaks SE partition minimising the second-stage SSR.
-
-    This is the null partition of an l-against-l+1 test (see
-    :func:`sup_wald_seq_design`).  The first stage is fixed at rf_partition
-    (None: no RF breaks).
-    """
-    if n_breaks < 1:
-        raise InfeasiblePartitionError("the null must impose at least one break")
-    _, x_hat, _ = first_stage(design, _rf_partition(design, eps, rf_partition))
-    return global_ssr_breaks(design, x_hat, n_breaks, eps)[0]
-
-
-def _sample_batch(design: Design, eps: float, rf_partition: Partition | None):
-    """(y, w_hat rows, v_hat rows) with a leading batch axis of one.
-
-    The first stage is fixed once, at rf_partition (None: no RF breaks).
-    """
-    _, x_hat, v_hat = first_stage(design, _rf_partition(design, eps, rf_partition))
-    W = np.column_stack([x_hat, design.Z1])
-    return design.y[None], W[None], v_hat[None]
-
-
-def _case_i_outcome(design, k, eps, rf_partition, statistic):
+def _case_i_outcome(design, k, eps, first, statistic):
     if k < 1:
         raise ConfigError(f"the alternative needs at least one break, got {k}")
     n, q = design.n, design.spec.q
-    Y, W, _ = _sample_batch(design, eps, rf_partition)
-    parts, vals, ok = _sup_case_i(Y, W, k, eps, q, statistic=statistic)
+    W = np.column_stack([_first_or_default(design, eps, first).x_hat, design.Z1])
+    parts, vals, ok = _sup_case_i(design.y[None], W[None], k, eps, q, statistic=statistic)
     if not np.any(np.isfinite(vals)):
         error = DegenerateSSRError if statistic == "supf" else SingularMiddleError
         raise error("every candidate partition failed")
@@ -362,14 +343,14 @@ def sup_wald_design(
     design: Design,
     k: int = 1,
     eps: float = 0.15,
-    rf_partition: Partition | None = None,
+    first: FirstStage | None = None,
 ) -> TestOutcome:
     """Sup-Wald test of no SE breaks against k breaks.
 
-    design is ``make_design(spec, data)``.  The first stage is fixed once,
-    at rf_partition; None means no RF breaks.
+    design is ``make_design(spec, data)``.  The first stage is the fit
+    first; None means no RF breaks.
     """
-    return _case_i_outcome(design, k, eps, rf_partition, "supwald")
+    return _case_i_outcome(design, k, eps, first, "supwald")
 
 
 def f_at(ssr0: float, ssrk: float, T_eff: int, k: int, d_beta: int) -> float:
@@ -385,10 +366,10 @@ def sup_f_design(
     design: Design,
     k: int = 1,
     eps: float = 0.15,
-    rf_partition: Partition | None = None,
+    first: FirstStage | None = None,
 ) -> TestOutcome:
     """Sup-F test of no SE breaks against k breaks (as sup_wald_design)."""
-    return _case_i_outcome(design, k, eps, rf_partition, "supf")
+    return _case_i_outcome(design, k, eps, first, "supf")
 
 
 def _seq_outcome(null_partition: Partition, best, regime, row, skipped, flags) -> TestOutcome:
@@ -408,14 +389,14 @@ def _seq_outcome(null_partition: Partition, best, regime, row, skipped, flags) -
 def sup_wald_seq_design(
     design: Design,
     null_partition: Partition,
-    rf_partition: Partition | None = None,
+    first: FirstStage | None = None,
     statistic: str = "supwald",
 ) -> TestOutcome:
     """Sup-Wald or sup-F test of the SE breaks of null_partition against one more.
 
     The paper's null partition is the SSR-minimising one,
-    ``ssr_null_partition(design, l, eps, rf_partition)``; rf_partition is as
-    in sup_wald_design.  The extra break leaves both sub-regimes at least
+    ``global_ssr_breaks(design, first, l, eps)[0]``; first is as in
+    sup_wald_design.  The extra break leaves both sub-regimes at least
     null_partition.min_len rows long: the design's for every partition the
     package builds, and its own for a hand-built one.
     """
@@ -423,6 +404,8 @@ def sup_wald_seq_design(
         raise ConfigError(f"statistic must be one of {STATISTICS}")
     if null_partition.k < 1:
         raise InfeasiblePartitionError("the null must impose at least one break")
-    Y, W, v_hat = _sample_batch(design, null_partition.trim, rf_partition)
-    found = _sup_case_ii(Y, W, null_partition, statistic=statistic, v_rows=v_hat)
+    first = _first_or_default(design, null_partition.trim, first)
+    W = np.column_stack([first.x_hat, design.Z1])
+    found = _sup_case_ii(design.y[None], W[None], null_partition, statistic=statistic,
+                         v_rows=first.v_hat[None])
     return _seq_outcome(null_partition, *found)

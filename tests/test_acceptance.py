@@ -216,8 +216,9 @@ def test_criterion_7a_dp_equals_exhaustive():
         ml = min_regime_length(n, eps, spec.q)
         if (k + 1) * ml > n:
             continue
-        _, x_hat, _ = first_stage(design, no_breaks(n, eps, 1))
-        part, ssr = global_ssr_breaks(design, x_hat, k, eps)
+        first = first_stage(design, no_breaks(n, eps, 1))
+        x_hat = first.x_hat
+        part, ssr = global_ssr_breaks(design, first, k, eps)
         W = np.column_stack([x_hat, design.Z1])
         best = (math.inf, None)
         for tup in itertools.combinations(range(1, n), k):
@@ -242,7 +243,7 @@ def test_criterion_7b_identity_multiplier():
     design = make_design(spec, data)
     n = design.n
     ml = min_regime_length(n, 0.15, spec.q)
-    est = fit_regimes(design, no_breaks(n, 0.15, ml), no_breaks(n, 0.15, ml))
+    est = fit_regimes(design, first_stage(design, no_breaks(n, 0.15, ml)), no_breaks(n, 0.15, ml))
     ones = np.ones(n)
     scale = 1.0 + float(np.abs(data.y).max())
     worst = 0.0
@@ -295,7 +296,7 @@ def test_criterion_7d_f_identity():
         design = make_design(spec, data)
         n, d = design.n, spec.d_beta
         part0 = no_breaks(n, 0.15, 1)
-        _, x_hat, _ = first_stage(design, part0)
+        x_hat = first_stage(design, part0).x_hat
         W = np.column_stack([x_hat, design.Z1])
         grid = enumerate_partitions(n, 1, 0.15, spec.q)
         cands = list(grid.candidates())

@@ -25,6 +25,7 @@ from breakboot.exceptions import ConfigError, EmptyDrawsError
 from breakboot.model import Dataset, ModelSpec, Partition, Role, no_breaks
 from breakboot.partition_search import (
     enumerate_partitions,
+    global_ssr_breaks,
     min_regime_length,
     rf_break_grid_and_fit,
 )
@@ -32,11 +33,10 @@ from breakboot.rng import STREAM_NU_RF, derive_seed
 from breakboot.sequential import rf_sup_wald, rf_sup_wald_seq
 from breakboot.stats import (
     STATISTICS,
-    _rf_partition,
+    _first_or_default,
     _sup_case_i,
     _sup_case_ii,
     scan_partitions_batch,
-    ssr_null_partition,
 )
 
 
@@ -45,7 +45,7 @@ def null_estimates(spec, data, eps=0.15):
     n = design.n
     ml = min_regime_length(n, eps, spec.q)
     part0 = no_breaks(n, eps, ml)
-    return design, fit_regimes(design, part0, part0)
+    return design, fit_regimes(design, first_stage(design, part0), part0)
 
 
 def test_identity_multiplier_reproduces_sample():
@@ -73,7 +73,7 @@ def test_negative_multiplier_flips_residuals():
     # row t=2 (first generated): z rows agree with the original because all
     # lags point at the start-up values
     z2 = np.concatenate([[1.0], data.r[1], [bd.x[0, 0]], [bd.y[0]]])
-    x2 = z2 @ est.delta[0][:, 0] - est.v_hat[0, 0]
+    x2 = z2 @ est.first.delta[0][:, 0] - est.first.v_hat[0, 0]
     assert bd.x[1, 0] == pytest.approx(x2, rel=1e-12)
     z1_2 = np.array([1.0, data.r[1, 0], bd.y[0]])
     y2 = x2 * est.beta[0][0] + z1_2 @ est.beta[0][1:] - est.u_hat[0]
@@ -135,7 +135,7 @@ def test_wf_two_point_average_recovers_deterministic_part():
     b_minus = wf_generate(spec, data, est, -ones)
     lag = spec.max_lag
     x_mean = (b_plus.x + b_minus.x)[lag:] / 2
-    np.testing.assert_allclose(x_mean, est.x_hat, atol=1e-10)
+    np.testing.assert_allclose(x_mean, est.first.x_hat, atol=1e-10)
     y_mean = (b_plus.y + b_minus.y)[lag:] / 2
     det = x_mean @ est.beta[0][:1] + design.Z1 @ est.beta[0][1:]
     np.testing.assert_allclose(y_mean, det, atol=1e-10)
@@ -205,9 +205,9 @@ def test_same_multiplier_for_u_and_v():
     design, est = null_estimates(spec, data)
     nu = MultiplierStream(13, 1).column(design.n, 1)
     ub = est.u_hat * nu
-    vb = est.v_hat[:, 0] * nu
+    vb = est.first.v_hat[:, 0] * nu
     np.testing.assert_array_equal(
-        np.sign(ub * vb), np.sign(est.u_hat * est.v_hat[:, 0])
+        np.sign(ub * vb), np.sign(est.u_hat * est.first.v_hat[:, 0])
     )
 
 
@@ -340,11 +340,10 @@ def two_endogenous_rf_stages(eps=0.15):
     design = make_design(spec, data)
     n = design.n
     part0 = no_breaks(n, eps, min_regime_length(n, eps, spec.q))
-    delta0, _, v0 = first_stage(design, part0)
-    part1, delta1, v1 = rf_break_grid_and_fit(design, 1, eps)
-    return design, part1, (
-        (rf_case_i_draws, (design, delta0, v0, part0)),
-        (rf_case_ii_draws, (design, delta1, v1, part1)),
+    first1 = rf_break_grid_and_fit(design, 1, eps)
+    return design, first1.partition, (
+        (rf_case_i_draws, (design, first_stage(design, part0))),
+        (rf_case_ii_draws, (design, first1)),
     )
 
 
@@ -426,13 +425,12 @@ def test_recursion_rebuilds_only_lagged_x_and_y_columns():
     design, est = null_estimates(spec, data)
     B = 4
     nu = MultiplierStream(9, 1).matrix(design.n, B)
-    args = (design, est.delta, est.rf_partition, est.v_hat, nu)
     roles = spec.rf_instruments
     cx, cy = roles.index(Role("x", 1, 1)), roles.index(Role("y", lag=1))
     fixed = [c for c, role in enumerate(roles) if role.kind in ("const", "r")]
     Z = np.broadcast_to(design.Z, (B,) + design.Z.shape)
 
-    xb, Zb, yb = _paths(*args, recursive=True, est=est)
+    xb, Zb, yb = _paths(design, est, nu, recursive=True)
     assert differing_columns(Zb) == (cx, cy)
     assert np.array_equal(Zb[:, 1:, cx], xb[:-1, 0, :].T)
     assert np.array_equal(Zb[:, 1:, cy], yb[:-1].T)
@@ -440,7 +438,7 @@ def test_recursion_rebuilds_only_lagged_x_and_y_columns():
     assert np.array_equal(Zb[:, :, fixed], Z[:, :, fixed])
     assert not np.array_equal(Zb[:, 1:, cy], Z[:, 1:, cy])
 
-    xb, Zb, yb = _paths(*args, recursive=True)
+    xb, Zb, yb = _paths(design, est.first, nu, recursive=True)
     assert yb is None
     assert differing_columns(Zb) == (cx,)
     assert np.array_equal(Zb[:, 1:, cx], xb[:-1, 0, :].T)
@@ -448,16 +446,15 @@ def test_recursion_rebuilds_only_lagged_x_and_y_columns():
     rest = [c for c in range(spec.q) if c != cx]
     assert np.array_equal(Zb[:, :, rest], Z[:, :, rest])
 
-    for fit in (est, None):
-        assert _paths(*args, recursive=False, est=fit)[1] is design.Z
+    for fit in (est, est.first):
+        assert _paths(design, fit, nu, recursive=False)[1] is design.Z
 
     # WR of x alone, on a spec whose only lag role is lagged y, rebuilds no
     # column either
     spec_y = replace(spec, rf_instruments=tuple(r for r in roles if r.kind != "x"))
     design_y = make_design(spec_y, data)
     part0 = no_breaks(design_y.n, 0.15, min_regime_length(design_y.n, 0.15, spec_y.q))
-    delta, _, v_hat = first_stage(design_y, part0)
-    Zb = _paths(design_y, delta, part0, v_hat, nu, recursive=True)[1]
+    Zb = _paths(design_y, first_stage(design_y, part0), nu, recursive=True)[1]
     assert Zb is design_y.Z
 
 
@@ -476,10 +473,10 @@ def test_shared_first_stage_equals_per_draw_fit():
     assert np.all(np.isnan(_first_stage_batch(Z, xb, part)))
 
 
-def rf_samples(design, rf, scheme, B=7, seed=5):
+def rf_samples(design, first, scheme, B=7, seed=5):
     """One RF stage's bootstrap batch: (Yb, Wb)."""
     cfg = BootstrapConfig(scheme, B, seed, 1)
-    Yb, Wb, _ = _samples(design, cfg, None, rf=rf)
+    Yb, Wb, _ = _samples(design, cfg, None, first)
     return Yb, Wb
 
 
@@ -489,23 +486,20 @@ def h1m1_design(T=120, seed=7):
 
 
 def rf_stage_fits(design, eps=0.15):
-    """(delta, v_hat, partition) of the no-break and one-break RF fits."""
-    part0 = _rf_partition(design, eps, None)
-    delta0, _, v0 = first_stage(design, part0)
-    part1, delta1, v1 = rf_break_grid_and_fit(design, 1, eps)
-    return (delta0, v0, part0), (delta1, v1, part1)
+    """The no-break and one-break RF first stages."""
+    return _first_or_default(design, eps), rf_break_grid_and_fit(design, 1, eps)
 
 
 def test_rf_stage_stream_is_keyed_by_the_partition_break_count():
     # the 2-against-3 stage draws from the RF stream of stage 2
     design = h1m1_design()
-    part2, delta2, v2 = rf_break_grid_and_fit(design, 2, 0.15)
-    assert part2.k == 2
+    first2 = rf_break_grid_and_fit(design, 2, 0.15)
+    assert first2.partition.k == 2
     cfg = BootstrapConfig("wr", 9, 4, 3)
     nu = MultiplierStream(4, 3, STREAM_NU_RF, 2).matrix(design.n, 9)
-    draws, fails = rf_case_ii_draws(design, delta2, v2, part2, cfg)
+    draws, fails = rf_case_ii_draws(design, first2, cfg)
     np.testing.assert_array_equal(
-        draws, rf_case_ii_draws(design, delta2, v2, part2, cfg, nu=nu)[0])
+        draws, rf_case_ii_draws(design, first2, cfg, nu=nu)[0])
     assert fails == 0 and len(draws) == 9
 
 
@@ -558,8 +552,8 @@ def test_rf_shared_block_scans_equal_lu_path():
                               compute_wald=False)[1]
             np.testing.assert_allclose(ssr, lu, rtol=1e-10)  # the SSR-only path
             Yb, Wb = rf_samples(design, rf1, scheme)
-            new = _sup_case_ii(Yb, Wb, rf1[2])
-            lu = lu_reference(_sup_case_ii, Yb, Wb, rf1[2])
+            new = _sup_case_ii(Yb, Wb, rf1.partition)
+            lu = lu_reference(_sup_case_ii, Yb, Wb, rf1.partition)
             np.testing.assert_allclose(new[0], lu[0], rtol=1e-10)
             assert all(np.array_equal(a, b) for a, b in zip(new[1:3], lu[1:3]))
             assert new[3] == lu[3] and new[4] == lu[4]
@@ -601,8 +595,8 @@ def se_samples(design, scheme, null_partition=None, B=7, seed=5):
     """One SE bootstrap batch, no RF breaks: (Yb, Wb, v_hat_b)."""
     n = design.n
     part0 = no_breaks(n, 0.15, min_regime_length(n, 0.15, design.spec.q))
-    est = fit_regimes(design, part0, null_partition or part0)
-    return _samples(design, BootstrapConfig(scheme, B, seed, 1), None, est=est)
+    est = fit_regimes(design, first_stage(design, part0), null_partition or part0)
+    return _samples(design, BootstrapConfig(scheme, B, seed, 1), None, est)
 
 
 def test_se_samples_share_the_columns_they_do_not_rebuild():
@@ -644,7 +638,7 @@ def test_se_shared_block_scans_equal_lu_path():
     for design, sup_tol in ((scenario_design(), 1e-8),
                             (make_design(*two_endogenous_system()), None)):
         q = design.spec.q
-        null = ssr_null_partition(design, 1, 0.15)
+        null, _ = global_ssr_breaks(design, _first_or_default(design, 0.15), 1, 0.15)
         for scheme in ("wr", "wf"):
             Yb, Wb, _ = se_samples(design, scheme)
             for k in (1, 2):

@@ -18,6 +18,23 @@ def test_scenario_h0m0_parameter_values():
     assert truth.rf_break is None and truth.se_break is None
 
 
+def companion_eigenvalues(rf, se):
+    """Eigenvalues, largest first, of the (y, x) VAR(1) that an RF and an SE regime make."""
+    b_x, b_y1 = se[1], se[3]
+    d_x1, d_y1 = rf[5], rf[6]
+    A = np.array([[b_y1 + b_x * d_y1, b_x * d_x1], [d_y1, d_x1]])
+    return np.sort(np.linalg.eigvals(A).real)[::-1]
+
+
+def test_companion_eigenvalues_stated_in_the_module_docstring():
+    np.testing.assert_allclose(
+        companion_eigenvalues(dgp._RF_REGIME_2, dgp._SE_REGIME_1), [1.0, 0.4], atol=1e-12)
+    np.testing.assert_allclose(
+        companion_eigenvalues(dgp._RF_REGIME_1, dgp._SE_REGIME_1), [0.86, 0.09], atol=0.005)
+    np.testing.assert_allclose(
+        companion_eigenvalues(dgp._RF_REGIME_2, dgp._SE_REGIME_2), [0.36, 0.14], atol=0.005)
+
+
 def test_scenario_h1m0_regimes_and_break():
     T = 120
     _, truth = bb.generate(bb.ScenarioConfig("h1m0", "A", T=T, seed=1))

@@ -84,7 +84,8 @@ def test_first_stage_exact_linear_x():
     # the lagged x inside z changed, refit against the new design
     delta_fit = np.linalg.lstsq(des2.Z, des2.x, rcond=None)[0]
     part = no_breaks(des2.n, 0.15, min_regime_length(des2.n, 0.15, spec.q))
-    dl, x_hat, v_hat = first_stage(des2, part)
+    fit = first_stage(des2, part)
+    x_hat, v_hat = fit.x_hat, fit.v_hat
     np.testing.assert_allclose(x_hat, des2.Z @ delta_fit, atol=1e-8)
     np.testing.assert_allclose(v_hat, des2.x - x_hat, atol=1e-12)
 
@@ -92,7 +93,7 @@ def test_first_stage_exact_linear_x():
 def test_first_stage_single_regime_equals_columnwise_ols():
     design, spec = _design(T=120, seed=3)
     part = no_breaks(design.n, 0.15, min_regime_length(design.n, 0.15, spec.q))
-    delta, x_hat, v_hat = first_stage(design, part)
+    delta = first_stage(design, part).delta
     ref = ols(design.Z, design.x[:, 0])
     np.testing.assert_allclose(delta[0][:, 0], ref.coef, rtol=1e-9)
 
@@ -105,7 +106,7 @@ def test_first_stage_consistency_scenario_h1m0():
     ml = min_regime_length(n, 0.15, spec.q)
     # impose the true RF break (effective row = original break - max_lag)
     part = Partition((truth.rf_break - 1,), n, 0.15, ml)
-    delta, _, _ = first_stage(design, part)
+    delta = first_stage(design, part).delta
     np.testing.assert_allclose(delta[0][:, 0], truth.rf_coef[0], atol=0.05)
     np.testing.assert_allclose(delta[1][:, 0], truth.rf_coef[1], atol=0.05)
 
@@ -113,7 +114,7 @@ def test_first_stage_consistency_scenario_h1m0():
 def test_second_stage_single_regime_equals_ols():
     design, spec = _design(T=100, seed=4)
     part0 = no_breaks(design.n, 0.15, min_regime_length(design.n, 0.15, spec.q))
-    _, x_hat, _ = first_stage(design, part0)
+    x_hat = first_stage(design, part0).x_hat
     fit = second_stage(design, x_hat, part0)
     W = np.column_stack([x_hat, design.Z1])
     ref = ols(W, design.y)
@@ -125,7 +126,8 @@ def test_sample_stages_raise_on_a_bad_regime_and_keep_the_plain_solve_bits():
     design, spec = _design(T=200, seed=8)
     n = design.n
     part = Partition((90,), n, 0.15, min_regime_length(n, 0.15, spec.q))
-    delta, x_hat, v_hat = first_stage(design, part)
+    fit = first_stage(design, part)
+    delta, x_hat, v_hat = fit.delta, fit.x_hat, fit.v_hat
     # the 2-worker benchmark cell compares sample statistics bit for bit
     for (a, b), d in zip(part.regimes(), delta):
         Zr = design.Z[a - 1 : b]
@@ -176,7 +178,7 @@ def test_second_stage_mirror_halves_equal_betas():
     )
     des = make_design(spec, dup)
     part = Partition((m,), des.n, 0.15, min_regime_length(des.n, 0.15, spec.q))
-    _, x_hat, _ = first_stage(des, part)
+    x_hat = first_stage(des, part).x_hat
     fit = second_stage(des, x_hat, part)
     np.testing.assert_allclose(fit.beta[0], fit.beta[1], atol=1e-10)
 
@@ -186,7 +188,7 @@ def test_second_stage_consistency_h0m0():
     spec = bb.scenario_model_spec()
     design = make_design(spec, data)
     part0 = no_breaks(design.n, 0.15, min_regime_length(design.n, 0.15, spec.q))
-    _, x_hat, _ = first_stage(design, part0)
+    x_hat = first_stage(design, part0).x_hat
     fit = second_stage(design, x_hat, part0)
     np.testing.assert_allclose(fit.beta[0], [0.5, 0.5, 0.5, 0.8], atol=0.05)
 
@@ -194,7 +196,7 @@ def test_second_stage_consistency_h0m0():
 def test_structural_residual_uses_actual_x():
     design, spec = _design(T=90, seed=6)
     part0 = no_breaks(design.n, 0.15, min_regime_length(design.n, 0.15, spec.q))
-    _, x_hat, _ = first_stage(design, part0)
+    x_hat = first_stage(design, part0).x_hat
     fit = second_stage(design, x_hat, part0)
     w_actual = np.column_stack([design.x, design.Z1])
     np.testing.assert_allclose(fit.u_hat, design.y - w_actual @ fit.beta[0], atol=1e-10)
@@ -204,16 +206,13 @@ def test_eicker_white_zero_scores_give_zero_meat():
     design, spec = _design(T=80, seed=7)
     n = design.n
     part0 = no_breaks(n, 0.15, min_regime_length(n, 0.15, spec.q))
-    est = fit_regimes(design, part0, part0)
+    est = fit_regimes(design, first_stage(design, part0), part0)
     # force zero residuals
     est_zero = type(est)(
-        rf_partition=est.rf_partition,
-        delta=est.delta,
+        first=replace(est.first, v_hat=np.zeros_like(est.first.v_hat)),
         se_partition=est.se_partition,
         beta=est.beta,
         u_hat=np.zeros(n),
-        v_hat=np.zeros_like(est.v_hat),
-        x_hat=est.x_hat,
     )
     blocks = eicker_white(design, est_zero, part0)
     np.testing.assert_allclose(blocks.M[0], 0.0, atol=1e-15)
@@ -226,14 +225,14 @@ def test_eicker_white_matches_direct_summation():
     ml = min_regime_length(n, 0.15, spec.q)
     part = Partition((n // 2,), n, 0.15, ml)
     part0 = no_breaks(n, 0.15, ml)
-    est = fit_regimes(design, part0, part)
+    est = fit_regimes(design, first_stage(design, part0), part)
     blocks = eicker_white(design, est, part)
-    W = np.column_stack([est.x_hat, design.Z1])
+    W = np.column_stack([est.first.x_hat, design.Z1])
     for i, (a, b) in enumerate(part.regimes()):
         M_oracle = np.zeros((4, 4))
         Q_oracle = np.zeros((4, 4))
         for t in range(a, b + 1):
-            s = est.u_hat[t - 1] + est.v_hat[t - 1] @ est.beta[i][:1]
+            s = est.u_hat[t - 1] + est.first.v_hat[t - 1] @ est.beta[i][:1]
             at = W[t - 1] * s
             M_oracle += np.outer(at, at)
             Q_oracle += np.outer(W[t - 1], W[t - 1])
@@ -249,7 +248,8 @@ def test_upsilon_rows_reproduce_w_hat():
     # Ups_t' z_t = (x_hat_t', z1_t')' exactly, with Pi selecting z1 from z
     design, spec = _design(T=60, seed=9)
     part0 = no_breaks(design.n, 0.15, min_regime_length(design.n, 0.15, spec.q))
-    delta, x_hat, _ = first_stage(design, part0)
+    fit = first_stage(design, part0)
+    delta, x_hat = fit.delta, fit.x_hat
     Pi = np.zeros((spec.q, spec.q1))
     for col, pos in enumerate(spec.z1_positions):
         Pi[pos, col] = 1.0
@@ -264,9 +264,9 @@ def test_q_blocks_match_second_stage_gram():
     n = design.n
     ml = min_regime_length(n, 0.15, spec.q)
     part = Partition((n // 2,), n, 0.15, ml)
-    est = fit_regimes(design, no_breaks(n, 0.15, ml), part)
+    est = fit_regimes(design, first_stage(design, no_breaks(n, 0.15, ml)), part)
     blocks = eicker_white(design, est, part)
-    W = np.column_stack([est.x_hat, design.Z1])
+    W = np.column_stack([est.first.x_hat, design.Z1])
     for i, (a, b) in enumerate(part.regimes()):
         gram = W[a - 1 : b].T @ W[a - 1 : b] / n
         np.testing.assert_allclose(blocks.Q[i], gram, atol=1e-12)
@@ -277,7 +277,7 @@ def test_ssr_monotone_under_refinement():
     n = design.n
     ml = min_regime_length(n, 0.15, spec.q)
     part0 = no_breaks(n, 0.15, ml)
-    _, x_hat, _ = first_stage(design, part0)
+    x_hat = first_stage(design, part0).x_hat
     coarse = Partition((n // 2,), n, 0.15, ml)
     fine = Partition((n // 4, n // 2), n, 0.15, min(ml, n // 4))
     ssr0 = second_stage(design, x_hat, part0).ssr
@@ -292,7 +292,7 @@ def test_instrument_transformation_invariance_of_fit():
     n = design.n
     ml = min_regime_length(n, 0.15, spec.q)
     part0 = no_breaks(n, 0.15, ml)
-    _, x_hat, _ = first_stage(design, part0)
+    x_hat = first_stage(design, part0).x_hat
     fit = second_stage(design, x_hat, part0)
     rng = np.random.default_rng(99)
     A = rng.normal(size=(spec.q, spec.q)) + 3 * np.eye(spec.q)

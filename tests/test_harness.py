@@ -1,11 +1,13 @@
 """Monte Carlo harness and command line interface."""
 
 import csv
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,6 +103,38 @@ def test_test_dataset_report(tmp_path):
     assert outcome.rf_partition.k == 0
 
 
+def first_stage_fits(design, boot, **kwargs):
+    """test_dataset's outcome and its count of first_stage calls, as the
+    benchmark's tracer (perfbench/tracer.py) records them."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    tracer = module.Tracer()
+    tracer.install()
+    try:
+        outcome, _ = run_dataset_test(design, boot, **kwargs)
+    finally:
+        tracer.uninstall()
+    return outcome, sum(span[0] == "first_stage" for span in tracer.spans)
+
+
+def test_one_first_stage_fit_per_first_stage_used():
+    # the sample statistic, the null partition, the null fit and the B
+    # samples all read the one first stage the test fits or the pre-test keeps
+    spec, boot = bb.scenario_model_spec(), bb.BootstrapConfig("wr", 19, 1)
+    data, _ = bb.generate(bb.ScenarioConfig("h0m0", "A", T=120, seed=3))
+    _, fits = first_stage_fits(bb.make_design(spec, data), boot, rf_breaks=0)
+    assert fits == 1
+    # a pre-test that stops at one break fits its stage-0 and stage-1 first
+    # stages, and the test fits none of its own
+    data, _ = bb.generate(bb.ScenarioConfig("h1m1", "B", T=120, seed=3))
+    outcome, fits = first_stage_fits(bb.make_design(spec, data), boot, null_breaks=1,
+                                     alt_breaks=2, rf_breaks="auto")
+    assert outcome.rf_partition.k == 1
+    assert fits == 2
+
+
 def test_test_dataset_power_smoke():
     # a large planted shift is detected at the 5% level in a seeded run
     data, _ = bb.generate(bb.ScenarioConfig("h0m1", "A", T=480, g=0.4, seed=4))
@@ -179,6 +213,18 @@ def test_cli_bad_break_counts_exit_2(tmp_path):
     assert cli_main(base + ["--alt-breaks", "-1", "--rf-breaks", "0"]) == 2
     assert cli_main(base + ["--rf-breaks", "-1"]) == 2
     assert cli_main(base + ["--null-breaks", "1", "--alt-breaks", "3", "--rf-breaks", "0"]) == 2
+
+
+def test_cli_malformed_data_exit_2(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    bb.scenario_model_spec().to_json(str(spec_path))
+    header = "y,x1,r1,r2,r3,r4\n"
+    for name, body in (("header_only.csv", ""), ("short_row.csv", "1,2,3,4,5,6\n7,8\n")):
+        data_path = tmp_path / name
+        data_path.write_text(header + body)
+        assert cli_main(["test", "--data", str(data_path), "--spec", str(spec_path),
+                         "--B", "9", "--rf-breaks", "0"]) == 2
+        assert name in capsys.readouterr().err
 
 
 def test_cli_alt_breaks_defaults_to_one_more_than_the_null(tmp_path, capsys):

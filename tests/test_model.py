@@ -121,6 +121,24 @@ def test_dataset_csv_rejects_bad_header(tmp_path):
         Dataset.from_csv(str(path))
 
 
+def test_dataset_csv_without_data_rows_is_a_config_error(tmp_path):
+    path = tmp_path / "header_only.csv"
+    path.write_text("y,x1,r1\n")
+    with pytest.raises(ConfigError, match="no data rows"):
+        Dataset.from_csv(str(path))
+
+
+def test_dataset_csv_names_the_line_of_a_short_or_long_row(tmp_path):
+    path = tmp_path / "ragged.csv"
+    for body in ("1,2,3\n4,5\n", "1,2,3\n4,5,6,7\n"):
+        path.write_text("y,x1,r1\n" + body)
+        with pytest.raises(ConfigError, match=r"ragged\.csv:3: "):
+            Dataset.from_csv(str(path))
+    path.write_text("y,x1,r1\n1,2\n4,5\n")  # every row the same wrong width
+    with pytest.raises(ConfigError, match=r"ragged\.csv:2: 2 fields"):
+        Dataset.from_csv(str(path))
+
+
 def test_modelspec_json_round_trip(tmp_path):
     spec = small_spec()
     path = tmp_path / "spec.json"

@@ -126,9 +126,9 @@ def test_dp_matches_exhaustive_search_l2():
     design = make_design(spec, data)
     n = design.n
     eps = 0.15
-    _, x_hat, _ = first_stage(design, no_breaks(n, eps, 1))
-    part, ssr = global_ssr_breaks(design, x_hat, 2, eps)
-    W = np.column_stack([x_hat, design.Z1])
+    first = first_stage(design, no_breaks(n, eps, 1))
+    part, ssr = global_ssr_breaks(design, first, 2, eps)
+    W = np.column_stack([first.x_hat, design.Z1])
     ml = min_regime_length(n, eps, spec.q)
     ssr_bf, tup_bf = brute_force_min_ssr(design.y, W, n, 2, ml)
     assert part.breaks == tup_bf
@@ -139,9 +139,9 @@ def test_dp_l0_full_sample_ssr():
     spec = static_spec()
     data = random_static_data(40, seed=2)
     design = make_design(spec, data)
-    _, x_hat, _ = first_stage(design, no_breaks(design.n, 0.15, 1))
-    part, ssr = global_ssr_breaks(design, x_hat, 0, 0.15)
-    W = np.column_stack([x_hat, design.Z1])
+    first = first_stage(design, no_breaks(design.n, 0.15, 1))
+    part, ssr = global_ssr_breaks(design, first, 0, 0.15)
+    W = np.column_stack([first.x_hat, design.Z1])
     beta = np.linalg.lstsq(W, design.y, rcond=None)[0]
     resid = design.y - W @ beta
     assert part.breaks == ()
@@ -153,8 +153,8 @@ def test_dp_finds_planted_break():
     spec = static_spec()
     data = random_static_data(40, seed=3, jump=6.0, jump_at=20)
     design = make_design(spec, data)
-    _, x_hat, _ = first_stage(design, no_breaks(design.n, 0.15, 1))
-    part, _ = global_ssr_breaks(design, x_hat, 1, 0.15)
+    first = first_stage(design, no_breaks(design.n, 0.15, 1))
+    part, _ = global_ssr_breaks(design, first, 1, 0.15)
     assert part.breaks == (20,)
 
 
@@ -243,8 +243,8 @@ def test_dp_ssr_monotone_in_l():
     spec = static_spec()
     data = random_static_data(45, seed=5)
     design = make_design(spec, data)
-    _, x_hat, _ = first_stage(design, no_breaks(design.n, 0.15, 1))
-    ssrs = [global_ssr_breaks(design, x_hat, l, 0.15)[1] for l in range(3)]
+    first = first_stage(design, no_breaks(design.n, 0.15, 1))
+    ssrs = [global_ssr_breaks(design, first, l, 0.15)[1] for l in range(3)]
     assert ssrs[0] >= ssrs[1] - 1e-10 >= ssrs[2] - 2e-10
 
 
@@ -256,13 +256,13 @@ def test_dp_optimality_small_samples():
         data = random_static_data(n_T, seed=seed)
         design = make_design(spec, data)
         n = design.n
-        _, x_hat, _ = first_stage(design, no_breaks(n, 0.15, 1))
-        W = np.column_stack([x_hat, design.Z1])
+        first = first_stage(design, no_breaks(n, 0.15, 1))
+        W = np.column_stack([first.x_hat, design.Z1])
         for k in (1, 2):
             ml = min_regime_length(n, 0.15, spec.q)
             if (k + 1) * ml > n:
                 continue
-            part, ssr = global_ssr_breaks(design, x_hat, k, 0.15)
+            part, ssr = global_ssr_breaks(design, first, k, 0.15)
             ssr_bf, tup_bf = brute_force_min_ssr(design.y, W, n, k, ml)
             assert abs(ssr - ssr_bf) < 1e-8 * max(1.0, ssr_bf)
             assert part.breaks == tup_bf
@@ -274,7 +274,8 @@ def test_rf_dp_matches_brute_force():
     design = make_design(spec, data)
     n = design.n
     ml = min_regime_length(n, 0.15, spec.q)
-    part, delta, _ = rf_break_grid_and_fit(design, 2, 0.15)
+    first = rf_break_grid_and_fit(design, 2, 0.15)
+    part, delta = first.partition, first.delta
     best = (math.inf, None)
     for tup in brute_force_tuples(n, 2, ml):
         edges = (0,) + tup + (n,)
@@ -300,7 +301,7 @@ def test_rf_break_fraction_recovered():
     for j in range(reps):
         data, truth = bb.generate(bb.ScenarioConfig("h1m0", "A", T=480, seed=1000 + j))
         design = make_design(spec, data)
-        part, _, _ = rf_break_grid_and_fit(design, 1, 0.15)
+        part = rf_break_grid_and_fit(design, 1, 0.15).partition
         frac = part.breaks[0] / design.n
         if abs(frac - 0.25) <= 0.05:
             hits += 1

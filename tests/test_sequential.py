@@ -51,13 +51,13 @@ def test_detects_planted_rf_break(monkeypatch):
     )
     assert res.chosen_breaks == 1
     # break fraction near 1/4
-    frac = res.partition.breaks[0] / res.partition.n
+    frac = res.first.partition.breaks[0] / res.first.partition.n
     assert abs(frac - 0.25) < 0.08
     # trail: stage 0 rejected, stage 1 not
     assert res.trail[0][2] <= 0.05 < res.trail[1][2]
-    # the stopping stage's partition is kept, not searched for again
+    # the stopping stage's first stage is kept, not searched for again
     assert calls == [1]
-    assert res.partition == grid_and_fit(design, 1, 0.15)[0]
+    assert res.first.partition == grid_and_fit(design, 1, 0.15).partition
 
 
 def test_trail_reproducible_and_partition_consistent():
@@ -68,7 +68,7 @@ def test_trail_reproducible_and_partition_consistent():
     r2 = estimate_rf_breaks_design(design, max_breaks=2, boot=boot)
     assert r1.trail == r2.trail
     assert r1.chosen_breaks == r2.chosen_breaks
-    assert len(r1.partition.breaks) == r1.chosen_breaks
+    assert len(r1.first.partition.breaks) == r1.chosen_breaks
     assert r1.chosen_breaks <= 2
 
 

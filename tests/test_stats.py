@@ -6,6 +6,7 @@ import pytest
 import breakboot as bb
 from breakboot import estimation
 from breakboot.estimation import (
+    FirstStage,
     eicker_white,
     first_stage,
     fit_regimes,
@@ -14,19 +15,28 @@ from breakboot.estimation import (
 )
 from breakboot.exceptions import ConfigError, DegenerateSSRError, InfeasiblePartitionError
 from breakboot.model import Dataset, Partition, no_breaks
-from breakboot.partition_search import enumerate_partitions, min_regime_length
+from breakboot.partition_search import (
+    enumerate_partitions,
+    global_ssr_breaks,
+    min_regime_length,
+)
 from breakboot.stats import (
     ContrastMatrix,
+    _first_or_default,
     _sup_case_i,
     f_at,
     restricted_fit_batch,
     scan_partitions,
     scan_partitions_batch,
-    ssr_null_partition,
     sup_f_design,
     sup_wald_seq_design,
     wald_at,
 )
+
+
+def ssr_null(design, l, eps):
+    """The SSR-minimising l-break null partition with no RF breaks."""
+    return global_ssr_breaks(design, _first_or_default(design, eps), l, eps)[0]
 
 
 def test_contrast_matrix_shape_and_action():
@@ -67,7 +77,7 @@ def test_wald_end_to_end_oracle():
     c = n // 2
     part = Partition((c,), n, 0.15, min_len=2)
     part0 = no_breaks(n, 0.15, 1)
-    est = fit_regimes(design, part0, part)
+    est = fit_regimes(design, first_stage(design, part0), part)
     blocks = eicker_white(design, est, part)
     got = wald_at(np.concatenate(est.beta), blocks, ContrastMatrix(1, 4), n)
 
@@ -105,7 +115,7 @@ def test_sup_wald_singleton_grid_equals_wald_at():
     out = bb.sup_wald_design(design, k=1, eps=0.47)
     part = Partition((c,), n, 0.47, grid.min_len)
     part0 = no_breaks(n, 0.47, 1)
-    est = fit_regimes(design, part0, part)
+    est = fit_regimes(design, first_stage(design, part0), part)
     blocks = eicker_white(design, est, part)
     want = wald_at(np.concatenate(est.beta), blocks, ContrastMatrix(1, 4), n)
     assert out.statistic == pytest.approx(want, rel=1e-10)
@@ -125,7 +135,7 @@ def test_sup_wald_matches_bruteforce_recomputation():
         best, best_c = -np.inf, None
         for c in grid.candidates():
             part = Partition(c, n, 0.15, grid.min_len)
-            est = fit_regimes(design, part0, part)
+            est = fit_regimes(design, first_stage(design, part0), part)
             blocks = eicker_white(design, est, part)
             w = wald_at(np.concatenate(est.beta), blocks, ContrastMatrix(k, 4), n)
             if w > best:
@@ -375,7 +385,7 @@ def test_sup_wald_seq_matches_independent_loop():
     n = design.n
     eps = 0.15
     ml = min_regime_length(n, eps, spec.q)
-    out = sup_wald_seq_design(design, ssr_null_partition(design, 1, eps))
+    out = sup_wald_seq_design(design, ssr_null(design, 1, eps))
 
     # oracle: recompute everything from scratch
     Z = design.Z
@@ -384,9 +394,7 @@ def test_sup_wald_seq_matches_independent_loop():
     v_hat = design.x - x_hat
     W = np.column_stack([x_hat, design.Z1])
     Wa = np.column_stack([design.x, design.Z1])
-    from breakboot.partition_search import global_ssr_breaks
-
-    lam, _ = global_ssr_breaks(design, x_hat, 1, eps)
+    lam, _ = global_ssr_breaks(design, FirstStage(no_breaks(n), [delta], x_hat, v_hat), 1, eps)
     best = -np.inf
     for a, bnd in lam.regimes():
         length = bnd - a + 1
@@ -422,7 +430,7 @@ def test_sup_wald_seq_infeasible_everywhere():
     # trimming so wide that no regime of the 1-break fit admits an
     # interior candidate
     with pytest.raises(InfeasiblePartitionError):
-        sup_wald_seq_design(design, ssr_null_partition(design, 1, 0.35))
+        sup_wald_seq_design(design, ssr_null(design, 1, 0.35))
 
 
 def test_alternative_without_breaks_is_a_config_error():
@@ -457,7 +465,7 @@ def test_sup_f_wald_form_identity():
         n = design.n
         d = spec.d_beta
         part0 = no_breaks(n, 0.15, 1)
-        _, x_hat, _ = first_stage(design, part0)
+        x_hat = first_stage(design, part0).x_hat
         W = np.column_stack([x_hat, design.Z1])
         grid = enumerate_partitions(n, 1, 0.15, spec.q)
         c = int(
@@ -484,7 +492,7 @@ def test_sup_f_agrees_with_per_candidate_ssr_form():
     n = design.n
     out = sup_f_design(design, k=1)
     part0 = no_breaks(n, 0.15, 1)
-    _, x_hat, _ = first_stage(design, part0)
+    x_hat = first_stage(design, part0).x_hat
     fit0 = second_stage(design, x_hat, part0)
     grid = enumerate_partitions(n, 1, 0.15, spec.q)
     best = -np.inf
@@ -503,14 +511,13 @@ def test_sup_f_seq_scaling():
     n = design.n
     eps = 0.15
     ml = min_regime_length(n, eps, spec.q)
-    out = sup_wald_seq_design(design, ssr_null_partition(design, 1, eps), statistic="supf")
+    out = sup_wald_seq_design(design, ssr_null(design, 1, eps), statistic="supf")
     Z = design.Z
     delta = np.linalg.solve(Z.T @ Z, Z.T @ design.x)
     x_hat = Z @ delta
     W = np.column_stack([x_hat, design.Z1])
-    from breakboot.partition_search import global_ssr_breaks
-
-    lam, _ = global_ssr_breaks(design, x_hat, 1, eps)
+    first = FirstStage(no_breaks(n), [delta], x_hat, design.x - x_hat)
+    lam, _ = global_ssr_breaks(design, first, 1, eps)
     d = spec.d_beta
     best = -np.inf
     for a, bnd in lam.regimes():
@@ -583,7 +590,7 @@ def test_singular_null_regime_is_skipped_not_raised():
     n = design.n
     ml = min_regime_length(n, 0.15, design.spec.q)
     out = sup_wald_seq_design(
-        design, Partition((80,), n, 0.15, ml), no_breaks(n, 0.15, ml)
+        design, Partition((80,), n, 0.15, ml), first_stage(design, no_breaks(n, 0.15, ml))
     )
     assert out.argmax_regime == 2
     assert out.skipped_candidates == 80 - 2 * ml + 1
@@ -608,8 +615,8 @@ def test_seq_extra_break_is_bounded_by_the_null_partition_min_len():
 
 
 def test_default_first_stage_is_no_rf_breaks_without_a_search(monkeypatch):
-    # rf_partition=None means no RF breaks: the same statistic as passing
-    # that partition, reached without building a segment table
+    # first=None means no RF breaks: the same statistic as passing that
+    # first stage, reached without building a segment table
     import breakboot.partition_search as ps
 
     data, _ = bb.generate(bb.ScenarioConfig("h0m0", "A", T=240, seed=7))
@@ -617,7 +624,7 @@ def test_default_first_stage_is_no_rf_breaks_without_a_search(monkeypatch):
     design = make_design(spec, data)
     n = design.n
     given = bb.sup_wald_design(
-        design, rf_partition=no_breaks(n, 0.15, min_regime_length(n, 0.15, spec.q))
+        design, first=first_stage(design, no_breaks(n, 0.15, min_regime_length(n, 0.15, spec.q)))
     )
 
     def no_table(*args, **kwargs):
