@@ -30,6 +30,18 @@ of reduced-form breaks are held at their sample estimates across
 replications; reduced-form coefficients are re-estimated in every
 bootstrap sample.  The B samples of a test form one batch, scored by the
 same sup reductions as the sample statistic (see :mod:`breakboot.stats`).
+
+A test's p-value is an output, so the structural-equation draws score all
+B samples.  A reduced-form pre-test stage needs only to know whether its
+p-value exceeds ALPHA_SEQ, so its draws take the stage's sample statistic,
+stat, and score the B samples, built at once, in slices of about SLICE:
+they stop after the slice in which more than ALPHA_SEQ * B finite draws
+reach stat, when the p-value over every finite draw must exceed ALPHA_SEQ
+(the sequential stopping rule of Besag and Clifford).  They return the
+draws scored and the failures among them.  The failure cap keeps its
+full-B meaning: a stage raises once the failures it has seen exceed
+MAX_FAILURE_RATE * B, as a run that scores every draw would, and failures
+among the unscored draws go unseen.  stat=+inf, the default, scores all B.
 """
 
 from __future__ import annotations
@@ -64,6 +76,8 @@ from .stats import (
 
 SCHEMES = ("wr", "wf")
 MAX_FAILURE_RATE = 0.05  # largest share of the B replications a test may lose
+ALPHA_SEQ = 0.05  # level of every reduced-form pre-test stage's test
+SLICE = 50  # about this many samples per slice of a pre-test stage
 
 
 @dataclass(frozen=True)
@@ -262,6 +276,12 @@ def _samples(design: Design, cfg: BootstrapConfig, nu: np.ndarray | None,
     return yb.T.copy(), Wb, xb.transpose(2, 0, 1) - what
 
 
+def _check_failures(failures: int, B: int) -> None:
+    """Raise BootstrapFailureError when failures exceed MAX_FAILURE_RATE * B."""
+    if failures > MAX_FAILURE_RATE * B:
+        raise BootstrapFailureError(f"{failures} of {B} bootstrap replications failed")
+
+
 def _draws(stats: np.ndarray) -> tuple[np.ndarray, int]:
     """Finite bootstrap statistics and the count of failed replications.
 
@@ -271,8 +291,7 @@ def _draws(stats: np.ndarray) -> tuple[np.ndarray, int]:
     """
     finite = np.isfinite(stats)
     failures = int(np.sum(~finite))
-    if failures > MAX_FAILURE_RATE * stats.size:
-        raise BootstrapFailureError(f"{failures} of {stats.size} bootstrap replications failed")
+    _check_failures(failures, stats.size)
     return stats[finite], failures
 
 
@@ -316,19 +335,62 @@ def case_ii_draws(
     return _draws(best)
 
 
+def _slices(B: int) -> list[slice]:
+    """The slices a pre-test stage scores its B samples in: ceil(B / SLICE)
+    of them, whose sizes differ by at most one (the candidate blocks' split).
+
+    Every slice holds at least min(B, 25) entries, so none is a batch of
+    one, which the scan would take in its LU form, unless B is 1.  A scan
+    whose chunk_rows admits a batch chunk larger than a slice (few
+    candidates on few rows) blocks a slice's candidates otherwise than the
+    whole batch's, so its draws may differ from the whole batch's in the
+    last bits; elsewhere they are equal.
+    """
+    n = -(-B // SLICE)
+    return [slice(B * j // n, B * (j + 1) // n) for j in range(n)]
+
+
+def _rf_draws(design: Design, first: FirstStage, cfg: BootstrapConfig,
+              nu: np.ndarray | None, stat: float, score) -> tuple[np.ndarray, int]:
+    """One pre-test stage's draws, scored slice by slice until its decision is known.
+
+    score maps a slice's samples (Yb, Wb) to one statistic per entry.  The
+    B samples are built at once and scored in the slices of :func:`_slices`
+    until more than ALPHA_SEQ * B finite draws reach stat, with the
+    failure cap counted against the full B (see the module docstring).
+    Returns the finite scored draws and the failures among the scored ones.
+    """
+    Yb, Wb, _ = _samples(design, cfg, nu, first)
+    B = Yb.shape[0]
+    draws: list[np.ndarray] = []
+    failures = reached = 0
+    for sl in _slices(B):
+        vals = score(Yb[sl], Wb[sl])
+        finite = np.isfinite(vals)
+        failures += int(np.sum(~finite))
+        _check_failures(failures, B)
+        draws.append(vals[finite])
+        reached += int(np.sum(draws[-1] >= stat))
+        if reached / B > ALPHA_SEQ:
+            break
+    return np.concatenate(draws), failures
+
+
 def rf_case_i_draws(
     design: Design,
     first: FirstStage,
     cfg: BootstrapConfig,
     *,
+    stat: float = math.inf,
     nu: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
     """Bootstrap sup-Wald draws for no RF breaks against one; the no-break
     first stage's partition keys the multiplier stream and its trim sets
-    the grid."""
-    Yb, Wb, _ = _samples(design, cfg, nu, first)
-    _, vals, _ = _sup_case_i(Yb, Wb, 1, first.partition.trim, design.spec.q)
-    return _draws(np.max(vals, axis=1))
+    the grid.  stat is the stage's sample statistic, at which scoring may
+    stop early (see :func:`_rf_draws`); the default scores all B draws."""
+    trim, q = first.partition.trim, design.spec.q
+    return _rf_draws(design, first, cfg, nu, stat,
+                     lambda Y, W: np.max(_sup_case_i(Y, W, 1, trim, q)[1], axis=1))
 
 
 def rf_case_ii_draws(
@@ -336,16 +398,17 @@ def rf_case_ii_draws(
     first: FirstStage,
     cfg: BootstrapConfig,
     *,
+    stat: float = math.inf,
     nu: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
     """Bootstrap draws for l RF breaks against l+1.
 
     l is first.partition.k, which also keys the multiplier stream; the
-    partition's min_len bounds the extra break.
+    partition's min_len bounds the extra break.  stat is as in
+    :func:`rf_case_i_draws`.
     """
-    Yb, Wb, _ = _samples(design, cfg, nu, first)
-    best, *_ = _sup_case_ii(Yb, Wb, first.partition)
-    return _draws(best)
+    return _rf_draws(design, first, cfg, nu, stat,
+                     lambda Y, W: _sup_case_ii(Y, W, first.partition)[0])
 
 
 # ---------------------------------------------------------------------------

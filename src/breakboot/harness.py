@@ -214,10 +214,16 @@ def test_dataset(
     """
     _check_test(statistic, null_breaks, alt_breaks, alphas)
     first = None  # no RF breaks
+    stages: list[str] = []
     if rf_breaks == "auto":
         seq = estimate_rf_breaks_design(design, boot=boot, eps=eps)
         first = seq.first
         rf_note = f"sequential pre-test selected {seq.chosen_breaks} RF break(s)"
+        stages = [
+            f"  pre-test stage {level}: {level} vs {level + 1} RF breaks, statistic "
+            f"{stat:.6f}, p-value {p:.4f} over {scored} of B={boot.B} draws scored"
+            for level, stat, p, scored in seq.trail
+        ]
     elif isinstance(rf_breaks, int) and rf_breaks >= 0:
         if rf_breaks > 0:
             first = rf_break_grid_and_fit(design, rf_breaks, eps)
@@ -240,9 +246,11 @@ def test_dataset(
         f"H0: m={null_breaks} vs H1: m={alt_breaks}",
         f"effective sample: n={design.n} (of T={design.data.T}), trimming eps={eps}",
         f"reduced form: {rf_note}, breaks at {list(outcome.rf_partition.breaks)}",
+        *stages,
         f"statistic: {outcome.statistic:.6f}",
         f"break estimate(s): {list(outcome.argmax_partition.breaks)}",
-        f"bootstrap p-value: {outcome.p_value:.4f}  (B={len(outcome.boot_draws)})",
+        f"bootstrap p-value: {outcome.p_value:.4f}  "
+        f"(over {len(outcome.boot_draws)} finite draws of B={boot.B})",
     ]
     for a in alphas:
         crit = outcome.critical_values[a]

@@ -11,6 +11,14 @@ the extra break.  Testing stops at the first p-value above ALPHA_SEQ,
 keeping that stage's first stage, or at the break cap, whose first stage
 is estimated then.  The test that follows reads the kept first stage and
 fits no other.
+
+A stage needs only its decision, so it stops scoring its bootstrap draws
+once more than ALPHA_SEQ * B of them reach its statistic (see
+:mod:`breakboot.bootstrap`): its full-B p-value then exceeds ALPHA_SEQ,
+and the chosen break count is a full run's.  Each trail entry records the
+draws its stage scored; a stopped stage's p-value is taken over those and
+still exceeds ALPHA_SEQ.  Failures count against the full B's cap, and
+those among the unscored draws go unseen.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bootstrap import (
+    ALPHA_SEQ,
     DEFAULT_BOOT,
     BootstrapConfig,
     pvalue_and_quantile,
@@ -32,13 +41,11 @@ from .model import Partition
 from .partition_search import rf_break_grid_and_fit
 from .stats import _first_or_default, _sup_case_i, _sup_case_ii
 
-ALPHA_SEQ = 0.05  # level of every stage's test
-
 
 @dataclass(frozen=True)
 class SequentialResult:
     first: FirstStage  # the stopping stage's
-    trail: list[tuple[int, float, float]]  # (null breaks, statistic, p-value)
+    trail: list[tuple[int, float, float, int]]  # (null breaks, statistic, p-value, draws scored)
 
     @property
     def chosen_breaks(self) -> int:
@@ -74,18 +81,18 @@ def estimate_rf_breaks_design(
     """
     if max_breaks < 1:
         raise ConfigError("max_breaks must be >= 1")
-    trail: list[tuple[int, float, float]] = []
+    trail: list[tuple[int, float, float, int]] = []
     for level in range(max_breaks):
         if level == 0:
             first = _first_or_default(design, eps)
             stat = rf_sup_wald(design, eps)
-            draws, _ = rf_case_i_draws(design, first, boot)
+            draws, failures = rf_case_i_draws(design, first, boot, stat=stat)
         else:
             first = rf_break_grid_and_fit(design, level, eps)
             stat = rf_sup_wald_seq(design, first.partition)
-            draws, _ = rf_case_ii_draws(design, first, boot)
+            draws, failures = rf_case_ii_draws(design, first, boot, stat=stat)
         p = pvalue_and_quantile(stat, draws, ())[0]
-        trail.append((level, stat, p))
+        trail.append((level, stat, p, len(draws) + failures))
         if p > ALPHA_SEQ:
             return SequentialResult(first=first, trail=trail)
     return SequentialResult(first=rf_break_grid_and_fit(design, max_breaks, eps), trail=trail)

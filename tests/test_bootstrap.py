@@ -1,5 +1,6 @@
 """Wild bootstrap generation, replication draws, p-value rules."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -7,11 +8,13 @@ import pytest
 
 import breakboot as bb
 from breakboot.bootstrap import (
+    SLICE,
     BootstrapConfig,
     MultiplierStream,
     _first_stage_batch,
     _paths,
     _samples,
+    _slices,
     bootstrap_sup_test_design,
     case_i_draws,
     pvalue_and_quantile,
@@ -501,6 +504,95 @@ def test_rf_stage_stream_is_keyed_by_the_partition_break_count():
     np.testing.assert_array_equal(
         draws, rf_case_ii_draws(design, first2, cfg, nu=nu)[0])
     assert fails == 0 and len(draws) == 9
+
+
+def test_slices_are_balanced_and_never_a_batch_of_one():
+    for B in range(1, 1200):
+        sizes = [sl.stop - sl.start for sl in _slices(B)]
+        assert sum(sizes) == B and max(sizes) - min(sizes) <= 1
+        assert max(sizes) <= SLICE and min(sizes) >= min(B, SLICE // 2)
+
+
+@pytest.fixture(scope="module")
+def long_rf_stages():
+    """Both RF stages of an h1m1 design whose every scan is long enough
+    (candidates x rows above chunk_rows / 25) that its batch chunk, and with
+    it the scan's candidate blocks, are the same for 25 entries as for more."""
+    stages = []
+    for T, level in ((240, 0), (480, 1)):
+        data, _ = bb.generate(bb.ScenarioConfig("h1m1", "B", T=T, seed=7))
+        design = make_design(bb.scenario_model_spec(), data)
+        first = (_first_or_default(design, 0.15) if level == 0
+                 else rf_break_grid_and_fit(design, level, 0.15))
+        stages.append((design, first))
+    return stages
+
+
+@pytest.mark.parametrize("B", [2, 49, 50, 51, 101])
+def test_sliced_rf_draws_equal_the_whole_batch(B, long_rf_stages):
+    # slicing a stage's samples moves no bit of a draw; a slice of one
+    # entry would take the scan's LU form and round differently.  (Where
+    # the batch size sets the chunk, the candidate blocks follow it, and
+    # their products round differently in the last bits.)
+    (design0, first0), (design1, first1) = long_rf_stages
+    for design, first, fn, whole_batch in (
+        (design0, first0, rf_case_i_draws,
+         lambda Y, W: np.max(_sup_case_i(Y, W, 1, 0.15, design0.spec.q)[1], axis=1)),
+        (design1, first1, rf_case_ii_draws,
+         lambda Y, W: _sup_case_ii(Y, W, first1.partition)[0]),
+    ):
+        cfg = BootstrapConfig("wr", B, 5, 1)
+        whole = whole_batch(*_samples(design, cfg, None, first)[:2])
+        assert np.all(np.isfinite(whole))
+        draws, fails = fn(design, first, cfg, stat=math.inf)
+        assert fails == 0
+        np.testing.assert_array_equal(draws, whole)
+
+
+def scripted_rf_stage(monkeypatch, values, stat):
+    """rf_case_ii_draws of a 200-draw stage whose scan returns values, slice
+    by slice in order: (draws, failures, slice sizes scored)."""
+    import breakboot.bootstrap as bootstrap_module
+
+    sizes = []
+
+    def scan(Y, W, null_partition):
+        start = sum(sizes)
+        sizes.append(Y.shape[0])
+        return (values[start:start + Y.shape[0]],)
+
+    monkeypatch.setattr(bootstrap_module, "_sup_case_ii", scan)
+    design = h1m1_design()
+    first1 = rf_break_grid_and_fit(design, 1, 0.15)
+    draws, failures = rf_case_ii_draws(design, first1, BootstrapConfig("wr", 200, 5, 1),
+                                       stat=stat)
+    return draws, failures, sizes
+
+
+def test_stopped_stage_failure_cap_counts_against_the_full_B(monkeypatch):
+    from breakboot.exceptions import BootstrapFailureError
+
+    # B = 200 in four slices of 50: a stage stops once more than 10 draws
+    # reach stat = 1, and raises once more than 10 failures are seen
+    values = np.zeros(200)
+    values[:11] = 2.0
+    values[11:16] = -np.inf  # 5 of 50 scored: above 5%, but not 5% of B
+    values[60:68] = -np.inf  # 13 in all: a run that scores every draw raises
+    draws, failures, sizes = scripted_rf_stage(monkeypatch, values, 1.0)
+    assert sizes == [50] and failures == 5 and len(draws) == 45
+    with pytest.raises(BootstrapFailureError):
+        scripted_rf_stage(monkeypatch, values, math.inf)
+    # failures seen beyond 5% of B raise even in the slice that decides
+    values[11:22] = -np.inf
+    with pytest.raises(BootstrapFailureError):
+        scripted_rf_stage(monkeypatch, values, 1.0)
+    # 10 failures are within the cap, and the stage scores on until more
+    # than 10 draws reach stat, not 5% of the draws scored so far
+    values[:] = 0.0
+    values[:10] = -np.inf
+    values[[10, 11, 12, 160, 170, 180, 190, 195, 197, 198, 199]] = 2.0
+    draws, failures, sizes = scripted_rf_stage(monkeypatch, values, 1.0)
+    assert sizes == [50] * 4 and failures == 10 and len(draws) == 190
 
 
 def lu_reference(fn, Yb, Wb, *args, v_rows=None, **kwargs):

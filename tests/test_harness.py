@@ -4,6 +4,7 @@ import csv
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -101,6 +102,20 @@ def test_test_dataset_report(tmp_path):
     assert "skipped candidates" in report
     assert 0.0 <= outcome.p_value <= 1.0
     assert outcome.rf_partition.k == 0
+
+
+def test_test_dataset_report_shows_each_pre_test_stage():
+    # a break-free reduced form stops at stage 0, which needs fewer than B
+    # draws to know that its p-value exceeds the pre-test's level
+    data, _ = bb.generate(bb.ScenarioConfig("h0m0", "A", T=100, seed=9))
+    design = bb.make_design(bb.scenario_model_spec(), data)
+    outcome, report = run_dataset_test(design, bb.BootstrapConfig("wr", 99, 1),
+                                       rf_breaks="auto")
+    stages = re.findall(r"pre-test stage (\d+): .* p-value (\S+) over (\d+) of B=99 draws",
+                        report)
+    assert [level for level, _, _ in stages] == ["0"]
+    assert float(stages[0][1]) > 0.05 and int(stages[0][2]) < 99
+    assert f"over {len(outcome.boot_draws)} finite draws of B=99" in report
 
 
 def first_stage_fits(design, boot, **kwargs):

@@ -1,13 +1,23 @@
 """Sequential reduced-form break-count estimation."""
 
+import math
+
+import numpy as np
 import pytest
 
 import breakboot as bb
-from breakboot.bootstrap import BootstrapConfig
+from breakboot.bootstrap import (
+    ALPHA_SEQ,
+    BootstrapConfig,
+    pvalue_and_quantile,
+    rf_case_i_draws,
+    rf_case_ii_draws,
+)
 from breakboot.exceptions import ConfigError, SingularMiddleError
-from breakboot.partition_search import min_regime_length
+from breakboot.partition_search import min_regime_length, rf_break_grid_and_fit
 from breakboot.rng import derive_seed
-from breakboot.sequential import estimate_rf_breaks_design, rf_sup_wald
+from breakboot.sequential import estimate_rf_breaks_design, rf_sup_wald, rf_sup_wald_seq
+from breakboot.stats import _first_or_default
 
 
 def test_max_breaks_zero_rejected():
@@ -87,3 +97,47 @@ def test_break_free_rf_usually_stops_at_zero():
         )
         stops += int(res.chosen_breaks == 0)
     assert stops >= 0.80 * reps
+
+
+def full_run_reference(design, boot, max_breaks=2, eps=0.15):
+    """The pre-test with every stage scoring all B draws: (chosen partition,
+    [(statistic, early draws, full draws) per stage])."""
+    stages = []
+    for level in range(max_breaks):
+        if level == 0:
+            first = _first_or_default(design, eps)
+            stat, fn = rf_sup_wald(design, eps), rf_case_i_draws
+        else:
+            first = rf_break_grid_and_fit(design, level, eps)
+            stat, fn = rf_sup_wald_seq(design, first.partition), rf_case_ii_draws
+        full, _ = fn(design, first, boot, stat=math.inf)
+        early, _ = fn(design, first, boot, stat=stat)
+        stages.append((stat, early, full))
+        if pvalue_and_quantile(stat, full, ())[0] > ALPHA_SEQ:
+            return first.partition, stages
+    return rf_break_grid_and_fit(design, max_breaks, eps).partition, stages
+
+
+def test_early_exit_keeps_every_stage_decision():
+    # a stage stops scoring once its decision is known, so the pre-test
+    # chooses what a run that scores every draw chooses
+    spec = bb.scenario_model_spec()
+    stopped = 0
+    for scenario in ("h0m0", "h1m0", "h1m1"):
+        data, _ = bb.generate(bb.ScenarioConfig(scenario, "A", T=120, seed=4))
+        design = bb.make_design(spec, data)
+        for scheme in ("wr", "wf"):
+            boot = BootstrapConfig(scheme, 99, 17, 2)
+            res = estimate_rf_breaks_design(design, max_breaks=2, boot=boot)
+            partition, stages = full_run_reference(design, boot)
+            assert res.chosen_breaks == partition.k
+            assert res.first.partition == partition
+            assert [t[1] for t in res.trail] == [stat for stat, _, _ in stages]
+            for (_, _, p, scored), (stat, early, full) in zip(res.trail, stages):
+                assert scored == len(early)
+                np.testing.assert_array_equal(early, full[:len(early)])
+                assert (p > ALPHA_SEQ) == (pvalue_and_quantile(stat, full, ())[0] > ALPHA_SEQ)
+                if len(early) < len(full):
+                    assert p > ALPHA_SEQ
+                    stopped += 1
+    assert stopped > 0
