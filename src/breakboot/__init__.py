@@ -4,7 +4,6 @@ linear models estimated by two-stage least squares."""
 from .bootstrap import (
     BootstrapConfig,
     MultiplierStream,
-    bootstrap_sup_test_design,
     pvalue_and_quantile,
     wf_generate,
     wr_generate,

@@ -1,5 +1,8 @@
 """Wild bootstrap: sample generation, batched bootstrap statistics, p-values.
 
+This module holds a test's bootstrap samples, its draws and their p-value;
+:func:`breakboot.harness.test_dataset` runs a whole test on them.
+
 Bootstrap residuals are u_b = u_hat * nu and v_b = v_hat * nu with the
 same Rademacher multiplier nu_t applied to both, preserving their
 contemporaneous correlation.  Two schemes differ in how regressors are
@@ -51,28 +54,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import (
-    Design,
-    FirstStage,
-    RegimeEstimates,
-    _regime_fit,
-    fit_regimes,
-    make_design,
-)
+from .estimation import Design, FirstStage, RegimeEstimates, _regime_fit, make_design
 from .exceptions import BootstrapFailureError, ConfigError, EmptyDrawsError
-from .model import Dataset, ModelSpec, Partition, no_breaks
-from .partition_search import global_ssr_breaks, min_regime_length
+from .model import Dataset, ModelSpec, Partition
 from .rng import STREAM_NU, STREAM_NU_RF, generator, rademacher
-from .stats import (
-    STATISTICS,
-    TestOutcome,
-    _first_or_default,
-    _sup_case_i,
-    _sup_case_ii,
-    sup_f_design,
-    sup_wald_design,
-    sup_wald_seq_design,
-)
+from .stats import _sup_case_i, _sup_case_ii
 
 SCHEMES = ("wr", "wf")
 MAX_FAILURE_RATE = 0.05  # largest share of the B replications a test may lose
@@ -340,11 +326,9 @@ def _slices(B: int) -> list[slice]:
     of them, whose sizes differ by at most one (the candidate blocks' split).
 
     Every slice holds at least min(B, 25) entries, so none is a batch of
-    one, which the scan would take in its LU form, unless B is 1.  A scan
-    whose chunk_rows admits a batch chunk larger than a slice (few
-    candidates on few rows) blocks a slice's candidates otherwise than the
-    whole batch's, so its draws may differ from the whole batch's in the
-    last bits; elsewhere they are equal.
+    one, which the scan would take in its LU form, unless B is 1.  The
+    scan blocks a batch's candidates by their count and rows alone, so a
+    slice's draws equal the whole batch's bit for bit.
     """
     n = -(-B // SLICE)
     return [slice(B * j // n, B * (j + 1) // n) for j in range(n)]
@@ -384,10 +368,15 @@ def rf_case_i_draws(
     stat: float = math.inf,
     nu: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
-    """Bootstrap sup-Wald draws for no RF breaks against one; the no-break
-    first stage's partition keys the multiplier stream and its trim sets
-    the grid.  stat is the stage's sample statistic, at which scoring may
-    stop early (see :func:`_rf_draws`); the default scores all B draws."""
+    """Bootstrap sup-Wald draws for no RF breaks against one, over the full
+    grid of the no-break first stage's trim.
+
+    These are :func:`rf_case_ii_draws` at l = 0, bit for bit, which the
+    pre-test runs instead.  The function stays only because the
+    benchmark's tracer (perfbench/tracer.py) binds it by name; it goes
+    with that name table (ROADMAP item 7).  stat is as in
+    :func:`rf_case_ii_draws`.
+    """
     trim, q = first.partition.trim, design.spec.q
     return _rf_draws(design, first, cfg, nu, stat,
                      lambda Y, W: np.max(_sup_case_i(Y, W, 1, trim, q)[1], axis=1))
@@ -401,11 +390,12 @@ def rf_case_ii_draws(
     stat: float = math.inf,
     nu: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
-    """Bootstrap draws for l RF breaks against l+1.
+    """Bootstrap draws for l RF breaks against l+1, l = 0 included.
 
     l is first.partition.k, which also keys the multiplier stream; the
-    partition's min_len bounds the extra break.  stat is as in
-    :func:`rf_case_i_draws`.
+    partition's min_len bounds the extra break.  stat is the stage's
+    sample statistic, at which scoring may stop early (see
+    :func:`_rf_draws`); the default scores all B draws.
     """
     return _rf_draws(design, first, cfg, nu, stat,
                      lambda Y, W: _sup_case_ii(Y, W, first.partition)[0])
@@ -420,20 +410,6 @@ def _check_alphas(alphas: tuple[float, ...]) -> None:
     """Raise ConfigError unless every level lies in (0, 1)."""
     if not all(0 < a < 1 for a in alphas):
         raise ConfigError(f"every alpha must lie in (0, 1), got {alphas}")
-
-
-def _check_test(statistic: str, null_breaks: int, alt_breaks: int,
-                alphas: tuple[float, ...]) -> None:
-    """Raise ConfigError unless the statistic, break counts and levels make a test."""
-    if statistic not in STATISTICS:
-        raise ConfigError(f"statistic must be one of {STATISTICS}")
-    _check_alphas(alphas)
-    if null_breaks < 0:
-        raise ConfigError("null_breaks must be >= 0")
-    if alt_breaks < 1:
-        raise ConfigError(f"the alternative needs at least one break, got {alt_breaks}")
-    if null_breaks > 0 and alt_breaks != null_breaks + 1:
-        raise ConfigError("with a breaking null, alt_breaks must equal null_breaks + 1")
 
 
 def pvalue_and_quantile(
@@ -475,59 +451,3 @@ def pvalue_and_quantile(
         crits[a] = crit
         rejects[a] = bool(sample_stat >= crit)
     return p, crits, rejects, flags
-
-
-# ---------------------------------------------------------------------------
-# One-call test drivers
-# ---------------------------------------------------------------------------
-
-
-def bootstrap_sup_test_design(
-    design: Design,
-    boot: BootstrapConfig = DEFAULT_BOOT,
-    *,
-    null_breaks: int = 0,
-    alt_breaks: int = 1,
-    statistic: str = "supwald",
-    eps: float = 0.15,
-    first: FirstStage | None = None,
-    alphas: tuple[float, ...] = (0.10, 0.05, 0.01),
-) -> TestOutcome:
-    """Run one structural-change test end to end with bootstrap inference.
-
-    design is ``make_design(spec, data)`` and boot the bootstrap's scheme,
-    B and seed path.  null_breaks=0 tests no change against alt_breaks
-    changes; null_breaks = l >= 1 tests l against l+1 (alt_breaks must then
-    be l+1), with the null partition at the SSR-minimising l breaks
-    (:func:`breakboot.partition_search.global_ssr_breaks`).  The first
-    stage is the fit first, which the sample statistic, the null partition,
-    the null fit and the B samples all read; None means no RF breaks.  The
-    outcome records its RF partition in the rf_partition field.
-    """
-    _check_test(statistic, null_breaks, alt_breaks, alphas)
-    n = design.n
-    first = _first_or_default(design, eps, first)
-
-    if null_breaks == 0:
-        if statistic == "supwald":
-            outcome = sup_wald_design(design, alt_breaks, eps, first)
-        else:
-            outcome = sup_f_design(design, alt_breaks, eps, first)
-        null_partition = no_breaks(n, eps, min_regime_length(n, eps, design.spec.q))
-        est = fit_regimes(design, first, null_partition)
-        draws, failures = case_i_draws(design, est, alt_breaks, eps, boot, statistic=statistic)
-    else:
-        null_partition, _ = global_ssr_breaks(design, first, null_breaks, eps)
-        outcome = sup_wald_seq_design(design, null_partition, first, statistic)
-        est = fit_regimes(design, first, null_partition)
-        draws, failures = case_ii_draws(design, est, boot, statistic=statistic)
-
-    p, crits, rejects, flags = pvalue_and_quantile(outcome.statistic, draws, alphas)
-    outcome.rf_partition = first.partition
-    outcome.boot_draws = draws
-    outcome.p_value = p
-    outcome.critical_values = crits
-    outcome.levels_rejected = rejects
-    outcome.failed_replications = failures
-    outcome.flags.extend(flags)
-    return outcome

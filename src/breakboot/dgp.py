@@ -37,7 +37,7 @@ numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -110,6 +110,8 @@ class ScenarioTruth:
     alt_break: int | None                 # [T/2] when g != 0
     alt_end: int | None                   # last shifted index
     g: float = 0.0
+    u: np.ndarray | None = None           # kept-sample SE errors, set by generate
+    v: np.ndarray | None = None           # kept-sample RF errors, set by generate
 
 
 def scenario_model_spec() -> ModelSpec:
@@ -241,14 +243,13 @@ def _rf_coef_at(truth: ScenarioTruth, t: int) -> np.ndarray:
     return truth.rf_coef[0]
 
 
-def generate(
-    cfg: ScenarioConfig, return_errors: bool = False
-) -> tuple[Dataset, ScenarioTruth] | tuple[Dataset, ScenarioTruth, np.ndarray, np.ndarray]:
+def generate(cfg: ScenarioConfig) -> tuple[Dataset, ScenarioTruth]:
     """Generate one dataset for the configured scenario.
 
     The recursion starts from y_0 = x_0 = 0, runs for burn_in extra
     periods under the first-regime parameters, and discards them.  Break
-    locations refer to the kept sample.
+    locations refer to the kept sample, and the truth holds the kept
+    sample's errors u and v.
     """
     truth = _truth(cfg)
     total = cfg.burn_in + cfg.T
@@ -285,6 +286,4 @@ def generate(
 
     keep = slice(cfg.burn_in, total)
     data = Dataset(y=y[keep], x=x[keep, None], r=r_all[keep])
-    if return_errors:
-        return data, truth, u_all[keep], v_all[keep]
-    return data, truth
+    return data, replace(truth, u=u_all[keep], v=v_all[keep])

@@ -20,17 +20,21 @@ the row-wise regressor cross products.  Each block of candidates forms its
 masked score rows in place, in one buffer that every regime reuses, and a
 regime of a block reads only the rows (min s, max e] that some candidate's
 regime (s, e] covers: every other row scores zero after the mask, so
-skipping it changes no value beyond the rounding of the row sums.  A block
-holds at most _CHUNK // bc candidates for a batch chunk of bc entries, a
-fixed amount of (entry, candidate) work, so that the bootstrap's k = 1
-batches take blocks of a few dozen consecutive break dates, whose spans
-exceed a regime by only that many rows.  The m candidates are split into
-ceil(m / (_CHUNK // bc)) blocks whose sizes differ by at most one, so no
-block is a remainder of a few candidates that still pays a block's fixed
-cost.  A batch of one (the sample statistic, a segment table) takes blocks
-of up to _CHUNK candidates, its whole grid at k = 1: the matrix product
-over a regime's rows may round differently in another block shape, and the
-benchmark's 2-worker cell compares the sample statistic bit for bit.
+skipping it changes no value beyond the rounding of the row sums.  A scan
+of m candidates on n rows works in batch chunks of up to per =
+chunk_rows // (m * n) entries, and a block holds at most _CHUNK // per
+candidates, a fixed amount of (entry, candidate) work, so that the
+bootstrap's k = 1 batches take blocks of a few dozen consecutive break
+dates, whose spans exceed a regime by only that many rows.  The m
+candidates are split into ceil(m / (_CHUNK // per)) blocks whose sizes
+differ by at most one, so no block is a remainder of a few candidates that
+still pays a block's fixed cost.  The blocks follow from m and n alone, so
+a bootstrap sample's statistic has the same bits in a batch of any size
+above one, a pre-test stage's slices included.  A batch of one (the sample
+statistic, a segment table) takes blocks of up to _CHUNK candidates, its
+whole grid at k = 1: the matrix product over a regime's rows may round
+differently in another block shape, and the benchmark's 2-worker cell
+compares the sample statistic bit for bit.
 
 The regime coefficients, sandwich blocks and Wald forms take one of two
 forms, picked by the batch size.  A batch of one, the sample statistic or
@@ -254,8 +258,9 @@ def _scan(Y, Ws, edges, n_global, v_rows, score_beta, compute_wald, chunk_rows):
     candidate's regime bounds, regime i covering rows edges[:, i] + 1 to
     edges[:, i + 1].  The other arguments are those of
     :func:`breakboot.stats.scan_partitions_batch`.  Works in batch chunks
-    of bc = chunk_rows // (m * n) entries and in ceil(m / (_CHUNK // bc))
-    candidate blocks whose sizes differ by at most one, scoring each regime
+    of min(B, per) entries, per = chunk_rows // (m * n), and in
+    ceil(m / (_CHUNK // per)) candidate blocks (ceil(m / _CHUNK) for a
+    batch of one) whose sizes differ by at most one, scoring each regime
     of a block over the rows the block's regimes cover (see the module
     docstring); returns (wald, ssr, ok), each (B, m).
 
@@ -282,9 +287,11 @@ def _scan(Y, Ws, edges, n_global, v_rows, score_beta, compute_wald, chunk_rows):
     ssr = np.empty((B, m))
     ok = np.empty((B, m), dtype=bool)
     # keep the (batch, candidates, rows) work arrays around L2/L3 size, and
-    # the (entry, candidate) work of a block fixed, so that its spans stay tight
-    bc = max(1, min(B, chunk_rows // max(1, m * n)))
-    n_blocks = -(-m // max(1, _CHUNK // bc))
+    # the (entry, candidate) work of a block fixed, so that its spans stay
+    # tight; the blocks follow from m and n alone, not from B
+    per = max(1, chunk_rows // max(1, m * n))
+    bc = min(B, per)
+    n_blocks = -(-m // max(1, _CHUNK // (per if B > 1 else 1)))
     blocks = [slice(m * j // n_blocks, m * (j + 1) // n_blocks) for j in range(n_blocks)]
     shared = [None] * n_blocks
     if B > 1:

@@ -1,4 +1,5 @@
-"""Monte Carlo orchestration, rejection-rate tables, single-dataset tests.
+"""Monte Carlo orchestration, rejection-rate tables, and the one bootstrap
+test driver, :func:`test_dataset`.
 
 Replication j of a cell derives every random stream from
 (master_seed, j, purpose), so cells that differ only in the break shift g
@@ -6,6 +7,11 @@ share innovations and their rejection-rate differences reflect the design
 rather than simulation noise.  Replications are the parallel unit; worker
 processes are spawned with BLAS pinned to one thread so results are
 identical for any worker count.
+
+A test is one :func:`test_dataset` call: its first stage (the RF pre-test's
+or imposed), the sample statistic, the B bootstrap draws of
+:mod:`breakboot.bootstrap` and their p-value.  A Monte Carlo replication
+is one such call on its generated dataset.
 """
 
 from __future__ import annotations
@@ -26,15 +32,24 @@ from .bootstrap import (
     SCHEMES,
     BootstrapConfig,
     _check_alphas,
-    _check_test,
-    bootstrap_sup_test_design,
+    case_i_draws,
+    case_ii_draws,
+    pvalue_and_quantile,
 )
-from .estimation import Design, make_design
+from .estimation import Design, fit_regimes, make_design
 from .exceptions import ConfigError
-from .partition_search import rf_break_grid_and_fit
+from .model import no_breaks
+from .partition_search import global_ssr_breaks, min_regime_length, rf_break_grid_and_fit
 from .rng import derive_seed
 from .sequential import estimate_rf_breaks_design
-from .stats import STATISTICS, TestOutcome
+from .stats import (
+    STATISTICS,
+    TestOutcome,
+    _first_or_default,
+    sup_f_design,
+    sup_wald_design,
+    sup_wald_seq_design,
+)
 
 TABLE_HEADER = [
     "scenario", "case", "T", "g", "test", "scheme",
@@ -192,6 +207,20 @@ def run_table(
     return results
 
 
+def _check_test(statistic: str, null_breaks: int, alt_breaks: int,
+                alphas: tuple[float, ...]) -> None:
+    """Raise ConfigError unless the statistic, break counts and levels make a test."""
+    if statistic not in STATISTICS:
+        raise ConfigError(f"statistic must be one of {STATISTICS}")
+    _check_alphas(alphas)
+    if null_breaks < 0:
+        raise ConfigError("null_breaks must be >= 0")
+    if alt_breaks < 1:
+        raise ConfigError(f"the alternative needs at least one break, got {alt_breaks}")
+    if null_breaks > 0 and alt_breaks != null_breaks + 1:
+        raise ConfigError("with a breaking null, alt_breaks must equal null_breaks + 1")
+
+
 def test_dataset(
     design: Design,
     boot: BootstrapConfig = DEFAULT_BOOT,
@@ -203,17 +232,24 @@ def test_dataset(
     alphas: tuple[float, ...] = (0.10, 0.05, 0.01),
     rf_breaks: str | int = "auto",
 ) -> tuple[TestOutcome, str]:
-    """Run one structural-change test on one dataset; returns the outcome
-    and a printable report.
+    """Run one structural-change test with bootstrap inference on one
+    dataset; returns the outcome and a printable report.
 
-    design is ``make_design(spec, data)``.  rf_breaks="auto" runs the
-    sequential RF pre-test first, with the same bootstrap settings and up
-    to two breaks; an integer imposes that many RF breaks at their
-    SSR-estimated locations.  The statistic, break counts and levels are
-    checked before any work runs, the pre-test included.
+    design is ``make_design(spec, data)`` and boot the bootstrap's scheme,
+    B and seed path.  null_breaks=0 tests no change against alt_breaks
+    changes; null_breaks = l >= 1 tests l against l+1 (alt_breaks must then
+    be l+1), with the null partition at the SSR-minimising l breaks
+    (:func:`breakboot.partition_search.global_ssr_breaks`).
+
+    rf_breaks="auto" runs the sequential RF pre-test first, with the same
+    bootstrap settings, and keeps its stopping stage's first stage; an
+    integer imposes that many RF breaks at their SSR-estimated locations,
+    0 none.  That one first stage is what the sample statistic, the null
+    partition, the null fit and the B samples all read, and the outcome
+    records its partition in rf_partition.  The statistic, break counts
+    and levels are checked before any work runs, the pre-test included.
     """
     _check_test(statistic, null_breaks, alt_breaks, alphas)
-    first = None  # no RF breaks
     stages: list[str] = []
     if rf_breaks == "auto":
         seq = estimate_rf_breaks_design(design, boot=boot, eps=eps)
@@ -225,22 +261,33 @@ def test_dataset(
             for level, stat, p, scored in seq.trail
         ]
     elif isinstance(rf_breaks, int) and rf_breaks >= 0:
-        if rf_breaks > 0:
-            first = rf_break_grid_and_fit(design, rf_breaks, eps)
+        first = (rf_break_grid_and_fit(design, rf_breaks, eps) if rf_breaks > 0
+                 else _first_or_default(design, eps))
         rf_note = f"{rf_breaks} RF break(s) imposed"
     else:
         raise ConfigError(f"rf_breaks must be 'auto' or an integer >= 0, got {rf_breaks!r}")
 
-    outcome = bootstrap_sup_test_design(
-        design,
-        boot,
-        null_breaks=null_breaks,
-        alt_breaks=alt_breaks,
-        statistic=statistic,
-        eps=eps,
-        first=first,
-        alphas=alphas,
-    )
+    n = design.n
+    if null_breaks == 0:
+        sample_test = sup_wald_design if statistic == "supwald" else sup_f_design
+        outcome = sample_test(design, alt_breaks, eps, first)
+        null_partition = no_breaks(n, eps, min_regime_length(n, eps, design.spec.q))
+        est = fit_regimes(design, first, null_partition)
+        draws, failures = case_i_draws(design, est, alt_breaks, eps, boot, statistic=statistic)
+    else:
+        null_partition, _ = global_ssr_breaks(design, first, null_breaks, eps)
+        outcome = sup_wald_seq_design(design, null_partition, first, statistic)
+        est = fit_regimes(design, first, null_partition)
+        draws, failures = case_ii_draws(design, est, boot, statistic=statistic)
+
+    p, crits, rejects, flags = pvalue_and_quantile(outcome.statistic, draws, alphas)
+    outcome.rf_partition = first.partition
+    outcome.boot_draws = draws
+    outcome.p_value = p
+    outcome.critical_values = crits
+    outcome.levels_rejected = rejects
+    outcome.failed_replications = failures
+    outcome.flags.extend(flags)
     lines = [
         f"test: {statistic} ({boot.scheme.upper()} bootstrap), "
         f"H0: m={null_breaks} vs H1: m={alt_breaks}",

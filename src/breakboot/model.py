@@ -310,8 +310,11 @@ class Partition:
         return [(a + 1, b) for a, b in zip(edges, edges[1:])]
 
 
-def no_breaks(n: int, trim: float = 0.15, min_len: int = 1) -> Partition:
-    """The zero-break partition of an effective sample of length n."""
+def no_breaks(n: int, trim: float, min_len: int) -> Partition:
+    """The zero-break partition of an effective sample of length n.
+
+    trim and min_len bound the breaks a one-more-break scan may add to it.
+    """
     return Partition(breaks=(), n=n, trim=trim, min_len=min_len)
 
 

@@ -2,15 +2,15 @@
 
 The RF is a linear model estimated by OLS, so the structural-change
 machinery applies with x as the dependent block and no second stage.
-Stage l tests l breaks against l+1 with the bootstrap sup-Wald, with the
-first stage fitted once on the stage's l-break partition, a
-:class:`breakboot.estimation.FirstStage`.  That fit's partition carries
+Stage l = 0, 1, ... tests l breaks against l+1 with the bootstrap
+one-more-break sup-Wald, with the first stage fitted once on the stage's
+l-break partition, a :class:`breakboot.estimation.FirstStage`: no breaks
+at l = 0, the SSR-minimising l breaks after.  That fit's partition carries
 everything else the stage needs: its break count keys the stage's
-multiplier stream, and its trim (stage 0) or min_len (later stages) bounds
-the extra break.  Testing stops at the first p-value above ALPHA_SEQ,
-keeping that stage's first stage, or at the break cap, whose first stage
-is estimated then.  The test that follows reads the kept first stage and
-fits no other.
+multiplier stream, and its min_len bounds the extra break.  Testing stops
+at the first p-value above ALPHA_SEQ, keeping that stage's first stage,
+or at the cap of MAX_BREAKS breaks, whose first stage is estimated then.
+The test that follows reads the kept first stage and fits no other.
 
 A stage needs only its decision, so it stops scoring its bootstrap draws
 once more than ALPHA_SEQ * B of them reach its statistic (see
@@ -32,14 +32,15 @@ from .bootstrap import (
     DEFAULT_BOOT,
     BootstrapConfig,
     pvalue_and_quantile,
-    rf_case_i_draws,
     rf_case_ii_draws,
 )
 from .estimation import Design, FirstStage
-from .exceptions import ConfigError, SingularMiddleError
+from .exceptions import SingularMiddleError
 from .model import Partition
 from .partition_search import rf_break_grid_and_fit
 from .stats import _first_or_default, _sup_case_i, _sup_case_ii
+
+MAX_BREAKS = 2  # the pre-test's break cap: it runs stages 0 .. MAX_BREAKS - 1
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,14 @@ class SequentialResult:
 
 
 def rf_sup_wald(design: Design, eps: float = 0.15) -> float:
-    """Sample sup-Wald for no RF breaks against one."""
+    """Sample sup-Wald for no RF breaks against one, over the full grid of
+    trimming eps.
+
+    This is :func:`rf_sup_wald_seq` on the no-break first stage's
+    partition, bit for bit, which the pre-test runs instead.  The function
+    stays only because the benchmark's tracer (perfbench/tracer.py) binds
+    it by name; it goes with that name table (ROADMAP item 7).
+    """
     _, vals, _ = _sup_case_i(design.x[None], design.Z[None], 1, eps, design.spec.q)
     if not np.any(np.isfinite(vals)):
         raise SingularMiddleError("every candidate partition failed")
@@ -62,7 +70,8 @@ def rf_sup_wald(design: Design, eps: float = 0.15) -> float:
 
 def rf_sup_wald_seq(design: Design, null_partition: Partition) -> float:
     """Sample one-more-break sup-Wald within the regimes of null_partition,
-    whose min_len bounds the extra break."""
+    whose min_len bounds the extra break; a no-break null_partition gives
+    no RF breaks against one."""
     best, *_ = _sup_case_ii(design.x[None], design.Z[None], null_partition)
     if not np.isfinite(best[0]):
         raise SingularMiddleError("every within-regime candidate failed")
@@ -71,7 +80,6 @@ def rf_sup_wald_seq(design: Design, null_partition: Partition) -> float:
 
 def estimate_rf_breaks_design(
     design: Design,
-    max_breaks: int = 2,
     boot: BootstrapConfig = DEFAULT_BOOT,
     eps: float = 0.15,
 ) -> SequentialResult:
@@ -79,20 +87,14 @@ def estimate_rf_breaks_design(
 
     design is ``make_design(spec, data)``.
     """
-    if max_breaks < 1:
-        raise ConfigError("max_breaks must be >= 1")
     trail: list[tuple[int, float, float, int]] = []
-    for level in range(max_breaks):
-        if level == 0:
-            first = _first_or_default(design, eps)
-            stat = rf_sup_wald(design, eps)
-            draws, failures = rf_case_i_draws(design, first, boot, stat=stat)
-        else:
-            first = rf_break_grid_and_fit(design, level, eps)
-            stat = rf_sup_wald_seq(design, first.partition)
-            draws, failures = rf_case_ii_draws(design, first, boot, stat=stat)
+    for level in range(MAX_BREAKS):
+        first = (rf_break_grid_and_fit(design, level, eps) if level > 0
+                 else _first_or_default(design, eps))
+        stat = rf_sup_wald_seq(design, first.partition)
+        draws, failures = rf_case_ii_draws(design, first, boot, stat=stat)
         p = pvalue_and_quantile(stat, draws, ())[0]
         trail.append((level, stat, p, len(draws) + failures))
         if p > ALPHA_SEQ:
             return SequentialResult(first=first, trail=trail)
-    return SequentialResult(first=rf_break_grid_and_fit(design, max_breaks, eps), trail=trail)
+    return SequentialResult(first=rf_break_grid_and_fit(design, MAX_BREAKS, eps), trail=trail)

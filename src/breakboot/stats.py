@@ -73,7 +73,7 @@ class TestOutcome:
     statistic: float
     argmax_partition: Partition | None = None
     argmax_regime: int | None = None
-    rf_partition: Partition | None = None  # the first stage's, set by the bootstrap test
+    rf_partition: Partition | None = None  # the first stage's, set by harness.test_dataset
     boot_draws: np.ndarray = field(default_factory=lambda: np.empty(0))
     p_value: float | None = None
     levels_rejected: dict[float, bool] | None = None
@@ -179,8 +179,10 @@ def scan_partitions_batch(
         ValueError.  Neither (the default) scores with the candidate fit's
         own coefficients, so the score is the fit residual.
     chunk_rows : bound on batch x candidates x rows per batch chunk; with
-        chunks of bc entries the candidates are scanned in
-        ceil(m / (2048 // bc)) blocks whose sizes differ by at most one.
+        per = chunk_rows // (m * n), chunks hold min(B, per) entries and
+        the candidates are scanned in ceil(m / (2048 // per)) blocks (up to
+        2048 candidates each for a batch of one) whose sizes differ by at
+        most one, whatever B is.
 
     A batch of one solves every candidate's Gram and middle matrix by LU
     and forms its score in three steps, y - b'w plus the score pair's

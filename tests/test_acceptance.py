@@ -22,13 +22,13 @@ import pytest
 import breakboot as bb
 from breakboot.bootstrap import (
     BootstrapConfig,
-    bootstrap_sup_test_design,
     pvalue_and_quantile,
     wf_generate,
     wr_generate,
 )
 from breakboot.estimation import first_stage, fit_regimes, make_design, second_stage
 from breakboot.harness import McConfig, run_cell
+from breakboot.harness import test_dataset as run_dataset_test
 from breakboot.model import Dataset, ModelSpec, Partition, Role, no_breaks
 from breakboot.partition_search import (
     enumerate_partitions,
@@ -271,12 +271,12 @@ def test_criterion_7c_wr_equals_wf_lag_free():
     y = 0.5 * x[:, 0] + 0.3 * r[:, 0] + rng.normal(size=T)
     data = Dataset(y=y, x=x, r=r)
     design = make_design(spec, data)
-    out_wr = bootstrap_sup_test_design(
-        design, BootstrapConfig("wr", 49, 17), null_breaks=0, alt_breaks=1
-    )
-    out_wf = bootstrap_sup_test_design(
-        design, BootstrapConfig("wf", 49, 17), null_breaks=0, alt_breaks=1
-    )
+    out_wr = run_dataset_test(
+        design, BootstrapConfig("wr", 49, 17), null_breaks=0, alt_breaks=1, rf_breaks=0
+    )[0]
+    out_wf = run_dataset_test(
+        design, BootstrapConfig("wf", 49, 17), null_breaks=0, alt_breaks=1, rf_breaks=0
+    )[0]
     exact = (
         np.array_equal(out_wr.boot_draws, out_wf.boot_draws)
         and out_wr.statistic == out_wf.statistic

@@ -15,7 +15,6 @@ from breakboot.bootstrap import (
     _paths,
     _samples,
     _slices,
-    bootstrap_sup_test_design,
     case_i_draws,
     pvalue_and_quantile,
     rf_case_i_draws,
@@ -25,6 +24,7 @@ from breakboot.bootstrap import (
 )
 from breakboot.estimation import first_stage, fit_regimes, make_design
 from breakboot.exceptions import ConfigError, EmptyDrawsError
+from breakboot.harness import test_dataset as run_dataset_test
 from breakboot.model import Dataset, ModelSpec, Partition, Role, no_breaks
 from breakboot.partition_search import (
     enumerate_partitions,
@@ -118,12 +118,12 @@ def test_wr_equals_wf_bit_for_bit_without_lags():
     np.testing.assert_array_equal(b_wr.y, b_wf.y)
     np.testing.assert_array_equal(b_wr.x, b_wf.x)
     # and the bootstrap statistics agree bit for bit
-    out_wr = bootstrap_sup_test_design(
-        design, BootstrapConfig("wr", 19, 5), null_breaks=0, alt_breaks=1
-    )
-    out_wf = bootstrap_sup_test_design(
-        design, BootstrapConfig("wf", 19, 5), null_breaks=0, alt_breaks=1
-    )
+    out_wr = run_dataset_test(
+        design, BootstrapConfig("wr", 19, 5), null_breaks=0, alt_breaks=1, rf_breaks=0
+    )[0]
+    out_wf = run_dataset_test(
+        design, BootstrapConfig("wf", 19, 5), null_breaks=0, alt_breaks=1, rf_breaks=0
+    )[0]
     np.testing.assert_array_equal(out_wr.boot_draws, out_wf.boot_draws)
     assert out_wr.statistic == out_wf.statistic
 
@@ -176,12 +176,12 @@ def test_b1_identity_bootstrap_equals_sample_statistic():
 def test_bootstrap_draws_nonnegative_and_deterministic():
     data, _ = bb.generate(bb.ScenarioConfig("h0m0", "B", T=80, seed=29))
     design = make_design(bb.scenario_model_spec(), data)
-    out1 = bootstrap_sup_test_design(
-        design, BootstrapConfig("wr", 25, 3), null_breaks=0, alt_breaks=1
-    )
-    out2 = bootstrap_sup_test_design(
-        design, BootstrapConfig("wr", 25, 3), null_breaks=0, alt_breaks=1
-    )
+    out1 = run_dataset_test(
+        design, BootstrapConfig("wr", 25, 3), null_breaks=0, alt_breaks=1, rf_breaks=0
+    )[0]
+    out2 = run_dataset_test(
+        design, BootstrapConfig("wr", 25, 3), null_breaks=0, alt_breaks=1, rf_breaks=0
+    )[0]
     assert np.all(out1.boot_draws >= 0)
     np.testing.assert_array_equal(out1.boot_draws, out2.boot_draws)
 
@@ -274,10 +274,10 @@ def test_p_rule_and_order_rule_agree_when_exact():
 def test_rejection_flags_attached_to_outcome():
     data, _ = bb.generate(bb.ScenarioConfig("h0m0", "A", T=80, seed=41))
     design = make_design(bb.scenario_model_spec(), data)
-    out = bootstrap_sup_test_design(
+    out = run_dataset_test(
         design, BootstrapConfig("wf", 39, 2), null_breaks=0, alt_breaks=1,
-        alphas=(0.10, 0.05),
-    )
+        alphas=(0.10, 0.05), rf_breaks=0,
+    )[0]
     assert set(out.levels_rejected) == {0.10, 0.05}
     assert 0.0 <= out.p_value <= 1.0
     assert len(out.boot_draws) == 39
@@ -288,18 +288,18 @@ def test_alpha_outside_unit_interval_is_a_config_error():
     design = make_design(bb.scenario_model_spec(), data)
     for alphas in ((1.5,), (0.10, 0.0), (-0.05,)):
         with pytest.raises(ConfigError):
-            bootstrap_sup_test_design(design, BootstrapConfig("wr", 9, 2), alphas=alphas)
+            run_dataset_test(design, BootstrapConfig("wr", 9, 2), alphas=alphas, rf_breaks=0)
 
 
 def test_seq_bootstrap_runs_and_is_deterministic():
     data, _ = bb.generate(bb.ScenarioConfig("h0m1", "A", T=120, seed=43))
     design = make_design(bb.scenario_model_spec(), data)
-    out1 = bootstrap_sup_test_design(
-        design, BootstrapConfig("wr", 19, 9), null_breaks=1, alt_breaks=2
-    )
-    out2 = bootstrap_sup_test_design(
-        design, BootstrapConfig("wr", 19, 9), null_breaks=1, alt_breaks=2
-    )
+    out1 = run_dataset_test(
+        design, BootstrapConfig("wr", 19, 9), null_breaks=1, alt_breaks=2, rf_breaks=0
+    )[0]
+    out2 = run_dataset_test(
+        design, BootstrapConfig("wr", 19, 9), null_breaks=1, alt_breaks=2, rf_breaks=0
+    )[0]
     np.testing.assert_array_equal(out1.boot_draws, out2.boot_draws)
     assert out1.argmax_regime in (1, 2)
 
@@ -307,10 +307,10 @@ def test_seq_bootstrap_runs_and_is_deterministic():
 def test_supf_bootstrap_variant():
     data, _ = bb.generate(bb.ScenarioConfig("h0m0", "A", T=80, seed=47))
     design = make_design(bb.scenario_model_spec(), data)
-    out = bootstrap_sup_test_design(
+    out = run_dataset_test(
         design, BootstrapConfig("wr", 39, 4), null_breaks=0, alt_breaks=1,
-        statistic="supf",
-    )
+        statistic="supf", rf_breaks=0,
+    )[0]
     assert out.statistic >= 0
     assert len(out.boot_draws) == 39
 
@@ -388,10 +388,10 @@ def test_bootstrap_distribution_covers_sample_statistic():
         data, _ = bb.generate(
             bb.ScenarioConfig("h0m0", "A", T=120, seed=derive_seed(71, j))
         )
-        out = bootstrap_sup_test_design(
+        out = run_dataset_test(
             make_design(spec, data), BootstrapConfig("wr", 199, 71, j),
-            null_breaks=0, alt_breaks=1,
-        )
+            null_breaks=0, alt_breaks=1, rf_breaks=0,
+        )[0]
         lo, hi = np.quantile(out.boot_draws, [0.005, 0.995])
         inside += int(lo <= out.statistic <= hi)
     assert inside >= 0.9 * reps
@@ -514,12 +514,13 @@ def test_slices_are_balanced_and_never_a_batch_of_one():
 
 
 @pytest.fixture(scope="module")
-def long_rf_stages():
-    """Both RF stages of an h1m1 design whose every scan is long enough
-    (candidates x rows above chunk_rows / 25) that its batch chunk, and with
-    it the scan's candidate blocks, are the same for 25 entries as for more."""
+def rf_stages():
+    """Pre-test stages of h1m1 designs: l = 0 and l = 1 at T = 120, whose
+    scans are short enough (candidates x rows below chunk_rows / 25) that
+    a slice's batch chunk is smaller than the whole batch's, and the long
+    stages l = 0 at T = 240 and l = 1 at T = 480."""
     stages = []
-    for T, level in ((240, 0), (480, 1)):
+    for T, level in ((120, 0), (120, 1), (240, 0), (480, 1)):
         data, _ = bb.generate(bb.ScenarioConfig("h1m1", "B", T=T, seed=7))
         design = make_design(bb.scenario_model_spec(), data)
         first = (_first_or_default(design, 0.15) if level == 0
@@ -529,22 +530,16 @@ def long_rf_stages():
 
 
 @pytest.mark.parametrize("B", [2, 49, 50, 51, 101])
-def test_sliced_rf_draws_equal_the_whole_batch(B, long_rf_stages):
-    # slicing a stage's samples moves no bit of a draw; a slice of one
-    # entry would take the scan's LU form and round differently.  (Where
-    # the batch size sets the chunk, the candidate blocks follow it, and
-    # their products round differently in the last bits.)
-    (design0, first0), (design1, first1) = long_rf_stages
-    for design, first, fn, whole_batch in (
-        (design0, first0, rf_case_i_draws,
-         lambda Y, W: np.max(_sup_case_i(Y, W, 1, 0.15, design0.spec.q)[1], axis=1)),
-        (design1, first1, rf_case_ii_draws,
-         lambda Y, W: _sup_case_ii(Y, W, first1.partition)[0]),
-    ):
+def test_sliced_rf_draws_equal_the_whole_batch(B, rf_stages):
+    # slicing a stage's samples moves no bit of a draw, also at T = 120,
+    # where a slice's batch chunk is smaller than the whole batch's: the
+    # scan's candidate blocks do not follow the chunk.  A slice of one
+    # entry would take the LU form and round differently.
+    for design, first in rf_stages:
         cfg = BootstrapConfig("wr", B, 5, 1)
-        whole = whole_batch(*_samples(design, cfg, None, first)[:2])
+        whole = _sup_case_ii(*_samples(design, cfg, None, first)[:2], first.partition)[0]
         assert np.all(np.isfinite(whole))
-        draws, fails = fn(design, first, cfg, stat=math.inf)
+        draws, fails = rf_case_ii_draws(design, first, cfg, stat=math.inf)
         assert fails == 0
         np.testing.assert_array_equal(draws, whole)
 

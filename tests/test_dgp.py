@@ -82,7 +82,7 @@ def test_determinism_bit_identical():
 def test_residual_identity_per_regime():
     # with g=0 the SE holds exactly with the regime-matched coefficients
     cfg = bb.ScenarioConfig("h0m1", "B", T=90, seed=5)
-    data, truth, u, v = bb.generate(cfg, return_errors=True)
+    data, truth = bb.generate(cfg)
     for t in range(2, data.T + 1):
         se = dgp._se_coef_at(truth, t)
         pred = (
@@ -91,12 +91,12 @@ def test_residual_identity_per_regime():
             + se[2] * data.r[t - 1, 0]
             + se[3] * data.y[t - 2]
         )
-        assert abs(data.y[t - 1] - pred - u[t - 1]) < 1e-10
+        assert abs(data.y[t - 1] - pred - truth.u[t - 1]) < 1e-10
 
 
 def test_rf_residual_identity():
     cfg = bb.ScenarioConfig("h1m0", "A", T=90, seed=5)
-    data, truth, u, v = bb.generate(cfg, return_errors=True)
+    data, truth = bb.generate(cfg)
     for t in range(2, data.T + 1):
         rf = dgp._rf_coef_at(truth, t)
         pred = (
@@ -105,7 +105,7 @@ def test_rf_residual_identity():
             + rf[5] * data.x[t - 2, 0]
             + rf[6] * data.y[t - 2]
         )
-        assert abs(data.x[t - 1, 0] - pred - v[t - 1]) < 1e-10
+        assert abs(data.x[t - 1, 0] - pred - truth.v[t - 1]) < 1e-10
 
 
 def test_case_b_standardisation():
@@ -149,7 +149,8 @@ def test_endogeneity_of_x():
     # x coefficient.  (Raw moments of levels are useless here because the
     # scenario parameters put a unit root in the companion matrix.)
     cfg = bb.ScenarioConfig("h0m0", "A", T=100_000, seed=11)
-    data, truth, u, v = bb.generate(cfg, return_errors=True)
+    data, truth = bb.generate(cfg)
+    u, v = truth.u, truth.v
     assert abs(np.corrcoef(v, u)[0, 1] - 0.5) < 0.02
     # OLS bias on the x coefficient: partialling the included regressors
     # out of x leaves roughly the r2..r4 loadings plus v, variance about
@@ -165,7 +166,7 @@ def test_endogeneity_of_x():
 def test_constant_unconditional_variance_cases_a_b():
     for case in ("A", "B"):
         cfg = bb.ScenarioConfig("h0m0", case, T=100_000, seed=13)
-        _, _, u, _ = bb.generate(cfg, return_errors=True)
+        u = bb.generate(cfg)[1].u
         half = len(u) // 2
         ratio = np.var(u[:half]) / np.var(u[half:])
         assert 0.9 < ratio < 1.1

@@ -14,6 +14,7 @@ from breakboot.estimation import (
     second_stage,
 )
 from breakboot.exceptions import ConfigError, DegenerateSSRError, InfeasiblePartitionError
+from breakboot.harness import test_dataset as run_dataset_test
 from breakboot.model import Dataset, Partition, no_breaks
 from breakboot.partition_search import (
     enumerate_partitions,
@@ -324,10 +325,11 @@ def test_scan_over_several_candidate_blocks_equals_the_batch_of_one(monkeypatch,
 
 
 def test_scan_inverts_each_shared_block_once_per_scan(monkeypatch):
-    # the shared block of each (block, regime) is inverted once, before the
-    # batch chunks: 8 entries scanned in one chunk or in four give the same
-    # count of shared-block solves and the same values.  k = 2 gives three
-    # regimes, and column 1 is resampled in every entry.
+    # each candidate regime's shared block is inverted once per scan, before
+    # the batch chunks, whatever the chunking: 8 entries scanned in one
+    # chunk or in four invert every (candidate, regime) block once and give
+    # the same values.  k = 2 gives three regimes, and column 1 is
+    # resampled in every entry.
     rng = np.random.default_rng(97)
     B, n, d, k = 8, 60, 4, 2
     Ws = np.repeat(np.column_stack([np.ones(n), rng.normal(size=(n, d - 1))])[None], B, axis=0)
@@ -352,8 +354,9 @@ def test_scan_inverts_each_shared_block_once_per_scan(monkeypatch):
         solves.clear()
         chunks.clear()
         runs.append(scan_partitions_batch(Y, Ws, parts, n, chunk_rows=chunk_rows))
-        assert solves == [len(parts)] * (k + 1)
-        assert chunks == ([B] if chunk_rows == 1_000_000 else [2] * 4)
+        n_blocks = len(solves) // (k + 1)
+        assert sum(solves) == len(parts) * (k + 1)
+        assert chunks == ([B] * n_blocks if chunk_rows == 1_000_000 else [2] * 4 * n_blocks)
     np.testing.assert_array_equal(runs[0][2], runs[1][2])
     assert runs[0][2].all()
     np.testing.assert_allclose(runs[0][0], runs[1][0], rtol=1e-10)
@@ -394,7 +397,8 @@ def test_sup_wald_seq_matches_independent_loop():
     v_hat = design.x - x_hat
     W = np.column_stack([x_hat, design.Z1])
     Wa = np.column_stack([design.x, design.Z1])
-    lam, _ = global_ssr_breaks(design, FirstStage(no_breaks(n), [delta], x_hat, v_hat), 1, eps)
+    lam, _ = global_ssr_breaks(design, FirstStage(no_breaks(n, eps, ml), [delta], x_hat, v_hat), 1,
+                               eps)
     best = -np.inf
     for a, bnd in lam.regimes():
         length = bnd - a + 1
@@ -441,7 +445,7 @@ def test_alternative_without_breaks_is_a_config_error():
     with pytest.raises(ConfigError):
         sup_f_design(design, k=0)
     with pytest.raises(ConfigError):
-        bb.bootstrap_sup_test_design(design, bb.BootstrapConfig("wr", 9, 0), alt_breaks=0)
+        run_dataset_test(design, bb.BootstrapConfig("wr", 9, 0), alt_breaks=0, rf_breaks=0)
 
 
 def test_f_at_arithmetic():
@@ -516,7 +520,7 @@ def test_sup_f_seq_scaling():
     delta = np.linalg.solve(Z.T @ Z, Z.T @ design.x)
     x_hat = Z @ delta
     W = np.column_stack([x_hat, design.Z1])
-    first = FirstStage(no_breaks(n), [delta], x_hat, design.x - x_hat)
+    first = FirstStage(no_breaks(n, eps, ml), [delta], x_hat, design.x - x_hat)
     lam, _ = global_ssr_breaks(design, first, 1, eps)
     d = spec.d_beta
     best = -np.inf
@@ -634,4 +638,4 @@ def test_default_first_stage_is_no_rf_breaks_without_a_search(monkeypatch):
     default = bb.sup_wald_design(design)
     assert default.statistic == given.statistic
     assert default.argmax_partition == given.argmax_partition
-    bb.bootstrap_sup_test_design(design, bb.BootstrapConfig("wr", 9, 0))
+    run_dataset_test(design, bb.BootstrapConfig("wr", 9, 0), rf_breaks=0)
