@@ -34,17 +34,18 @@ replications; reduced-form coefficients are re-estimated in every
 bootstrap sample.  The B samples of a test form one batch, scored by the
 same sup reductions as the sample statistic (see :mod:`breakboot.stats`).
 
-A test's p-value is an output, so the structural-equation draws score all
-B samples.  A reduced-form pre-test stage needs only to know whether its
-p-value exceeds ALPHA_SEQ, so its draws take the stage's sample statistic,
-stat, and score the B samples, built at once, in slices of about SLICE:
-they stop after the slice in which more than ALPHA_SEQ * B finite draws
-reach stat, when the p-value over every finite draw must exceed ALPHA_SEQ
-(the sequential stopping rule of Besag and Clifford).  They return the
-draws scored and the failures among them.  The failure cap keeps its
-full-B meaning: a stage raises once the failures it has seen exceed
+Every test scores its B samples, built at once, in slices of about
+SLICE, whose draws equal the whole batch's bit for bit.  A test's p-value
+is an output, so the structural-equation draws score every slice.  Only a
+reduced-form pre-test stage passes a finite stat, its sample statistic:
+it needs only to know whether its p-value exceeds ALPHA_SEQ, so its draws
+stop after the slice in which more than ALPHA_SEQ * B finite draws reach
+stat, when the p-value over every finite draw must exceed ALPHA_SEQ (the
+sequential stopping rule of Besag and Clifford).  A test returns the
+draws it scored and the failures among them.  The failure cap keeps its
+full-B meaning: a test raises once the failures it has seen exceed
 MAX_FAILURE_RATE * B, as a run that scores every draw would, and failures
-among the unscored draws go unseen.  stat=+inf, the default, scores all B.
+among the unscored draws go unseen.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from .stats import _sup_case_i, _sup_case_ii
 SCHEMES = ("wr", "wf")
 MAX_FAILURE_RATE = 0.05  # largest share of the B replications a test may lose
 ALPHA_SEQ = 0.05  # level of every reduced-form pre-test stage's test
-SLICE = 50  # about this many samples per slice of a pre-test stage
+SLICE = 50  # about this many samples per slice of a test's draws
 
 
 @dataclass(frozen=True)
@@ -262,30 +263,52 @@ def _samples(design: Design, cfg: BootstrapConfig, nu: np.ndarray | None,
     return yb.T.copy(), Wb, xb.transpose(2, 0, 1) - what
 
 
-def _check_failures(failures: int, B: int) -> None:
-    """Raise BootstrapFailureError when failures exceed MAX_FAILURE_RATE * B."""
-    if failures > MAX_FAILURE_RATE * B:
-        raise BootstrapFailureError(f"{failures} of {B} bootstrap replications failed")
+def _slices(B: int) -> list[slice]:
+    """The slices a test scores its B samples in: ceil(B / SLICE) of them,
+    whose sizes differ by at most one (the candidate blocks' split).
 
-
-def _draws(stats: np.ndarray) -> tuple[np.ndarray, int]:
-    """Finite bootstrap statistics and the count of failed replications.
-
-    stats holds one statistic per replication, B in all.  A replication
-    fails when its statistic is not finite; more than MAX_FAILURE_RATE * B
-    failures raise BootstrapFailureError.
+    Every slice holds at least min(B, 25) entries, so none is a batch of
+    one, which the scan would take in its LU form, unless B is 1.  The
+    scan blocks a batch's candidates by their count and rows alone, so a
+    slice's draws equal the whole batch's bit for bit.
     """
-    finite = np.isfinite(stats)
-    failures = int(np.sum(~finite))
-    _check_failures(failures, stats.size)
-    return stats[finite], failures
+    n = -(-B // SLICE)
+    return [slice(B * j // n, B * (j + 1) // n) for j in range(n)]
+
+
+def _draws(design: Design, fit: FirstStage | RegimeEstimates, cfg: BootstrapConfig,
+           nu: np.ndarray | None, stat: float, score) -> tuple[np.ndarray, int]:
+    """One test's draws, scored slice by slice until its decision is known.
+
+    score maps a slice's samples (Yb, Wb, v_hat_b) to one statistic per
+    entry; v_hat_b is None for the RF.  The B samples are built at once and
+    scored in the slices of :func:`_slices` until more than ALPHA_SEQ * B
+    finite draws reach stat (+inf scores all B).  A draw fails when its
+    statistic is not finite, and BootstrapFailureError is raised once the
+    failures seen exceed MAX_FAILURE_RATE * B (see the module docstring).
+    Returns the finite scored draws and the failures among them.
+    """
+    Yb, Wb, vb = _samples(design, cfg, nu, fit)
+    B = Yb.shape[0]
+    draws: list[np.ndarray] = []
+    failures = reached = 0
+    for sl in _slices(B):
+        vals = score(Yb[sl], Wb[sl], None if vb is None else vb[sl])
+        finite = np.isfinite(vals)
+        failures += int(np.sum(~finite))
+        if failures > MAX_FAILURE_RATE * B:
+            raise BootstrapFailureError(f"{failures} of {B} bootstrap replications failed")
+        draws.append(vals[finite])
+        reached += int(np.sum(draws[-1] >= stat))
+        if reached / B > ALPHA_SEQ:
+            break
+    return np.concatenate(draws), failures
 
 
 def case_i_draws(
     design: Design,
     est: RegimeEstimates,
     k: int,
-    eps: float,
     cfg: BootstrapConfig,
     *,
     statistic: str = "supwald",
@@ -295,11 +318,12 @@ def case_i_draws(
 
     Each replication re-runs the sample pipeline on its bootstrap data:
     first stage on the fixed RF regimes, second stage over the same grid,
-    and the robust blocks built from the re-estimated residuals.
+    whose trimming is est.se_partition's, and the robust blocks built from
+    the re-estimated residuals.
     """
-    Yb, Wb, _ = _samples(design, cfg, nu, est)
-    _, vals, _ = _sup_case_i(Yb, Wb, k, eps, design.spec.q, statistic=statistic)
-    return _draws(np.max(vals, axis=1))
+    trim, q = est.se_partition.trim, design.spec.q
+    return _draws(design, est, cfg, nu, math.inf, lambda Y, W, _: np.max(
+        _sup_case_i(Y, W, k, trim, q, statistic=statistic)[1], axis=1))
 
 
 def case_ii_draws(
@@ -316,48 +340,8 @@ def case_ii_draws(
     regime frame for every replication, and its min_len bounds the extra
     break.
     """
-    Yb, Wb, vb = _samples(design, cfg, nu, est)
-    best, *_ = _sup_case_ii(Yb, Wb, est.se_partition, statistic=statistic, v_rows=vb)
-    return _draws(best)
-
-
-def _slices(B: int) -> list[slice]:
-    """The slices a pre-test stage scores its B samples in: ceil(B / SLICE)
-    of them, whose sizes differ by at most one (the candidate blocks' split).
-
-    Every slice holds at least min(B, 25) entries, so none is a batch of
-    one, which the scan would take in its LU form, unless B is 1.  The
-    scan blocks a batch's candidates by their count and rows alone, so a
-    slice's draws equal the whole batch's bit for bit.
-    """
-    n = -(-B // SLICE)
-    return [slice(B * j // n, B * (j + 1) // n) for j in range(n)]
-
-
-def _rf_draws(design: Design, first: FirstStage, cfg: BootstrapConfig,
-              nu: np.ndarray | None, stat: float, score) -> tuple[np.ndarray, int]:
-    """One pre-test stage's draws, scored slice by slice until its decision is known.
-
-    score maps a slice's samples (Yb, Wb) to one statistic per entry.  The
-    B samples are built at once and scored in the slices of :func:`_slices`
-    until more than ALPHA_SEQ * B finite draws reach stat, with the
-    failure cap counted against the full B (see the module docstring).
-    Returns the finite scored draws and the failures among the scored ones.
-    """
-    Yb, Wb, _ = _samples(design, cfg, nu, first)
-    B = Yb.shape[0]
-    draws: list[np.ndarray] = []
-    failures = reached = 0
-    for sl in _slices(B):
-        vals = score(Yb[sl], Wb[sl])
-        finite = np.isfinite(vals)
-        failures += int(np.sum(~finite))
-        _check_failures(failures, B)
-        draws.append(vals[finite])
-        reached += int(np.sum(draws[-1] >= stat))
-        if reached / B > ALPHA_SEQ:
-            break
-    return np.concatenate(draws), failures
+    return _draws(design, est, cfg, nu, math.inf, lambda Y, W, v: _sup_case_ii(
+        Y, W, est.se_partition, statistic=statistic, v_rows=v)[0])
 
 
 def rf_case_i_draws(
@@ -368,18 +352,9 @@ def rf_case_i_draws(
     stat: float = math.inf,
     nu: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
-    """Bootstrap sup-Wald draws for no RF breaks against one, over the full
-    grid of the no-break first stage's trim.
-
-    These are :func:`rf_case_ii_draws` at l = 0, bit for bit, which the
-    pre-test runs instead.  The function stays only because the
-    benchmark's tracer (perfbench/tracer.py) binds it by name; it goes
-    with that name table (ROADMAP item 7).  stat is as in
-    :func:`rf_case_ii_draws`.
-    """
-    trim, q = first.partition.trim, design.spec.q
-    return _rf_draws(design, first, cfg, nu, stat,
-                     lambda Y, W: np.max(_sup_case_i(Y, W, 1, trim, q)[1], axis=1))
+    """:func:`rf_case_ii_draws` at l = 0, kept only as a name that
+    perfbench/tracer.py binds; no package code calls it (ROADMAP item 7)."""
+    return rf_case_ii_draws(design, first, cfg, stat=stat, nu=nu)
 
 
 def rf_case_ii_draws(
@@ -395,10 +370,10 @@ def rf_case_ii_draws(
     l is first.partition.k, which also keys the multiplier stream; the
     partition's min_len bounds the extra break.  stat is the stage's
     sample statistic, at which scoring may stop early (see
-    :func:`_rf_draws`); the default scores all B draws.
+    :func:`_draws`); the default scores all B draws.
     """
-    return _rf_draws(design, first, cfg, nu, stat,
-                     lambda Y, W: _sup_case_ii(Y, W, first.partition)[0])
+    return _draws(design, first, cfg, nu, stat,
+                  lambda Y, W, _: _sup_case_ii(Y, W, first.partition)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ Each setting has one name, its flag's long name.  :func:`_flag_values`
 converts a JSON object of such names as the same text on the command line
 would be.  ``--config`` supplies the verb's defaults, so explicit flags
 win; each ``--grid`` entry overrides the command line's values for one
-cell.  Exit codes: 0 success, 2 configuration error, 3 numerical failure
-cap exceeded.
+cell.  Exit codes: 0 success, 2 configuration error, 3 any other
+:class:`breakboot.exceptions.BreakbootError`, the failure cap included.
 """
 
 from __future__ import annotations

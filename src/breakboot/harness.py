@@ -76,6 +76,9 @@ class McConfig:
     keep_reps: bool = False
 
     def __post_init__(self):
+        dgp.ScenarioConfig(self.scenario, self.error_case, self.T, self.g)
+        if not 0 < self.eps < 0.5:
+            raise ConfigError(f"eps must lie in (0, 0.5), got {self.eps}")
         if self.N < 1 or self.B < 1:
             raise ConfigError("N and B must be >= 1")
         if self.test not in STATISTICS:
@@ -273,7 +276,7 @@ def test_dataset(
         outcome = sample_test(design, alt_breaks, eps, first)
         null_partition = no_breaks(n, eps, min_regime_length(n, eps, design.spec.q))
         est = fit_regimes(design, first, null_partition)
-        draws, failures = case_i_draws(design, est, alt_breaks, eps, boot, statistic=statistic)
+        draws, failures = case_i_draws(design, est, alt_breaks, boot, statistic=statistic)
     else:
         null_partition, _ = global_ssr_breaks(design, first, null_breaks, eps)
         outcome = sup_wald_seq_design(design, null_partition, first, statistic)

@@ -242,12 +242,11 @@ class Dataset:
                 cols = [c.strip() for c in next(reader)]
             except StopIteration:
                 raise ConfigError(f"{path}: empty file") from None
-            if not cols or cols[0] != "y":
-                raise ConfigError(f"{path}: header must start with 'y'")
             p1 = sum(1 for c in cols if re.fullmatch(r"x\d+", c))
-            p2 = sum(1 for c in cols if re.fullmatch(r"r\d+", c))
-            if 1 + p1 + p2 != len(cols):
-                raise ConfigError(f"{path}: header must be y,x1..xp1,r1..rp2")
+            if cols != ["y"] + [f"x{j}" for j in range(1, p1 + 1)] + [
+                    f"r{j}" for j in range(1, len(cols) - p1)]:
+                raise ConfigError(
+                    f"{path}: header must be y,x1..xp1,r1..rp2, got {','.join(cols)}")
             rows = []
             for lineno, row in enumerate(reader, start=2):
                 if not row:

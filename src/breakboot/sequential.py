@@ -36,9 +36,9 @@ from .bootstrap import (
 )
 from .estimation import Design, FirstStage
 from .exceptions import SingularMiddleError
-from .model import Partition
-from .partition_search import rf_break_grid_and_fit
-from .stats import _first_or_default, _sup_case_i, _sup_case_ii
+from .model import Partition, no_breaks
+from .partition_search import min_regime_length, rf_break_grid_and_fit
+from .stats import _first_or_default, _sup_case_ii
 
 MAX_BREAKS = 2  # the pre-test's break cap: it runs stages 0 .. MAX_BREAKS - 1
 
@@ -54,18 +54,11 @@ class SequentialResult:
 
 
 def rf_sup_wald(design: Design, eps: float = 0.15) -> float:
-    """Sample sup-Wald for no RF breaks against one, over the full grid of
-    trimming eps.
-
-    This is :func:`rf_sup_wald_seq` on the no-break first stage's
-    partition, bit for bit, which the pre-test runs instead.  The function
-    stays only because the benchmark's tracer (perfbench/tracer.py) binds
-    it by name; it goes with that name table (ROADMAP item 7).
-    """
-    _, vals, _ = _sup_case_i(design.x[None], design.Z[None], 1, eps, design.spec.q)
-    if not np.any(np.isfinite(vals)):
-        raise SingularMiddleError("every candidate partition failed")
-    return float(np.max(vals[0]))
+    """:func:`rf_sup_wald_seq` on the no-break partition of trimming eps,
+    kept only as a name that perfbench/tracer.py binds; no package code
+    calls it (ROADMAP item 7)."""
+    n = design.n
+    return rf_sup_wald_seq(design, no_breaks(n, eps, min_regime_length(n, eps, design.spec.q)))
 
 
 def rf_sup_wald_seq(design: Design, null_partition: Partition) -> float:

@@ -16,6 +16,7 @@ from breakboot.bootstrap import (
     _samples,
     _slices,
     case_i_draws,
+    case_ii_draws,
     pvalue_and_quantile,
     rf_case_i_draws,
     rf_case_ii_draws,
@@ -165,8 +166,7 @@ def test_b1_identity_bootstrap_equals_sample_statistic():
     nu1 = np.ones((design.n, 1))
     for scheme in ("wr", "wf"):
         draws, fails = case_i_draws(
-            design, est, 1, 0.15,
-            BootstrapConfig(scheme, 1, 0, 1), nu=nu1,
+            design, est, 1, BootstrapConfig(scheme, 1, 0, 1), nu=nu1,
         )
         assert fails == 0
         sample = bb.sup_wald_design(design, k=1)
@@ -214,14 +214,32 @@ def test_same_multiplier_for_u_and_v():
     )
 
 
-def test_failure_cap_enforced():
-    from breakboot.bootstrap import _draws
+def test_failure_cap_enforced(monkeypatch):
+    import breakboot.bootstrap as bootstrap_module
     from breakboot.exceptions import BootstrapFailureError
 
-    draws, failures = _draws(np.array([1.0] * 96 + [np.nan] * 4))
+    data, _ = bb.generate(bb.ScenarioConfig("h0m0", "A", T=61, seed=31))
+    design, est = null_estimates(bb.scenario_model_spec(), data)
+
+    def scripted_draws(values):
+        # case_i_draws of a 100-draw test whose scan returns values, slice
+        # by slice in order
+        scored = []
+
+        def scan(Y, W, k, trim, q, *, statistic):
+            start = sum(scored)
+            scored.append(Y.shape[0])
+            return None, values[start:start + Y.shape[0], None], None
+
+        monkeypatch.setattr(bootstrap_module, "_sup_case_i", scan)
+        out = case_i_draws(design, est, 1, BootstrapConfig("wr", 100, 0, 1))
+        assert sum(scored) == 100
+        return out
+
+    draws, failures = scripted_draws(np.array([1.0] * 96 + [np.nan] * 4))
     assert failures == 4 and len(draws) == 96
     with pytest.raises(BootstrapFailureError):
-        _draws(np.array([1.0] * 94 + [np.nan] * 6))
+        scripted_draws(np.array([1.0] * 94 + [np.nan] * 6))
 
 
 def test_pvalue_order_statistic_rules():
@@ -542,6 +560,42 @@ def test_sliced_rf_draws_equal_the_whole_batch(B, rf_stages):
         draws, fails = rf_case_ii_draws(design, first, cfg, stat=math.inf)
         assert fails == 0
         np.testing.assert_array_equal(draws, whole)
+
+
+@pytest.fixture(scope="module")
+def se_tests():
+    """Null-imposed fits of an h1m1 design at T = 120: no breaks, the
+    case-(i) null, and one break at its SSR-minimising location, the
+    case-(ii) null."""
+    data, _ = bb.generate(bb.ScenarioConfig("h1m1", "B", T=120, seed=7))
+    design, est0 = null_estimates(bb.scenario_model_spec(), data)
+    first = est0.first
+    part1, _ = global_ssr_breaks(design, first, 1, 0.15)
+    return design, est0, fit_regimes(design, first, part1)
+
+
+@pytest.mark.parametrize("B", [2, 49, 50, 51, 101])
+def test_sliced_se_draws_equal_the_whole_batch(B, se_tests):
+    # the structural-equation draws, scored in slices, equal one scan of
+    # the whole batch bit for bit, under both schemes and statistics
+    design, est0, est1 = se_tests
+    for scheme in ("wr", "wf"):
+        cfg = BootstrapConfig(scheme, B, 5, 1)
+        for statistic in STATISTICS:
+            Yb, Wb, _ = _samples(design, cfg, None, est0)
+            whole = np.max(_sup_case_i(Yb, Wb, 1, 0.15, design.spec.q,
+                                       statistic=statistic)[1], axis=1)
+            assert np.all(np.isfinite(whole))
+            draws, fails = case_i_draws(design, est0, 1, cfg, statistic=statistic)
+            assert fails == 0
+            np.testing.assert_array_equal(draws, whole)
+            Yb, Wb, vb = _samples(design, cfg, None, est1)
+            whole = _sup_case_ii(Yb, Wb, est1.se_partition, statistic=statistic,
+                                 v_rows=vb)[0]
+            assert np.all(np.isfinite(whole))
+            draws, fails = case_ii_draws(design, est1, cfg, statistic=statistic)
+            assert fails == 0
+            np.testing.assert_array_equal(draws, whole)
 
 
 def scripted_rf_stage(monkeypatch, values, stat):

@@ -267,6 +267,31 @@ def test_cli_table_unknown_grid_key_exit_2(tmp_path):
         assert not out.exists()
 
 
+def test_cli_table_checks_every_cell_before_the_output_opens(tmp_path, capsys):
+    # a cell out of range used to be caught at its turn, after the cells
+    # before it had run and written their rows
+    out = tmp_path / "table.csv"
+    for bad in ({"T": 30}, {"eps": 0.5}, {"eps": 0}, {"g": "nan"}):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps([{"T": 60}, bad]))
+        rc = cli_main(["table", "--grid", str(grid), "--N", "1", "--B", "9", "--out", str(out)])
+        assert rc == 2, bad
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_cli_other_library_errors_exit_3(tmp_path, capsys):
+    # exit 3 is every library error that is not a configuration error,
+    # not only the failure cap
+    data, _ = bb.generate(bb.ScenarioConfig("h0m0", "A", T=60, seed=7))
+    data_path, spec_path = tmp_path / "d.csv", tmp_path / "spec.json"
+    data.to_csv(str(data_path))
+    bb.scenario_model_spec().to_json(str(spec_path))
+    assert cli_main(["test", "--data", str(data_path), "--spec", str(spec_path), "--B", "9",
+                     "--rf-breaks", "0", "--alt-breaks", "5"]) == 3
+    assert "no admissible 5-break partition" in capsys.readouterr().err
+
+
 def test_cli_simulate_writes_rows(tmp_path):
     out = tmp_path / "cell.csv"
     rc = cli_main([

@@ -116,9 +116,11 @@ def test_dataset_csv_round_trip(tmp_path):
 
 def test_dataset_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("a,b\n1,2\n")
-    with pytest.raises(ConfigError):
-        Dataset.from_csv(str(path))
+    for header in ("a,b", "y,r1,x1", "y,x2,r1", "y,x1,r2", "y,x1,z1,r1"):
+        # a reordered header used to load r1's column as x1
+        path.write_text(header + "\n" + ",".join(["1"] * len(header.split(","))) + "\n")
+        with pytest.raises(ConfigError, match="header must be"):
+            Dataset.from_csv(str(path))
 
 
 def test_dataset_csv_without_data_rows_is_a_config_error(tmp_path):
