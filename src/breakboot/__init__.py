@@ -1,13 +1,7 @@
 """Bootstrap sup-Wald and sup-F tests for multiple structural breaks in
 linear models estimated by two-stage least squares."""
 
-from .bootstrap import (
-    BootstrapConfig,
-    MultiplierStream,
-    pvalue_and_quantile,
-    wf_generate,
-    wr_generate,
-)
+from .bootstrap import BootstrapConfig, MultiplierStream, bootstrap_dataset, pvalue_and_quantile
 from .dgp import ScenarioConfig, ScenarioTruth, draw_errors, generate, scenario_model_spec
 from .estimation import (
     FirstStage,

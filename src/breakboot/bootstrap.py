@@ -23,9 +23,10 @@ instrument rows, and every draw's first stage solves the same regime
 Grams.
 
 Replication b of Monte Carlo repetition j draws its multipliers from the
-stream seeded by derive_seed(master_seed, j, STREAM_NU, b); reduced-form
-pre-test stages use STREAM_NU_RF with the stage's null break count
-appended.  Every sample is built from one fit: a
+stream seeded by derive_seed(master_seed, j, STREAM_NU, b); a reduced-form
+pre-test stage's stream is keyed by its null break count, which selects
+STREAM_NU_RF and is appended: derive_seed(master_seed, j, STREAM_NU_RF,
+l, b).  Every sample is built from one fit: a
 :class:`breakboot.estimation.FirstStage` for the reduced form, or the
 :class:`breakboot.estimation.RegimeEstimates` of a null-imposed model,
 which holds the first stage the test fitted once.  The number and location
@@ -34,18 +35,18 @@ replications; reduced-form coefficients are re-estimated in every
 bootstrap sample.  The B samples of a test form one batch, scored by the
 same sup reductions as the sample statistic (see :mod:`breakboot.stats`).
 
-Every test scores its B samples, built at once, in slices of about
-SLICE, whose draws equal the whole batch's bit for bit.  A test's p-value
-is an output, so the structural-equation draws score every slice.  Only a
+A test builds its B samples at once.  A test's p-value is an output, so
+the structural-equation draws score the whole batch in one scan.  Only a
 reduced-form pre-test stage passes a finite stat, its sample statistic:
-it needs only to know whether its p-value exceeds ALPHA_SEQ, so its draws
-stop after the slice in which more than ALPHA_SEQ * B finite draws reach
-stat, when the p-value over every finite draw must exceed ALPHA_SEQ (the
-sequential stopping rule of Besag and Clifford).  A test returns the
-draws it scored and the failures among them.  The failure cap keeps its
-full-B meaning: a test raises once the failures it has seen exceed
-MAX_FAILURE_RATE * B, as a run that scores every draw would, and failures
-among the unscored draws go unseen.
+it needs only to know whether its p-value exceeds ALPHA_SEQ, so it scores
+in slices of about SLICE, whose draws equal the whole batch's bit for
+bit, and stops after the slice in which more than ALPHA_SEQ * B finite
+draws reach stat, when the p-value over every finite draw must exceed
+ALPHA_SEQ (the sequential stopping rule of Besag and Clifford).  A test
+returns the draws it scored and the failures among them.  The failure cap
+keeps its full-B meaning: a test raises once the failures it has seen
+exceed MAX_FAILURE_RATE * B, as a run that scores every draw would, and
+failures among the unscored draws go unseen.
 """
 
 from __future__ import annotations
@@ -55,16 +56,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import Design, FirstStage, RegimeEstimates, _regime_fit, make_design
+from .estimation import Design, FirstStage, RegimeEstimates, _regime_fit
 from .exceptions import BootstrapFailureError, ConfigError, EmptyDrawsError
-from .model import Dataset, ModelSpec, Partition
+from .model import Dataset, Partition
 from .rng import STREAM_NU, STREAM_NU_RF, generator, rademacher
 from .stats import _sup_case_i, _sup_case_ii
 
 SCHEMES = ("wr", "wf")
 MAX_FAILURE_RATE = 0.05  # largest share of the B replications a test may lose
 ALPHA_SEQ = 0.05  # level of every reduced-form pre-test stage's test
-SLICE = 50  # about this many samples per slice of a test's draws
+SLICE = 50  # about this many samples per slice of a pre-test stage's draws
 
 
 @dataclass(frozen=True)
@@ -88,17 +89,18 @@ DEFAULT_BOOT = BootstrapConfig("wr", 399, 0)  # WR, B = 399, master seed 0, rep_
 
 @dataclass(frozen=True)
 class MultiplierStream:
-    """Rademacher multipliers keyed by (master_seed, rep_index, b)."""
+    """Rademacher multipliers keyed by (master_seed, rep_index, b): the
+    structural-equation stream STREAM_NU, or, when stage is a pre-test
+    stage's null break count, the reduced-form stream STREAM_NU_RF."""
 
     master_seed: int
     rep_index: int
-    purpose: int = STREAM_NU
     stage: int | None = None
 
     def _parts(self, b: int) -> tuple[int, ...]:
         if self.stage is None:
-            return (self.rep_index, self.purpose, b)
-        return (self.rep_index, self.purpose, self.stage, b)
+            return (self.rep_index, STREAM_NU, b)
+        return (self.rep_index, STREAM_NU_RF, self.stage, b)
 
     def column(self, n: int, b: int) -> np.ndarray:
         """Multipliers for bootstrap replication b (1-based)."""
@@ -182,37 +184,26 @@ def _paths(design: Design, fit: FirstStage | RegimeEstimates, nu: np.ndarray, *,
     return x_hist[lag:], Zb if live else design.Z, None if est is None else y_hist[lag:]
 
 
-def _generate(spec: ModelSpec, data: Dataset, est: RegimeEstimates, nu: np.ndarray,
-              recursive: bool) -> Dataset:
-    design = make_design(spec, data)
-    nu = np.asarray(nu, dtype=np.float64)[:, None]
-    xb, _, yb = _paths(design, est, nu, recursive=recursive)
-    lag = spec.max_lag
+def bootstrap_dataset(
+    design: Design,
+    estimates: RegimeEstimates,
+    cfg: BootstrapConfig,
+    nu: np.ndarray,
+) -> Dataset:
+    """One bootstrap dataset from null-imposed estimates, by cfg.scheme.
+
+    nu (n,) holds the multipliers of the effective rows; the first max_lag
+    rows are the sample's start-up values.  cfg's B and seed path are not
+    read: nu is given.
+    """
+    data, lag = design.data, design.spec.max_lag
+    xb, _, yb = _paths(design, estimates, np.asarray(nu, dtype=np.float64)[:, None],
+                       recursive=cfg.scheme == "wr")
     return Dataset(
         y=np.concatenate([data.y[:lag], yb[:, 0]]),
         x=np.concatenate([data.x[:lag], xb[:, :, 0]]),
         r=data.r.copy(),
     )
-
-
-def wr_generate(
-    spec: ModelSpec,
-    data: Dataset,
-    estimates: RegimeEstimates,
-    nu: np.ndarray,
-) -> Dataset:
-    """One wild-recursive bootstrap dataset from null-imposed estimates."""
-    return _generate(spec, data, estimates, nu, recursive=True)
-
-
-def wf_generate(
-    spec: ModelSpec,
-    data: Dataset,
-    estimates: RegimeEstimates,
-    nu: np.ndarray,
-) -> Dataset:
-    """One wild-fixed bootstrap dataset from null-imposed estimates."""
-    return _generate(spec, data, estimates, nu, recursive=False)
 
 
 def _first_stage_batch(Zb, xb, partition: Partition):
@@ -246,11 +237,8 @@ def _samples(design: Design, cfg: BootstrapConfig, nu: np.ndarray | None,
     n, spec = design.n, design.spec
     rf = isinstance(fit, FirstStage)
     if nu is None:
-        stream = (
-            MultiplierStream(cfg.master_seed, cfg.rep_index, STREAM_NU_RF, fit.partition.k) if rf
-            else MultiplierStream(cfg.master_seed, cfg.rep_index)
-        )
-        nu = stream.matrix(n, cfg.B)
+        stage = fit.partition.k if rf else None
+        nu = MultiplierStream(cfg.master_seed, cfg.rep_index, stage).matrix(n, cfg.B)
     xb, Zb, yb = _paths(design, fit, nu, recursive=cfg.scheme == "wr")
     B = nu.shape[1]
     if rf:
@@ -264,8 +252,8 @@ def _samples(design: Design, cfg: BootstrapConfig, nu: np.ndarray | None,
 
 
 def _slices(B: int) -> list[slice]:
-    """The slices a test scores its B samples in: ceil(B / SLICE) of them,
-    whose sizes differ by at most one (the candidate blocks' split).
+    """The slices a pre-test stage scores its B samples in: ceil(B / SLICE)
+    of them, whose sizes differ by at most one (the candidate blocks' split).
 
     Every slice holds at least min(B, 25) entries, so none is a batch of
     one, which the scan would take in its LU form, unless B is 1.  The
@@ -281,9 +269,10 @@ def _draws(design: Design, fit: FirstStage | RegimeEstimates, cfg: BootstrapConf
     """One test's draws, scored slice by slice until its decision is known.
 
     score maps a slice's samples (Yb, Wb, v_hat_b) to one statistic per
-    entry; v_hat_b is None for the RF.  The B samples are built at once and
-    scored in the slices of :func:`_slices` until more than ALPHA_SEQ * B
-    finite draws reach stat (+inf scores all B).  A draw fails when its
+    entry; v_hat_b is None for the RF.  The B samples are built at once.
+    stat = +inf scores them as one slice, so each scan's setup runs once;
+    a finite stat scores the slices of :func:`_slices` until more than
+    ALPHA_SEQ * B finite draws reach it.  A draw fails when its
     statistic is not finite, and BootstrapFailureError is raised once the
     failures seen exceed MAX_FAILURE_RATE * B (see the module docstring).
     Returns the finite scored draws and the failures among them.
@@ -292,7 +281,7 @@ def _draws(design: Design, fit: FirstStage | RegimeEstimates, cfg: BootstrapConf
     B = Yb.shape[0]
     draws: list[np.ndarray] = []
     failures = reached = 0
-    for sl in _slices(B):
+    for sl in _slices(B) if math.isfinite(stat) else [slice(0, B)]:
         vals = score(Yb[sl], Wb[sl], None if vb is None else vb[sl])
         finite = np.isfinite(vals)
         failures += int(np.sum(~finite))
@@ -318,12 +307,12 @@ def case_i_draws(
 
     Each replication re-runs the sample pipeline on its bootstrap data:
     first stage on the fixed RF regimes, second stage over the same grid,
-    whose trimming is est.se_partition's, and the robust blocks built from
+    whose min_len is est.se_partition's, and the robust blocks built from
     the re-estimated residuals.
     """
-    trim, q = est.se_partition.trim, design.spec.q
+    min_len = est.se_partition.min_len
     return _draws(design, est, cfg, nu, math.inf, lambda Y, W, _: np.max(
-        _sup_case_i(Y, W, k, trim, q, statistic=statistic)[1], axis=1))
+        _sup_case_i(Y, W, k, min_len, statistic=statistic)[1], axis=1))
 
 
 def case_ii_draws(

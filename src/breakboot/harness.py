@@ -29,7 +29,6 @@ import numpy as np
 from . import dgp
 from .bootstrap import (
     DEFAULT_BOOT,
-    SCHEMES,
     BootstrapConfig,
     _check_alphas,
     case_i_draws,
@@ -76,16 +75,13 @@ class McConfig:
     keep_reps: bool = False
 
     def __post_init__(self):
-        dgp.ScenarioConfig(self.scenario, self.error_case, self.T, self.g)
+        scenario = dgp.ScenarioConfig(self.scenario, self.error_case, self.T, self.g)
         if not 0 < self.eps < 0.5:
             raise ConfigError(f"eps must lie in (0, 0.5), got {self.eps}")
-        if self.N < 1 or self.B < 1:
-            raise ConfigError("N and B must be >= 1")
-        if self.test not in STATISTICS:
-            raise ConfigError("test must be 'supwald' or 'supf'")
-        if self.scheme not in SCHEMES:
-            raise ConfigError("scheme must be 'wr' or 'wf'")
-        _check_alphas(self.alphas)
+        if self.N < 1:
+            raise ConfigError("N must be >= 1")
+        BootstrapConfig(self.scheme, self.B, self.master_seed)
+        _check_test(self.test, scenario.m, scenario.m + 1, self.alphas)
         if any(a <= b for a, b in zip(self.alphas, self.alphas[1:])):
             raise ConfigError("alphas must be strictly decreasing")
         if self.threads < 1:
@@ -114,20 +110,20 @@ def _replication(args: tuple[int, McConfig]) -> dict:
     """Run one Monte Carlo replication, test_dataset on replication j's data;
     self-contained for worker processes."""
     j, cfg = args
-    data, _ = dgp.generate(dgp.ScenarioConfig(
+    scenario = dgp.ScenarioConfig(
         scenario=cfg.scenario, error_case=cfg.error_case, T=cfg.T, g=cfg.g,
         seed=derive_seed(cfg.master_seed, j),
-    ))
-    h_true, m_true = int(cfg.scenario[1]), int(cfg.scenario[3])
+    )
+    data, _ = dgp.generate(scenario)
     outcome, _ = test_dataset(
         make_design(dgp.scenario_model_spec(), data),
         BootstrapConfig(cfg.scheme, cfg.B, cfg.master_seed, j),
-        null_breaks=m_true,
-        alt_breaks=m_true + 1,
+        null_breaks=scenario.m,
+        alt_breaks=scenario.m + 1,
         statistic=cfg.test,
         eps=cfg.eps,
         alphas=cfg.alphas,
-        rf_breaks="auto" if h_true else 0,
+        rf_breaks="auto" if scenario.h else 0,
     )
     return {
         "j": j,
@@ -246,10 +242,10 @@ def test_dataset(
 
     rf_breaks="auto" runs the sequential RF pre-test first, with the same
     bootstrap settings, and keeps its stopping stage's first stage; an
-    integer imposes that many RF breaks at their SSR-estimated locations,
-    0 none.  That one first stage is what the sample statistic, the null
-    partition, the null fit and the B samples all read, and the outcome
-    records its partition in rf_partition.  The statistic, break counts
+    integer, not a bool, imposes that many RF breaks at their SSR-estimated
+    locations, 0 none.  That one first stage is what the sample statistic,
+    the null partition, the null fit and the B samples all read, and the
+    outcome records its partition in rf_partition.  The statistic, break counts
     and levels are checked before any work runs, the pre-test included.
     """
     _check_test(statistic, null_breaks, alt_breaks, alphas)
@@ -263,7 +259,7 @@ def test_dataset(
             f"{stat:.6f}, p-value {p:.4f} over {scored} of B={boot.B} draws scored"
             for level, stat, p, scored in seq.trail
         ]
-    elif isinstance(rf_breaks, int) and rf_breaks >= 0:
+    elif isinstance(rf_breaks, int) and not isinstance(rf_breaks, bool) and rf_breaks >= 0:
         first = (rf_break_grid_and_fit(design, rf_breaks, eps) if rf_breaks > 0
                  else _first_or_default(design, eps))
         rf_note = f"{rf_breaks} RF break(s) imposed"

@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -58,23 +57,16 @@ class AdmissibleGrid:
         free = self.T_eff - (self.k + 1) * self.min_len
         return math.comb(free + self.k, self.k)
 
-    def _offsets(self) -> Iterator[tuple[int, ...]]:
-        """The nondecreasing k-tuples c over 0..free, in lexicographic order."""
-        free = self.T_eff - (self.k + 1) * self.min_len
-        return itertools.combinations_with_replacement(range(free + 1), self.k)
-
-    def candidates(self) -> Iterator[tuple[int, ...]]:
-        """Yield break tuples in lexicographic order; k=0 yields ().
+    def as_array(self) -> np.ndarray:
+        """The break tuples as an int array of shape (count, k), in
+        lexicographic order.
 
         Break i (0-based) is (i + 1) * min_len + c_i over the nondecreasing
-        offsets c, so every regime is at least min_len rows long.
+        offsets c in 0..free, so every regime is at least min_len rows long.
         """
-        for c in self._offsets():
-            yield tuple((i + 1) * self.min_len + ci for i, ci in enumerate(c))
-
-    def as_array(self) -> np.ndarray:
-        """Materialise candidates as an int array of shape (count, k)."""
-        out = np.fromiter(itertools.chain.from_iterable(self._offsets()),
+        free = self.T_eff - (self.k + 1) * self.min_len
+        offsets = itertools.combinations_with_replacement(range(free + 1), self.k)
+        out = np.fromiter(itertools.chain.from_iterable(offsets),
                           dtype=np.int64, count=self.count * self.k)
         return out.reshape(self.count, self.k) + self.min_len * np.arange(1, self.k + 1)
 
@@ -138,6 +130,18 @@ def dp_breaks(table: np.ndarray, k: int) -> tuple[tuple[int, ...], float]:
     return tuple(breaks), float(total)
 
 
+def _ssr_partition(design: Design, y: np.ndarray, X: np.ndarray, n_breaks: int,
+                   eps: float) -> tuple[Partition, float]:
+    """The partition of design's rows that minimises the SSR of y on X over
+    n_breaks admissible breaks at trimming eps, and that SSR."""
+    if n_breaks < 0:
+        raise InfeasiblePartitionError(f"the break count must be >= 0, got {n_breaks}")
+    n = design.n
+    min_len = min_regime_length(n, eps, design.spec.q)
+    breaks, ssr = dp_breaks(segment_ssr_table(y, X, min_len), n_breaks)
+    return Partition(breaks, n, eps, min_len), ssr
+
+
 def global_ssr_breaks(
     design: Design, first: FirstStage, n_breaks: int, eps: float
 ) -> tuple[Partition, float]:
@@ -147,12 +151,8 @@ def global_ssr_breaks(
     stage first, whose RF partition stays fixed during the search.  With
     n_breaks = l >= 1 this is the null partition of an l-against-l+1 test.
     """
-    n = design.n
-    min_len = min_regime_length(n, eps, design.spec.q)
-    W = np.column_stack([first.x_hat, design.Z1])
-    table = segment_ssr_table(design.y, W, min_len)
-    breaks, ssr = dp_breaks(table, n_breaks)
-    return Partition(breaks, n, eps, min_len), ssr
+    return _ssr_partition(design, design.y, np.column_stack([first.x_hat, design.Z1]),
+                          n_breaks, eps)
 
 
 def rf_break_grid_and_fit(design: Design, h: int, eps: float) -> FirstStage:
@@ -160,10 +160,4 @@ def rf_break_grid_and_fit(design: Design, h: int, eps: float) -> FirstStage:
 
     Returns the first stage fitted on the h-break partition.
     """
-    if h < 0:
-        raise InfeasiblePartitionError("h must be >= 0")
-    n = design.n
-    min_len = min_regime_length(n, eps, design.spec.q)
-    table = segment_ssr_table(design.x, design.Z, min_len)
-    breaks, _ = dp_breaks(table, h)
-    return first_stage(design, Partition(breaks, n, eps, min_len))
+    return first_stage(design, _ssr_partition(design, design.x, design.Z, h, eps)[0])

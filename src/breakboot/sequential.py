@@ -25,8 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .bootstrap import (
     ALPHA_SEQ,
     DEFAULT_BOOT,
@@ -35,10 +33,9 @@ from .bootstrap import (
     rf_case_ii_draws,
 )
 from .estimation import Design, FirstStage
-from .exceptions import SingularMiddleError
 from .model import Partition, no_breaks
 from .partition_search import min_regime_length, rf_break_grid_and_fit
-from .stats import _first_or_default, _sup_case_ii
+from .stats import _first_or_default, _seq_outcome, _sup_case_ii
 
 MAX_BREAKS = 2  # the pre-test's break cap: it runs stages 0 .. MAX_BREAKS - 1
 
@@ -65,10 +62,8 @@ def rf_sup_wald_seq(design: Design, null_partition: Partition) -> float:
     """Sample one-more-break sup-Wald within the regimes of null_partition,
     whose min_len bounds the extra break; a no-break null_partition gives
     no RF breaks against one."""
-    best, *_ = _sup_case_ii(design.x[None], design.Z[None], null_partition)
-    if not np.isfinite(best[0]):
-        raise SingularMiddleError("every within-regime candidate failed")
-    return float(best[0])
+    return _seq_outcome(null_partition,
+                        *_sup_case_ii(design.x[None], design.Z[None], null_partition)).statistic
 
 
 def estimate_rf_breaks_design(

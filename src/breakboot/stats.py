@@ -45,7 +45,7 @@ from .exceptions import (
     SingularMiddleError,
 )
 from .model import Partition, no_breaks
-from .partition_search import enumerate_partitions, min_regime_length
+from .partition_search import AdmissibleGrid, min_regime_length
 
 STATISTICS = ("supwald", "supf")
 
@@ -226,8 +226,9 @@ def restricted_fit_batch(Y: np.ndarray, Ws: np.ndarray) -> tuple[np.ndarray, np.
 # ---------------------------------------------------------------------------
 
 
-def _sup_case_i(Y, Ws, k, eps, q, *, statistic="supwald"):
-    """Case (i) values at every candidate of the full k-break grid.
+def _sup_case_i(Y, Ws, k, min_len, *, statistic="supwald"):
+    """Case (i) values at every candidate of the full k-break grid, whose
+    regimes are at least min_len rows long.
 
     Y is (B, n) or (B, n, py) and Ws (B, n, d) over the whole effective
     sample; statistic is "supwald" or "supf".  The score is each
@@ -235,7 +236,7 @@ def _sup_case_i(Y, Ws, k, eps, q, *, statistic="supwald"):
     ok (B, m)); a failed candidate holds -inf.
     """
     _, n, d = Ws.shape
-    parts = enumerate_partitions(n, k, eps, q).as_array()
+    parts = AdmissibleGrid(n, k, min_len).as_array()
     if statistic == "supf":
         _, ssr0 = restricted_fit_batch(Y, Ws)
         _, ssr, ok = scan_partitions_batch(Y, Ws, parts, n, compute_wald=False)
@@ -327,16 +328,17 @@ def _first_or_default(design: Design, eps: float, first: FirstStage | None = Non
 def _case_i_outcome(design, k, eps, first, statistic):
     if k < 1:
         raise ConfigError(f"the alternative needs at least one break, got {k}")
-    n, q = design.n, design.spec.q
+    n = design.n
+    min_len = min_regime_length(n, eps, design.spec.q)
     W = np.column_stack([_first_or_default(design, eps, first).x_hat, design.Z1])
-    parts, vals, ok = _sup_case_i(design.y[None], W[None], k, eps, q, statistic=statistic)
+    parts, vals, ok = _sup_case_i(design.y[None], W[None], k, min_len, statistic=statistic)
     if not np.any(np.isfinite(vals)):
         error = DegenerateSSRError if statistic == "supf" else SingularMiddleError
         raise error("every candidate partition failed")
     idx = int(np.argmax(vals[0]))
     return TestOutcome(
         statistic=float(vals[0, idx]),
-        argmax_partition=Partition(tuple(parts[idx]), n, eps, min_regime_length(n, eps, q)),
+        argmax_partition=Partition(tuple(parts[idx]), n, eps, min_len),
         skipped_candidates=int(np.sum(~ok)),
     )
 

@@ -20,12 +20,7 @@ import numpy as np
 import pytest
 
 import breakboot as bb
-from breakboot.bootstrap import (
-    BootstrapConfig,
-    pvalue_and_quantile,
-    wf_generate,
-    wr_generate,
-)
+from breakboot.bootstrap import BootstrapConfig, bootstrap_dataset, pvalue_and_quantile
 from breakboot.estimation import first_stage, fit_regimes, make_design, second_stage
 from breakboot.harness import McConfig, run_cell
 from breakboot.harness import test_dataset as run_dataset_test
@@ -247,8 +242,8 @@ def test_criterion_7b_identity_multiplier():
     ones = np.ones(n)
     scale = 1.0 + float(np.abs(data.y).max())
     worst = 0.0
-    for gen in (wr_generate, wf_generate):
-        bd = gen(spec, data, est, ones)
+    for scheme in ("wr", "wf"):
+        bd = bootstrap_dataset(design, est, BootstrapConfig(scheme, 1, 0), ones)
         worst = max(
             worst,
             float(np.abs(bd.y - data.y).max()) / scale,
@@ -299,7 +294,7 @@ def test_criterion_7d_f_identity():
         x_hat = first_stage(design, part0).x_hat
         W = np.column_stack([x_hat, design.Z1])
         grid = enumerate_partitions(n, 1, 0.15, spec.q)
-        cands = list(grid.candidates())
+        cands = grid.as_array().tolist()
         (c,) = cands[int(rng.integers(0, len(cands)))]
         part = Partition((c,), n, 0.15, grid.min_len)
         fit0 = second_stage(design, x_hat, part0)

@@ -15,25 +15,25 @@ from breakboot.bootstrap import (
     _paths,
     _samples,
     _slices,
+    bootstrap_dataset,
     case_i_draws,
     case_ii_draws,
     pvalue_and_quantile,
     rf_case_i_draws,
     rf_case_ii_draws,
-    wf_generate,
-    wr_generate,
 )
 from breakboot.estimation import first_stage, fit_regimes, make_design
 from breakboot.exceptions import ConfigError, EmptyDrawsError
 from breakboot.harness import test_dataset as run_dataset_test
 from breakboot.model import Dataset, ModelSpec, Partition, Role, no_breaks
 from breakboot.partition_search import (
+    AdmissibleGrid,
     enumerate_partitions,
     global_ssr_breaks,
     min_regime_length,
     rf_break_grid_and_fit,
 )
-from breakboot.rng import STREAM_NU_RF, derive_seed
+from breakboot.rng import STREAM_NU, STREAM_NU_RF, derive_seed, generator, rademacher
 from breakboot.sequential import rf_sup_wald, rf_sup_wald_seq
 from breakboot.stats import (
     STATISTICS,
@@ -58,8 +58,8 @@ def test_identity_multiplier_reproduces_sample():
     design, est = null_estimates(spec, data)
     ones = np.ones(design.n)
     scale = 1.0 + float(np.abs(data.y).max())
-    for gen in (wr_generate, wf_generate):
-        bd = gen(spec, data, est, ones)
+    for scheme in ("wr", "wf"):
+        bd = bootstrap_dataset(design, est, BootstrapConfig(scheme, 1, 0), ones)
         assert np.abs(bd.y - data.y).max() <= 1e-12 * scale
         assert np.abs(bd.x - data.x).max() <= 1e-12 * scale
         np.testing.assert_array_equal(bd.r, data.r)
@@ -72,7 +72,7 @@ def test_negative_multiplier_flips_residuals():
     spec = bb.scenario_model_spec()
     design, est = null_estimates(spec, data)
     neg = -np.ones(design.n)
-    bd = wr_generate(spec, data, est, neg)
+    bd = bootstrap_dataset(design, est, BootstrapConfig("wr", 1, 0), neg)
     assert bd.y[0] == data.y[0] and bd.x[0, 0] == data.x[0, 0]
     # row t=2 (first generated): z rows agree with the original because all
     # lags point at the start-up values
@@ -83,7 +83,7 @@ def test_negative_multiplier_flips_residuals():
     y2 = x2 * est.beta[0][0] + z1_2 @ est.beta[0][1:] - est.u_hat[0]
     assert bd.y[1] == pytest.approx(y2, rel=1e-12)
     # WF: negated residuals appear directly
-    bdf = wf_generate(spec, data, est, neg)
+    bdf = bootstrap_dataset(design, est, BootstrapConfig("wf", 1, 0), neg)
     lag = spec.max_lag
     resid = bdf.y[lag:] - (
         bdf.x[lag:] @ est.beta[0][:1] + design.Z1 @ est.beta[0][1:]
@@ -114,8 +114,8 @@ def test_wr_equals_wf_bit_for_bit_without_lags():
     data = lag_free_data()
     design, est = null_estimates(spec, data)
     nu = MultiplierStream(5, 1).column(design.n, 1)
-    b_wr = wr_generate(spec, data, est, nu)
-    b_wf = wf_generate(spec, data, est, nu)
+    b_wr = bootstrap_dataset(design, est, BootstrapConfig("wr", 1, 0), nu)
+    b_wf = bootstrap_dataset(design, est, BootstrapConfig("wf", 1, 0), nu)
     np.testing.assert_array_equal(b_wr.y, b_wf.y)
     np.testing.assert_array_equal(b_wr.x, b_wf.x)
     # and the bootstrap statistics agree bit for bit
@@ -135,8 +135,8 @@ def test_wf_two_point_average_recovers_deterministic_part():
     spec = bb.scenario_model_spec()
     design, est = null_estimates(spec, data)
     ones = np.ones(design.n)
-    b_plus = wf_generate(spec, data, est, ones)
-    b_minus = wf_generate(spec, data, est, -ones)
+    b_plus = bootstrap_dataset(design, est, BootstrapConfig("wf", 1, 0), ones)
+    b_minus = bootstrap_dataset(design, est, BootstrapConfig("wf", 1, 0), -ones)
     lag = spec.max_lag
     x_mean = (b_plus.x + b_minus.x)[lag:] / 2
     np.testing.assert_allclose(x_mean, est.first.x_hat, atol=1e-10)
@@ -150,7 +150,7 @@ def test_wf_keeps_lagged_instrument_rows():
     spec = bb.scenario_model_spec()
     design, est = null_estimates(spec, data)
     nu = MultiplierStream(7, 1).column(design.n, 1)
-    bd = wf_generate(spec, data, est, nu)
+    bd = bootstrap_dataset(design, est, BootstrapConfig("wf", 1, 0), nu)
     # the original z rows (with original lagged y, x) are what the WF
     # estimation uses; rebuild them from the original data for comparison
     Z_orig, _, _ = bb.build_instrument_rows(spec, data)
@@ -198,6 +198,11 @@ def test_multiplier_stream_keying():
     assert not np.array_equal(col1, MultiplierStream(12, 4).column(50, 1))
     M = s.matrix(50, 3)
     np.testing.assert_array_equal(M[:, 0], col1)
+    # no stage keys the SE purpose; a stage keys the RF purpose and is
+    # inserted before b
+    np.testing.assert_array_equal(col1, rademacher(generator(11, 4, STREAM_NU, 1), 50))
+    np.testing.assert_array_equal(MultiplierStream(11, 4, 2).column(50, 1),
+                                  rademacher(generator(11, 4, STREAM_NU_RF, 2, 1), 50))
 
 
 def test_same_multiplier_for_u_and_v():
@@ -226,7 +231,7 @@ def test_failure_cap_enforced(monkeypatch):
         # by slice in order
         scored = []
 
-        def scan(Y, W, k, trim, q, *, statistic):
+        def scan(Y, W, k, min_len, *, statistic):
             start = sum(scored)
             scored.append(Y.shape[0])
             return None, values[start:start + Y.shape[0], None], None
@@ -383,7 +388,7 @@ def test_rf_identity_multipliers_reproduce_sample_statistics_p1_two():
 def test_rf_batched_draws_equal_single_replications_p1_two():
     design, _, stages = two_endogenous_rf_stages()
     B = 19
-    nu = MultiplierStream(3, 1, STREAM_NU_RF, 0).matrix(design.n, B)
+    nu = MultiplierStream(3, 1, 0).matrix(design.n, B)
     for scheme in ("wr", "wf"):
         for fn, args in stages:
             draws, fails = fn(*args, BootstrapConfig(scheme, B, 3, 1), nu=nu)
@@ -517,7 +522,7 @@ def test_rf_stage_stream_is_keyed_by_the_partition_break_count():
     first2 = rf_break_grid_and_fit(design, 2, 0.15)
     assert first2.partition.k == 2
     cfg = BootstrapConfig("wr", 9, 4, 3)
-    nu = MultiplierStream(4, 3, STREAM_NU_RF, 2).matrix(design.n, 9)
+    nu = MultiplierStream(4, 3, 2).matrix(design.n, 9)
     draws, fails = rf_case_ii_draws(design, first2, cfg)
     np.testing.assert_array_equal(
         draws, rf_case_ii_draws(design, first2, cfg, nu=nu)[0])
@@ -552,12 +557,14 @@ def test_sliced_rf_draws_equal_the_whole_batch(B, rf_stages):
     # slicing a stage's samples moves no bit of a draw, also at T = 120,
     # where a slice's batch chunk is smaller than the whole batch's: the
     # scan's candidate blocks do not follow the chunk.  A slice of one
-    # entry would take the LU form and round differently.
+    # entry would take the LU form and round differently.  A finite stat
+    # above every draw scores each slice of _slices(B), with no early stop.
     for design, first in rf_stages:
         cfg = BootstrapConfig("wr", B, 5, 1)
         whole = _sup_case_ii(*_samples(design, cfg, None, first)[:2], first.partition)[0]
         assert np.all(np.isfinite(whole))
-        draws, fails = rf_case_ii_draws(design, first, cfg, stat=math.inf)
+        stat = float(whole.max()) + 1.0
+        draws, fails = rf_case_ii_draws(design, first, cfg, stat=stat)
         assert fails == 0
         np.testing.assert_array_equal(draws, whole)
 
@@ -576,14 +583,16 @@ def se_tests():
 
 @pytest.mark.parametrize("B", [2, 49, 50, 51, 101])
 def test_sliced_se_draws_equal_the_whole_batch(B, se_tests):
-    # the structural-equation draws, scored in slices, equal one scan of
-    # the whole batch bit for bit, under both schemes and statistics
+    # the structural-equation draws are scored in one scan, not in slices:
+    # they equal one scan of the whole batch bit for bit, under both
+    # schemes and statistics, with nothing lost in the failure count or
+    # the reduction over candidates
     design, est0, est1 = se_tests
     for scheme in ("wr", "wf"):
         cfg = BootstrapConfig(scheme, B, 5, 1)
         for statistic in STATISTICS:
             Yb, Wb, _ = _samples(design, cfg, None, est0)
-            whole = np.max(_sup_case_i(Yb, Wb, 1, 0.15, design.spec.q,
+            whole = np.max(_sup_case_i(Yb, Wb, 1, est0.se_partition.min_len,
                                        statistic=statistic)[1], axis=1)
             assert np.all(np.isfinite(whole))
             draws, fails = case_i_draws(design, est0, 1, cfg, statistic=statistic)
@@ -596,6 +605,45 @@ def test_sliced_se_draws_equal_the_whole_batch(B, se_tests):
             draws, fails = case_ii_draws(design, est1, cfg, statistic=statistic)
             assert fails == 0
             np.testing.assert_array_equal(draws, whole)
+
+
+@pytest.mark.parametrize("statistic", STATISTICS)
+def test_se_draws_invert_each_shared_block_once(statistic, se_tests, monkeypatch):
+    # the structural-equation draws score their B samples in one scan, so
+    # each of its candidate blocks and regimes gets one _shared_block call,
+    # as in one whole-batch scan, and every candidate regime is inverted
+    # once; B = 101 used to take three slices and three times the calls
+    import breakboot.estimation as estimation
+
+    design, est0, est1 = se_tests
+    cfg = BootstrapConfig("wr", 101, 5, 1)
+    calls = []
+    shared_block = estimation._shared_block
+
+    def block_spy(cum_A, s_e, e_e, kept):
+        calls.append(s_e.shape[0])
+        return shared_block(cum_A, s_e, e_e, kept)
+
+    monkeypatch.setattr(estimation, "_shared_block", block_spy)
+    min_len = est0.se_partition.min_len
+    Yb, Wb, _ = _samples(design, cfg, None, est0)
+    _sup_case_i(Yb, Wb, 1, min_len, statistic=statistic)
+    whole = calls.copy()
+    calls.clear()
+    case_i_draws(design, est0, 1, cfg, statistic=statistic)
+    assert calls == whole
+    assert sum(calls) == 2 * AdmissibleGrid(design.n, 1, min_len).count
+
+    min_len = est1.se_partition.min_len
+    Yb, Wb, vb = _samples(design, cfg, None, est1)
+    calls.clear()
+    _sup_case_ii(Yb, Wb, est1.se_partition, statistic=statistic, v_rows=vb)
+    whole = calls.copy()
+    calls.clear()
+    case_ii_draws(design, est1, cfg, statistic=statistic)
+    assert calls == whole
+    assert sum(calls) == 2 * sum(max(0, e - s + 2 - 2 * min_len)
+                                 for s, e in est1.se_partition.regimes())
 
 
 def scripted_rf_stage(monkeypatch, values, stat):
@@ -679,13 +727,14 @@ def test_rf_shared_block_scans_equal_lu_path():
     for design in (h1m1_design(), make_design(*two_endogenous_system())):  # p1 = 1, 2
         rf0, rf1 = rf_stage_fits(design)
         q = design.spec.q
+        ml = min_regime_length(design.n, 0.15, q)
         for scheme in ("wr", "wf"):
             Yb, Wb = rf_samples(design, rf0, scheme)
             assert differing_columns(Wb) == (lagged_x_columns(design) if scheme == "wr" else ())
             for k in (1, 2):
                 assert_same_scan(
-                    _sup_case_i(Yb, Wb, k, 0.15, q),
-                    lu_reference(_sup_case_i, Yb, Wb, k, 0.15, q),
+                    _sup_case_i(Yb, Wb, k, ml),
+                    lu_reference(_sup_case_i, Yb, Wb, k, ml),
                 )
             parts = enumerate_partitions(design.n, 1, 0.15, q).as_array()
             ssr = scan_partitions_batch(Yb, Wb, parts, design.n, compute_wald=False)[1]
@@ -707,13 +756,13 @@ def test_rf_shared_block_singular_policy():
     # path's candidates and nothing raises.
     design = h1m1_design(T=241)
     rf0, _ = rf_stage_fits(design)
-    q = design.spec.q
+    ml = min_regime_length(design.n, 0.15, design.spec.q)
     Z = design.Z.copy()
     Z[:40, 1] = 0.0
     zeroed = replace(design, Z=Z)
     Yb, Wb = rf_samples(zeroed, rf0, "wr")
-    parts, vals, ok = _sup_case_i(Yb, Wb, 1, 0.15, q)
-    assert_same_scan((parts, vals, ok), lu_reference(_sup_case_i, Yb, Wb, 1, 0.15, q))
+    parts, vals, ok = _sup_case_i(Yb, Wb, 1, ml)
+    assert_same_scan((parts, vals, ok), lu_reference(_sup_case_i, Yb, Wb, 1, ml))
     inside = parts[:, 0] <= 40
     assert inside.any() and not inside.all()
     assert np.array_equal(ok, np.broadcast_to(~inside, ok.shape))
@@ -721,8 +770,8 @@ def test_rf_shared_block_singular_policy():
     Yb, Wb = rf_samples(design, rf0, "wr")
     Wb = Wb.copy()
     Wb[2, :40, lagged_x_columns(design)[0]] = 0.0
-    parts, vals, ok = _sup_case_i(Yb, Wb, 1, 0.15, q)
-    assert_same_scan((parts, vals, ok), lu_reference(_sup_case_i, Yb, Wb, 1, 0.15, q))
+    parts, vals, ok = _sup_case_i(Yb, Wb, 1, ml)
+    assert_same_scan((parts, vals, ok), lu_reference(_sup_case_i, Yb, Wb, 1, ml))
     assert np.array_equal(ok[2], parts[:, 0] > 40)
     assert ok[[0, 1, 3, 4, 5, 6]].all()
 
@@ -778,14 +827,14 @@ def test_se_shared_block_scans_equal_lu_path():
     # refinement step of b, sup-F misses that by a factor of ten.
     for design, sup_tol in ((scenario_design(), 1e-8),
                             (make_design(*two_endogenous_system()), None)):
-        q = design.spec.q
+        ml = min_regime_length(design.n, 0.15, design.spec.q)
         null, _ = global_ssr_breaks(design, _first_or_default(design, 0.15), 1, 0.15)
         for scheme in ("wr", "wf"):
             Yb, Wb, _ = se_samples(design, scheme)
             for k in (1, 2):
                 for statistic in STATISTICS:
-                    new = _sup_case_i(Yb, Wb, k, 0.15, q, statistic=statistic)
-                    lu = lu_reference(_sup_case_i, Yb, Wb, k, 0.15, q, statistic=statistic)
+                    new = _sup_case_i(Yb, Wb, k, ml, statistic=statistic)
+                    lu = lu_reference(_sup_case_i, Yb, Wb, k, ml, statistic=statistic)
                     np.testing.assert_array_equal(new[2], lu[2])
                     np.testing.assert_array_equal(np.argmax(new[1], axis=1),
                                                   np.argmax(lu[1], axis=1))
@@ -805,12 +854,12 @@ def test_se_shared_block_singular_policy():
     # alone.  Its pivot is then zero, so exactly the LU path's candidates
     # are skipped, on the Wald and the SSR-only path, and nothing raises.
     design = scenario_design(T=241)
-    q = design.spec.q
+    ml = min_regime_length(design.n, 0.15, design.spec.q)
     Yb, Wb, _ = se_samples(design, "wr")
     Wb[2, :40, 3] = 0.0
     for statistic in STATISTICS:
-        parts, vals, ok = _sup_case_i(Yb, Wb, 1, 0.15, q, statistic=statistic)
-        lu = lu_reference(_sup_case_i, Yb, Wb, 1, 0.15, q, statistic=statistic)
+        parts, vals, ok = _sup_case_i(Yb, Wb, 1, ml, statistic=statistic)
+        lu = lu_reference(_sup_case_i, Yb, Wb, 1, ml, statistic=statistic)
         np.testing.assert_array_equal(ok, lu[2])
         np.testing.assert_array_equal(np.isfinite(vals), np.isfinite(lu[1]))
         inside = parts[:, 0] <= 40

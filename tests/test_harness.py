@@ -189,6 +189,29 @@ def test_test_dataset_refuses_bad_break_counts_before_any_work(monkeypatch):
     assert calls == []
 
 
+def test_test_dataset_refuses_a_bool_rf_breaks_before_any_work(monkeypatch):
+    # True is an int, but not a break count: it used to impose one RF break
+    calls = []
+    for name in ("estimate_rf_breaks_design", "rf_break_grid_and_fit", "_first_or_default"):
+        monkeypatch.setattr(f"breakboot.harness.{name}", lambda *a, **k: calls.append(a))
+    data, _ = bb.generate(bb.ScenarioConfig("h1m1", "B", T=240, seed=7))
+    design = bb.make_design(bb.scenario_model_spec(), data)
+    for rf_breaks in (True, False, -1, "1"):
+        with pytest.raises(bb.ConfigError, match="rf_breaks"):
+            run_dataset_test(design, bb.BootstrapConfig("wr", 19, 1), rf_breaks=rf_breaks)
+    assert calls == []
+
+
+@pytest.mark.parametrize("setting", [
+    {"scheme": "wx"}, {"test": "supt"}, {"B": 0}, {"alphas": (0.05, 1.5)}, {"alphas": (0.0,)},
+])
+def test_mc_config_refuses_a_bad_test_setting(setting):
+    # the scheme, B, statistic and levels are checked as the test's own
+    # checks do, when the cell is built
+    with pytest.raises(bb.ConfigError):
+        tiny_cfg(**setting)
+
+
 def test_repeated_levels_are_refused(tmp_path):
     # one level listed twice would give one rate and two table rows
     with pytest.raises(bb.ConfigError):

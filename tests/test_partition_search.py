@@ -40,7 +40,7 @@ def test_min_regime_length_rule():
 
 def test_enumerate_k0_single_empty():
     grid = enumerate_partitions(50, 0, 0.15, 4)
-    assert list(grid.candidates()) == [()]
+    assert [tuple(r) for r in grid.as_array().tolist()] == [()]
     assert grid.count == 1
 
 
@@ -48,14 +48,14 @@ def test_enumerate_t20_eps015():
     # eps*n = 3 exactly; regimes must be strictly longer, so breaks run
     # from 4 to 16
     grid = enumerate_partitions(20, 1, 0.15, 2)
-    tuples = [t[0] for t in grid.candidates()]
+    tuples = [t[0] for t in grid.as_array().tolist()]
     assert tuples == list(range(4, 17))
     assert grid.count == 13
 
 
 def test_enumerate_matches_brute_force_k2():
     grid = enumerate_partitions(30, 2, 0.2, 3)
-    got = list(grid.candidates())
+    got = [tuple(r) for r in grid.as_array().tolist()]
     want = brute_force_tuples(30, 2, grid.min_len)
     assert got == want
     assert grid.count == len(want)
@@ -78,7 +78,7 @@ def test_grid_count_formula_random():
         except InfeasiblePartitionError:
             continue
         want = brute_force_tuples(n, k, grid.min_len)
-        assert list(grid.candidates()) == want
+        assert [tuple(r) for r in grid.as_array().tolist()] == want
 
 
 def static_spec(p2=2):
@@ -289,6 +289,18 @@ def test_rf_dp_matches_brute_force():
             best = (total, tup)
     assert part.breaks == best[1]
     assert len(delta) == 3
+
+
+def test_negative_break_count_refused_by_both_searches():
+    # the SE and RF searches share one body and one check; a negative count
+    # used to reach the SE search's dynamic program as a KeyError
+    data, _ = bb.generate(bb.ScenarioConfig("h1m0", "A", T=41, seed=8))
+    design = make_design(bb.scenario_model_spec(), data)
+    first = rf_break_grid_and_fit(design, 0, 0.15)
+    with pytest.raises(InfeasiblePartitionError):
+        global_ssr_breaks(design, first, -1, 0.15)
+    with pytest.raises(InfeasiblePartitionError):
+        rf_break_grid_and_fit(design, -1, 0.15)
 
 
 @pytest.mark.slow

@@ -112,7 +112,7 @@ def test_sup_wald_singleton_grid_equals_wald_at():
     n = design.n  # 40
     grid = enumerate_partitions(n, 1, 0.47, spec.q)
     assert grid.count == 1
-    (c,) = list(grid.candidates())[0]
+    (c,) = grid.as_array().tolist()[0]
     out = bb.sup_wald_design(design, k=1, eps=0.47)
     part = Partition((c,), n, 0.47, grid.min_len)
     part0 = no_breaks(n, 0.47, 1)
@@ -134,7 +134,7 @@ def test_sup_wald_matches_bruteforce_recomputation():
         out = bb.sup_wald_design(design, k=k, eps=0.15)
         grid = enumerate_partitions(n, k, 0.15, spec.q)
         best, best_c = -np.inf, None
-        for c in grid.candidates():
+        for c in map(tuple, grid.as_array().tolist()):
             part = Partition(c, n, 0.15, grid.min_len)
             est = fit_regimes(design, first_stage(design, part0), part)
             blocks = eicker_white(design, est, part)
@@ -473,7 +473,7 @@ def test_sup_f_wald_form_identity():
         W = np.column_stack([x_hat, design.Z1])
         grid = enumerate_partitions(n, 1, 0.15, spec.q)
         c = int(
-            list(grid.candidates())[int(rng.integers(0, grid.count))][0]
+            grid.as_array()[int(rng.integers(0, grid.count)), 0]
         )
         part = Partition((c,), n, 0.15, grid.min_len)
         fit0 = second_stage(design, x_hat, part0)
@@ -500,7 +500,7 @@ def test_sup_f_agrees_with_per_candidate_ssr_form():
     fit0 = second_stage(design, x_hat, part0)
     grid = enumerate_partitions(n, 1, 0.15, spec.q)
     best = -np.inf
-    for (c,) in grid.candidates():
+    for (c,) in grid.as_array().tolist():
         part = Partition((c,), n, 0.15, grid.min_len)
         fit1 = second_stage(design, x_hat, part)
         best = max(best, f_at(fit0.ssr, fit1.ssr, n, 1, spec.d_beta))
@@ -578,9 +578,9 @@ def test_restricted_fit_takes_stacked_targets():
     # reduced form comes in
     data, _ = bb.generate(bb.ScenarioConfig("h1m0", "A", T=120, seed=5))
     design = make_design(bb.scenario_model_spec(), data)
-    X3, Z, q = design.x[None], design.Z[None], design.spec.q
-    f3 = _sup_case_i(X3, Z, 1, 0.15, q, statistic="supf")[1]
-    assert np.array_equal(f3, _sup_case_i(X3[:, :, 0], Z, 1, 0.15, q, statistic="supf")[1])
+    X3, Z, ml = design.x[None], design.Z[None], min_regime_length(design.n, 0.15, design.spec.q)
+    f3 = _sup_case_i(X3, Z, 1, ml, statistic="supf")[1]
+    assert np.array_equal(f3, _sup_case_i(X3[:, :, 0], Z, 1, ml, statistic="supf")[1])
     assert np.all(np.isfinite(f3))
 
 
